@@ -42,7 +42,7 @@ void run_sweep(int n_seeds) {
                 bench::cell(avg.reduce_avg, avg.reduce_trimmed).c_str(),
                 bench::cell(avg.total, avg.total_trimmed).c_str(), avg.gap,
                 rpcs, backoffs);
-    bench::JsonRow()
+    common::JsonWriter()
         .field("experiment", "E3")
         .field("backoff_cap_s", cap)
         .field("seeds", avg.runs)

@@ -18,8 +18,8 @@
 //
 // `--jobs N` runs the (point, seed) grid on a bench::SeedPool — every
 // seed is an independent simulation — and reduces results in seed order,
-// so rows and the BENCH doc stay byte-identical to `--jobs 1`, which
-// takes the historical serial loop. Only the headline's wall-clock fields
+// so rows and the BENCH doc are byte-identical at every N, `--jobs 1`
+// (one worker) included. Only the headline's wall-clock fields
 // (jobs / wall_s / points_wall_s / parallel_speedup_x) depend on N.
 
 #include <chrono>
@@ -90,8 +90,8 @@ SeedRun run_chaos_seed(const PointSpec& p, int seed_index) {
   return r;
 }
 
-/// Folds one seed's result into the point aggregate, in seed order — the
-/// exact floating-point operation order of the historical serial loop.
+/// Folds one seed's result into the point aggregate, in seed order, so the
+/// floating-point operation order never depends on --jobs.
 void fold_seed(const SeedRun& r, double baseline_i, Timings* t) {
   ++t->runs;
   if (!r.completed) return;
@@ -108,13 +108,12 @@ void finish_point(const PointSpec& p, Timings* t) {
   if (p.recovery_out) *p.recovery_out = t->recovery;
 }
 
-/// Renders one point's JSON row from its aggregates and registry — shared
-/// by the serial and pooled paths, so both emit through identical code.
+/// Renders one point's JSON row from its aggregates and merged registry.
 /// Field names and values match the historical private-struct emitter
 /// exactly (the fault kind labels map 1:1 onto the old FaultStats fields).
 std::string render_row(const PointSpec& p, const Timings& t, double base_avg,
                        const obs::MetricsRegistry& reg) {
-  return bench::JsonRow()
+  return common::JsonWriter()
       .field("experiment", "E16")
       .field("fault", p.family)
       .field("intensity", p.intensity)
@@ -149,22 +148,6 @@ std::string render_row(const PointSpec& p, const Timings& t, double base_avg,
       .field("server_crashes", bench::fault_kind(reg, "server_crash"))
       .field("server_restores", bench::fault_kind(reg, "server_restore"))
       .str();
-}
-
-/// The historical serial path (`--jobs 1`): one registry scope per point,
-/// seeds run in order on the calling thread.
-std::string sweep_point_serial(const PointSpec& p, int n_seeds,
-                               const std::vector<double>& baseline,
-                               double base_avg, double* points_wall_s) {
-  obs::ScopedMetricsRegistry metrics;
-  Timings t;
-  for (int i = 0; i < n_seeds; ++i) {
-    const SeedRun r = run_chaos_seed(p, i);
-    *points_wall_s += r.wall_s;
-    fold_seed(r, baseline[i], &t);
-  }
-  finish_point(p, &t);
-  return render_row(p, t, base_avg, metrics.registry());
 }
 
 /// Builds the full E16 point list. The seed grid, fault schedules, and
@@ -357,25 +340,16 @@ void run(int n_seeds, const char* out_path, int jobs) {
 
   double points_wall_s = 0;
   const PointSpec no_faults{"baseline", 0, [](core::Scenario&) {}, nullptr};
+  bench::SeedPool pool(jobs);
 
-  // Fault-free makespan per seed: the recovery-time yardstick. Scoped (or
-  // task-isolated) so the baseline runs don't leak counters into the
-  // process registry.
+  // Fault-free makespan per seed: the recovery-time yardstick. Each pool
+  // task runs under its own registry, so the baseline runs don't leak
+  // counters into the process registry.
   std::vector<double> baseline;
-  if (jobs == 1) {
-    obs::ScopedMetricsRegistry metrics;
-    for (int i = 0; i < n_seeds; ++i) {
-      const SeedRun r = run_chaos_seed(no_faults, i);
-      points_wall_s += r.wall_s;
-      baseline.push_back(r.total_seconds);
-    }
-  } else {
-    bench::SeedPool pool(jobs);
-    for (const SeedRun& r : pool.map(
-             n_seeds, [&](int i) { return run_chaos_seed(no_faults, i); })) {
-      points_wall_s += r.wall_s;
-      baseline.push_back(r.total_seconds);
-    }
+  for (const SeedRun& r : pool.map(
+           n_seeds, [&](int i) { return run_chaos_seed(no_faults, i); })) {
+    points_wall_s += r.wall_s;
+    baseline.push_back(r.total_seconds);
   }
   double base_avg = 0;
   for (const double b : baseline) base_avg += b;
@@ -393,40 +367,25 @@ void run(int n_seeds, const char* out_path, int jobs) {
     rows.push_back(std::move(row));
   };
 
-  if (jobs == 1) {
-    // Historical serial path: one point at a time, rows stream as they
-    // finish.
-    for (const PointSpec& p : points) {
-      emit(sweep_point_serial(p, n_seeds, baseline, base_avg,
-                              &points_wall_s));
+  // The whole (point, seed) grid runs as one flat batch — full
+  // parallelism even when n_seeds < jobs — and each point is then reduced
+  // in seed order from the per-task registries.
+  const int n_points = static_cast<int>(points.size());
+  const auto results = pool.map_metered(n_points * n_seeds, [&](int task) {
+    return run_chaos_seed(points[static_cast<std::size_t>(task / n_seeds)],
+                          task % n_seeds);
+  });
+  for (int p = 0; p < n_points; ++p) {
+    obs::MetricsRegistry merged;
+    Timings t;
+    for (int i = 0; i < n_seeds; ++i) {
+      const auto& m = results[static_cast<std::size_t>(p * n_seeds + i)];
+      merged.merge_from(m.metrics);
+      points_wall_s += m.value.wall_s;
+      fold_seed(m.value, baseline[i], &t);
     }
-  } else {
-    // Pooled path: the whole (point, seed) grid runs as one flat batch —
-    // full parallelism even when n_seeds < jobs — and each point is then
-    // reduced in seed order from the per-task registries, reproducing the
-    // serial rows byte-for-byte.
-    bench::SeedPool pool(jobs);
-    const int n_points = static_cast<int>(points.size());
-    const auto results =
-        pool.map_metered(n_points * n_seeds, [&](int task) {
-          return run_chaos_seed(points[static_cast<std::size_t>(
-                                    task / n_seeds)],
-                                task % n_seeds);
-        });
-    for (int p = 0; p < n_points; ++p) {
-      obs::MetricsRegistry merged;
-      Timings t;
-      for (int i = 0; i < n_seeds; ++i) {
-        const auto& m =
-            results[static_cast<std::size_t>(p * n_seeds + i)];
-        merged.merge_from(m.metrics);
-        points_wall_s += m.value.wall_s;
-        fold_seed(m.value, baseline[i], &t);
-      }
-      finish_point(points[static_cast<std::size_t>(p)], &t);
-      emit(render_row(points[static_cast<std::size_t>(p)], t, base_avg,
-                      merged));
-    }
+    finish_point(points[static_cast<std::size_t>(p)], &t);
+    emit(render_row(points[static_cast<std::size_t>(p)], t, base_avg, merged));
   }
 
   std::printf(
@@ -450,7 +409,7 @@ void run(int n_seeds, const char* out_path, int jobs) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     sweep_t0)
           .count();
-  bench::JsonRow headline;
+  common::JsonWriter headline;
   headline.field("seeds", n_seeds)
       .field("baseline_s", base_avg)
       .field("crash3_recovery_s", crash3_recovery)
@@ -460,8 +419,8 @@ void run(int n_seeds, const char* out_path, int jobs) {
                                       : 0.0)
       .field("points", static_cast<int>(rows.size()))
       // Execution record (the only jobs-dependent fields in the doc):
-      // points_wall_s is the summed per-simulation wall time — the serial
-      // cost — so speedup is what the pool actually bought this run.
+      // points_wall_s is the summed per-simulation wall time — the
+      // one-worker cost — so speedup is what the pool bought this run.
       .field("jobs", jobs)
       .field("wall_s", sweep_wall_s)
       .field("points_wall_s", points_wall_s)

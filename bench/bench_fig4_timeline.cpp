@@ -57,7 +57,7 @@ void run_fig4(std::uint64_t seed) {
     std::printf("%-14s %-8s %9.1f %9.1f %9.1f %10.1f %12.1f\n",
                 t.result_name.c_str(), t.host_name.c_str(), t.sent_seconds,
                 up, t.received_seconds, t.interval(), delay);
-    bench::JsonRow()
+    common::JsonWriter()
         .field("experiment", "E2")
         .field("result", t.result_name)
         .field("host", t.host_name)
@@ -69,7 +69,7 @@ void run_fig4(std::uint64_t seed) {
         .emit();
   }
 
-  bench::JsonRow()
+  common::JsonWriter()
       .field("experiment", "E2")
       .field("summary", true)
       .field("seed", static_cast<std::int64_t>(seed))

@@ -48,7 +48,7 @@ void run(int n_seeds) {
                     bench::cell(avg.reduce_avg, avg.reduce_trimmed).c_str(),
                     bench::cell(avg.total, avg.total_trimmed).c_str(),
                     avg.server_out_mb, avg.server_in_mb, avg.interclient_mb);
-        bench::JsonRow()
+        common::JsonWriter()
             .field("experiment", "E6")
             .field("variant", v.name)
             .field("input_mb", static_cast<std::int64_t>(input / 1000000))

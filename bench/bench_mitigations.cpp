@@ -9,9 +9,8 @@
 // become available instead of after the whole map phase.
 //
 // `--jobs N` runs the (variant, geometry, seed) grid on a bench::SeedPool
-// and reduces in seed order; stdout and the BENCH doc stay byte-identical
-// to the `--jobs 1` historical serial loop (only the headline's wall
-// fields vary).
+// and reduces in seed order; stdout and the BENCH doc are byte-identical
+// at every N (only the headline's wall fields vary).
 
 #include <chrono>
 
@@ -51,8 +50,7 @@ core::Scenario make_scenario(const Point& p) {
   return s;
 }
 
-/// One (point, seed) simulation; seed numbering matches bench::run_seeds'
-/// default first_seed = 1.
+/// One (point, seed) simulation; seeds are numbered from 1.
 struct SeedRun {
   core::RunOutcome out;
   double wall_s = 0;
@@ -91,7 +89,7 @@ void render_row(const Point& p, const std::vector<core::RunOutcome>& outcomes,
               bench::cell(avg.reduce_avg, avg.reduce_trimmed).c_str(),
               bench::cell(avg.total, avg.total_trimmed).c_str(), avg.gap,
               rpcs);
-  bench::JsonRow row;
+  common::JsonWriter row;
   row.field("experiment", "E4E5")
       .field("variant", v.name)
       .field("nodes", p.nodes)
@@ -145,42 +143,24 @@ void run(int n_seeds, const char* out_path, int jobs) {
   const int n_variants = static_cast<int>(variants.size());
   const int n_points = static_cast<int>(points.size());
 
-  if (jobs == 1) {
-    // Historical serial path: one registry scope per variant (the RPC
-    // count comes from the scheduler's counters, not a private stat),
-    // seeds in order on this thread via bench::run_seeds.
-    for (int p = 0; p < n_points; ++p) {
-      const Point& point = points[static_cast<std::size_t>(p)];
-      if (p % n_variants == 0) print_geometry_heading(point, n_seeds);
-      obs::ScopedMetricsRegistry metrics;
-      const core::Scenario s = make_scenario(point);
-      const auto pt0 = std::chrono::steady_clock::now();
-      const auto outcomes = bench::run_seeds(s, n_seeds);
-      points_wall_s += wall_since(pt0);
-      render_row(point, outcomes, metrics.registry(), rows, &baseline_gap,
-                 &mitigated_gap);
+  bench::SeedPool pool(jobs);
+  const auto results = pool.map_metered(n_points * n_seeds, [&](int task) {
+    return run_point_seed(points[static_cast<std::size_t>(task / n_seeds)],
+                          task % n_seeds);
+  });
+  for (int p = 0; p < n_points; ++p) {
+    const Point& point = points[static_cast<std::size_t>(p)];
+    if (p % n_variants == 0) print_geometry_heading(point, n_seeds);
+    obs::MetricsRegistry merged;
+    std::vector<core::RunOutcome> outcomes;
+    outcomes.reserve(static_cast<std::size_t>(n_seeds));
+    for (int i = 0; i < n_seeds; ++i) {
+      const auto& m = results[static_cast<std::size_t>(p * n_seeds + i)];
+      merged.merge_from(m.metrics);
+      points_wall_s += m.value.wall_s;
+      outcomes.push_back(m.value.out);
     }
-  } else {
-    bench::SeedPool pool(jobs);
-    const auto results = pool.map_metered(n_points * n_seeds, [&](int task) {
-      return run_point_seed(points[static_cast<std::size_t>(task / n_seeds)],
-                            task % n_seeds);
-    });
-    for (int p = 0; p < n_points; ++p) {
-      const Point& point = points[static_cast<std::size_t>(p)];
-      if (p % n_variants == 0) print_geometry_heading(point, n_seeds);
-      obs::MetricsRegistry merged;
-      std::vector<core::RunOutcome> outcomes;
-      outcomes.reserve(static_cast<std::size_t>(n_seeds));
-      for (int i = 0; i < n_seeds; ++i) {
-        const auto& m = results[static_cast<std::size_t>(p * n_seeds + i)];
-        merged.merge_from(m.metrics);
-        points_wall_s += m.value.wall_s;
-        outcomes.push_back(m.value.out);
-      }
-      render_row(point, outcomes, merged, rows, &baseline_gap,
-                 &mitigated_gap);
-    }
+    render_row(point, outcomes, merged, rows, &baseline_gap, &mitigated_gap);
   }
   std::printf(
       "\nExpected shape: E4 collapses the map phase's report tail (map raw ~=\n"
@@ -188,7 +168,7 @@ void run(int n_seeds, const char* out_path, int jobs) {
       "and lets reduce downloads overlap the map phase.\n");
 
   const double wall_s = wall_since(t0);
-  bench::JsonRow headline;
+  common::JsonWriter headline;
   headline.field("seeds", n_seeds)
       .field("points", static_cast<int>(rows.size()))
       .field("baseline_mr_gap_s", baseline_gap)

@@ -71,7 +71,7 @@ void run(int n_seeds, const char* out_path) {
         last_done > 0 ? (0.5 * k) / (last_done / 3600.0) : 0;
     std::printf("%6d | %12.0f %12.0f | %14.2f | %10.0f | %10.0f\n", k,
                 mean_total, last_done, gb_per_hour, backoffs, rpcs);
-    bench::JsonRow row;
+    common::JsonWriter row;
     row.field("experiment", "E13")
         .field("jobs", k)
         .field("seeds", n_seeds)

@@ -27,7 +27,10 @@
 // (events/s, wall/sim-sec, RSS), so concurrent rows contend for CPU and
 // inflate each other's readings; the deterministic fields (hosts,
 // alloc_mode, sim_seconds, events_executed) stay identical. The committed
-// BENCH_SCALE.json and CI's performance assertions use `--jobs 1`.
+// BENCH_SCALE.json and CI's performance assertions use `--jobs 1`: one
+// worker, so rows run one at a time and their readings are uncontended.
+// At any `--jobs` value, each table row prints as soon as it and every row
+// above it have finished; the JSON rows follow once the sweep ends.
 
 #include <chrono>
 #include <cstdlib>
@@ -176,7 +179,7 @@ RowResult run_row(int n_hosts, double sim_seconds, net::AllocMode mode,
 }
 
 std::string row_json(const RowResult& r) {
-  bench::JsonRow row;
+  common::JsonWriter row;
   row.field("experiment", "E20")
       .field("hosts", r.n_hosts)
       .field("alloc_mode", r.mode)
@@ -194,7 +197,6 @@ void print_row(const RowResult& r) {
               r.n_hosts, r.mode, r.sim_seconds,
               static_cast<long long>(r.events), r.events_per_sec(),
               r.wall_per_sim_sec(), r.peak_rss_mb);
-  std::fflush(stdout);  // rows take minutes; stream them as they land
 }
 
 void run(int max_hosts, const char* trace_path, const char* out_path,
@@ -236,24 +238,19 @@ void run(int max_hosts, const char* trace_path, const char* out_path,
   points.push_back(Point{baseline_hosts, baseline_hosts >= 10000 ? 5. : 120.,
                          net::AllocMode::kGlobal});
 
-  std::vector<RowResult> results;
-  if (jobs == 1) {
-    // Historical serial path: rows run and stream one at a time, and
-    // their wall-clock readings are uncontended — this is the path the
-    // committed doc and CI's performance assertions are pinned to.
-    results.reserve(points.size());
-    for (const Point& p : points) {
-      results.push_back(run_row(p.hosts, p.sim_s, p.mode, trace));
-      print_row(results.back());
-    }
-  } else {
-    bench::SeedPool pool(jobs);
-    results = pool.map(static_cast<int>(points.size()), [&](int i) {
-      const Point& p = points[static_cast<std::size_t>(i)];
-      return run_row(p.hosts, p.sim_s, p.mode, trace);
-    });
-    for (const RowResult& r : results) print_row(r);
-  }
+  // Rows take minutes at 10k+ hosts: stream each as soon as it and every
+  // row before it have landed.
+  bench::SeedPool pool(jobs);
+  const std::vector<RowResult> results = pool.map(
+      static_cast<int>(points.size()),
+      [&](int i) {
+        const Point& p = points[static_cast<std::size_t>(i)];
+        return run_row(p.hosts, p.sim_s, p.mode, trace);
+      },
+      [](int, const RowResult& r) {
+        print_row(r);
+        std::fflush(stdout);
+      });
   RowResult incr_at_baseline;
   for (const RowResult& r : results) {
     if (r.n_hosts == baseline_hosts &&
@@ -288,7 +285,7 @@ void run(int max_hosts, const char* trace_path, const char* out_path,
           .count();
   double points_wall_s = 0;
   for (const RowResult& r : results) points_wall_s += r.wall_s;
-  bench::JsonRow headline;
+  common::JsonWriter headline;
   headline.field("baseline_hosts", baseline_hosts)
       .field("incremental_wall_per_sim_sec",
              incr_at_baseline.wall_per_sim_sec())

@@ -154,7 +154,7 @@ std::string sweep_point(int n_seeds, int shards, bool store_on,
   const obs::MetricsRegistry& reg = metrics.registry();
   const Bytes project_egress = tier_egress(reg, "project");
   if (project_egress_out) *project_egress_out = project_egress;
-  bench::JsonRow row;
+  common::JsonWriter row;
   row.field("experiment", "E18")
       .field("shards", shards)
       .field("volunteer_store", store_on ? 1 : 0)
@@ -198,7 +198,7 @@ std::string golden_row() {
                   out.metrics.total_seconds == 205.092772 &&
                   out.server_bytes_sent == 120025909 &&
                   cluster.simulation().events_executed() == 455;
-  bench::JsonRow row;
+  common::JsonWriter row;
   row.field("experiment", "E18")
       .field("row", "golden_pin")
       .field("golden_ok", ok ? 1 : 0)
@@ -238,7 +238,7 @@ std::string identity_row(const std::string& trace_csv) {
   }
   const bool identical =
       completed && !outputs[0].empty() && outputs[0] == outputs[1];
-  bench::JsonRow row;
+  common::JsonWriter row;
   row.field("experiment", "E18")
       .field("row", "output_identity")
       .field("completed", completed ? 1 : 0)
@@ -293,7 +293,7 @@ void run(int n_seeds, const char* trace_path, const char* out_path) {
     doc += rows[i];
   }
   doc += "], \"headline\": ";
-  bench::JsonRow headline;
+  common::JsonWriter headline;
   headline.field("baseline_project_egress_bytes", baseline_egress)
       .field("volunteer_store_project_egress_bytes", headline_egress)
       .field("egress_reduction_x", reduction);

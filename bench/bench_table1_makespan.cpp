@@ -58,7 +58,7 @@ void run_table(int n_seeds) {
                 bench::cell(avg.reduce_avg, avg.reduce_trimmed).c_str(),
                 bench::cell(avg.total, avg.total_trimmed).c_str(), avg.gap,
                 avg.server_out_mb, avg.server_in_mb, avg.interclient_mb);
-    bench::JsonRow()
+    common::JsonWriter()
         .field("experiment", "E1")
         .field("client", r.boinc_mr ? "BOINC-MR" : "BOINC")
         .field("nodes", r.nodes)

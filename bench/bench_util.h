@@ -93,11 +93,6 @@ inline std::string cell(double raw, double trimmed) {
   return common::strprintf("%.0f [%.0f]", raw, trimmed);
 }
 
-/// One machine-readable result line: chain field() calls, then emit().
-/// Thin alias over the shared JSON writer (src/common/json.h); the output
-/// format is unchanged, which tests/test_obs.cpp pins.
-using JsonRow = common::JsonWriter;
-
 // --- registry readers ------------------------------------------------------
 // The bench rows come from the same MetricsRegistry the exporters see:
 // scope a ScopedMetricsRegistry around the measured clusters, then read

@@ -14,8 +14,8 @@
 // clean reference run's digests — come out as one JSON line per config.
 //
 // `--jobs N` runs the (config, seed) grid on a bench::SeedPool and reduces
-// in seed order; stdout and the BENCH doc stay byte-identical to the
-// `--jobs 1` historical serial loop (only the headline's wall fields vary).
+// in seed order; stdout and the BENCH doc are byte-identical at every N
+// (only the headline's wall fields vary).
 
 #include <chrono>
 #include <map>
@@ -88,8 +88,8 @@ struct QuorumPoint {
   int ok = 0;
 };
 
-/// Folds one seed in seed order; mirrors the historical loop, including the
-/// mid-sweep sanity alert against the cumulative validator counters.
+/// Folds one seed in seed order, including the mid-sweep sanity alert
+/// against the cumulative validator counters.
 void fold_quorum_seed(const QuorumConfig& cfg, const QuorumSeed& r,
                       const obs::MetricsRegistry& cumulative,
                       QuorumPoint* point) {
@@ -118,7 +118,7 @@ void emit_quorum_point(const QuorumConfig& cfg, QuorumPoint point,
   std::printf("%6d %7d %7.0f%% | %-12.0f | %10.1f | %9.2fx | %6d/%d\n",
               cfg.repl, cfg.quorum, cfg.faulty * 100, point.total,
               point.results, point.results / useful, point.ok, n_seeds);
-  rows.push_back(bench::JsonRow()
+  rows.push_back(common::JsonWriter()
                      .field("experiment", "E7")
                      .field("replication", cfg.repl)
                      .field("quorum", cfg.quorum)
@@ -135,7 +135,7 @@ void emit_quorum_point(const QuorumConfig& cfg, QuorumPoint point,
                      .str());
 }
 
-void run(int n_seeds, int jobs, std::vector<std::string>& rows,
+void run(bench::SeedPool& pool, int n_seeds, std::vector<std::string>& rows,
          double* points_wall_s) {
   std::printf(
       "E7 — QUORUM VALIDATION vs BYZANTINE HOSTS (20 nodes, 20 maps, 5 "
@@ -153,41 +153,22 @@ void run(int n_seeds, int jobs, std::vector<std::string>& rows,
     }
   }
 
-  if (jobs == 1) {
-    // Historical serial path: one registry scope per config, seeds in
-    // order on this thread; the invalid-result count is read back from
-    // the validator's counters, not a private stat.
-    for (const QuorumConfig& cfg : configs) {
-      obs::ScopedMetricsRegistry metrics;
-      QuorumPoint point;
-      for (int i = 0; i < n_seeds; ++i) {
-        const QuorumSeed r = run_quorum_seed(cfg, i);
-        *points_wall_s += r.wall_s;
-        fold_quorum_seed(cfg, r, metrics.registry(), &point);
-      }
-      emit_quorum_point(cfg, point, n_seeds, metrics.registry(), rows);
+  const int n_configs = static_cast<int>(configs.size());
+  const auto results = pool.map_metered(n_configs * n_seeds, [&](int task) {
+    return run_quorum_seed(configs[static_cast<std::size_t>(task / n_seeds)],
+                           task % n_seeds);
+  });
+  for (int c = 0; c < n_configs; ++c) {
+    const QuorumConfig& cfg = configs[static_cast<std::size_t>(c)];
+    obs::MetricsRegistry merged;
+    QuorumPoint point;
+    for (int i = 0; i < n_seeds; ++i) {
+      const auto& m = results[static_cast<std::size_t>(c * n_seeds + i)];
+      merged.merge_from(m.metrics);
+      *points_wall_s += m.value.wall_s;
+      fold_quorum_seed(cfg, m.value, merged, &point);
     }
-  } else {
-    bench::SeedPool pool(jobs);
-    const int n_configs = static_cast<int>(configs.size());
-    const auto results =
-        pool.map_metered(n_configs * n_seeds, [&](int task) {
-          return run_quorum_seed(
-              configs[static_cast<std::size_t>(task / n_seeds)],
-              task % n_seeds);
-        });
-    for (int c = 0; c < n_configs; ++c) {
-      const QuorumConfig& cfg = configs[static_cast<std::size_t>(c)];
-      obs::MetricsRegistry merged;
-      QuorumPoint point;
-      for (int i = 0; i < n_seeds; ++i) {
-        const auto& m = results[static_cast<std::size_t>(c * n_seeds + i)];
-        merged.merge_from(m.metrics);
-        *points_wall_s += m.value.wall_s;
-        fold_quorum_seed(cfg, m.value, merged, &point);
-      }
-      emit_quorum_point(cfg, point, n_seeds, merged, rows);
-    }
+    emit_quorum_point(cfg, point, n_seeds, merged, rows);
   }
   std::printf(
       "\nExpected shape: redundancy stays near the replication factor when\n"
@@ -309,7 +290,8 @@ AdaptiveSeed run_adaptive_seed(const AdaptiveConfig& cfg, int i) {
 
 /// Reports the clean-fleet replication overhead per policy through
 /// `clean_overhead_out[0]` (fixed) and `[1]` (adaptive) for the headline.
-void run_adaptive(int n_seeds, int jobs, std::vector<std::string>& rows,
+void run_adaptive(bench::SeedPool& pool, int n_seeds,
+                  std::vector<std::string>& rows,
                   double clean_overhead_out[2], double* points_wall_s) {
   bench::heading(common::strprintf(
       "E7b — FIXED vs ADAPTIVE REPLICATION (16 nodes, churn, %d-job train, "
@@ -325,23 +307,14 @@ void run_adaptive(int n_seeds, int jobs, std::vector<std::string>& rows,
   }
 
   // Per-seed results, config-major: every registry read already happened
-  // inside the task, so serial and pooled paths share one reduction.
-  std::vector<AdaptiveSeed> seeds;
+  // inside the task, so no registry merge is needed.
   const int n_configs = static_cast<int>(configs.size());
-  if (jobs == 1) {
-    seeds.reserve(static_cast<std::size_t>(n_configs * n_seeds));
-    for (const AdaptiveConfig& cfg : configs) {
-      for (int i = 0; i < n_seeds; ++i) {
-        seeds.push_back(run_adaptive_seed(cfg, i));
-      }
-    }
-  } else {
-    bench::SeedPool pool(jobs);
-    seeds = pool.map(n_configs * n_seeds, [&](int task) {
-      return run_adaptive_seed(
-          configs[static_cast<std::size_t>(task / n_seeds)], task % n_seeds);
-    });
-  }
+  const std::vector<AdaptiveSeed> seeds =
+      pool.map(n_configs * n_seeds, [&](int task) {
+        return run_adaptive_seed(
+            configs[static_cast<std::size_t>(task / n_seeds)],
+            task % n_seeds);
+      });
 
   for (int c = 0; c < n_configs; ++c) {
     const AdaptiveConfig& cfg = configs[static_cast<std::size_t>(c)];
@@ -368,7 +341,7 @@ void run_adaptive(int n_seeds, int jobs, std::vector<std::string>& rows,
       clean_overhead_out[cfg.mode == rep::PolicyMode::kAdaptive ? 1 : 0] =
           overhead;
     }
-    bench::JsonRow row;
+    common::JsonWriter row;
     row.field("experiment", "E7b")
         .field("policy", rep::to_string(cfg.mode))
         .field("faulty_fraction", cfg.faulty)
@@ -402,8 +375,9 @@ int main(int argc, char** argv) {
   std::vector<std::string> rows;
   double clean_overhead[2] = {0, 0};
   try {
-    vcmr::run(n_seeds, jobs, rows, &points_wall_s);
-    vcmr::run_adaptive(n_seeds, jobs, rows, clean_overhead, &points_wall_s);
+    vcmr::bench::SeedPool pool(jobs);
+    vcmr::run(pool, n_seeds, rows, &points_wall_s);
+    vcmr::run_adaptive(pool, n_seeds, rows, clean_overhead, &points_wall_s);
   } catch (const vcmr::bench::SeedPoolError& e) {
     std::fprintf(stderr, "error: sweep failed: %s\n", e.what());
     return 1;
@@ -411,7 +385,7 @@ int main(int argc, char** argv) {
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  vcmr::bench::JsonRow headline;
+  vcmr::common::JsonWriter headline;
   headline.field("seeds", n_seeds)
       .field("points", static_cast<int>(rows.size()))
       .field("fixed_clean_overhead", clean_overhead[0])

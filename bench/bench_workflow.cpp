@@ -146,7 +146,7 @@ double mean(const std::vector<double>& v, std::size_t from) {
 
 std::string depth_row(int depth, double depth1_makespan,
                       const DepthPoint& p) {
-  bench::JsonRow row;
+  common::JsonWriter row;
   row.field("experiment", "E19")
       .field("depth", depth)
       .field("runs", p.runs)
@@ -204,7 +204,7 @@ std::string identity_row() {
                   a.server_bytes_sent == b.server_bytes_sent &&
                   a.server_bytes_received == b.server_bytes_received &&
                   a.backoffs == b.backoffs && events_a == events_b;
-  bench::JsonRow row;
+  common::JsonWriter row;
   row.field("experiment", "E19")
       .field("row", "identity_single_node")
       .field("identity_ok", ok ? 1 : 0)
@@ -259,7 +259,7 @@ void run(int n_seeds, const char* trace_path, const char* out_path) {
     doc += rows[i];
   }
   doc += "], \"headline\": ";
-  bench::JsonRow headline;
+  common::JsonWriter headline;
   headline.field("depth1_makespan_s", depth1_makespan)
       .field("depth8_makespan_s", depth8_makespan)
       .field("depth8_amplification_x",

@@ -16,19 +16,22 @@
 //     streams, so nothing a task computes depends on scheduling;
 //   - results come back indexed by task, and callers reduce them in task
 //     (= seed) order — integer counter merges are order-independent and
-//     the floating-point reductions replay the serial loop's operation
-//     order exactly;
+//     the floating-point reductions run in seed order whatever the
+//     completion order;
 //   - worker threads have a silent thread-local EventBus and their own
 //     log time-provider slot, so no cross-thread observer state exists.
 //
-// `--jobs 1` in the benches does NOT use the pool: they keep the literal
-// historical serial loop, which doubles as the reference the parallel
-// path is pinned against (tests/test_seed_pool.cpp, CI byte-compare).
+// The pool is the benches' only runner: `--jobs 1` is a one-worker pool.
+// tests/test_seed_pool.cpp keeps a plain serial loop as the reference the
+// pool is pinned against, and CI byte-compares `--jobs 4` docs with the
+// committed `--jobs 1` ones.
 
 #include <functional>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -78,10 +81,27 @@ class SeedPool {
   /// SeedPoolError naming the task.
   template <class Fn>
   auto map(int n, Fn&& fn) -> std::vector<decltype(fn(0))> {
+    return map(n, std::forward<Fn>(fn), [](int, const auto&) {});
+  }
+
+  /// map(), also calling on_ready(i, result) once per task, in task order,
+  /// as soon as task i and every task before it have finished (calls are
+  /// serialized; with one worker each follows its own task). Lets a long
+  /// sweep stream its rows, so an interrupted run still shows its prefix.
+  template <class Fn, class OnReady>
+  auto map(int n, Fn&& fn, OnReady&& on_ready)
+      -> std::vector<decltype(fn(0))> {
     using T = decltype(fn(0));
     std::vector<std::optional<T>> slots(static_cast<std::size_t>(n));
+    std::mutex ready_mu;
+    std::size_t ready = 0;  ///< slots [0, ready) went to on_ready
     run_indexed(n, [&](int i) {
-      slots[static_cast<std::size_t>(i)].emplace(fn(i));
+      T value = fn(i);
+      std::lock_guard<std::mutex> lock(ready_mu);
+      slots[static_cast<std::size_t>(i)].emplace(std::move(value));
+      for (; ready < slots.size() && slots[ready]; ++ready) {
+        on_ready(static_cast<int>(ready), *slots[ready]);
+      }
     });
     std::vector<T> out;
     out.reserve(slots.size());

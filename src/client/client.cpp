@@ -217,7 +217,6 @@ void Client::do_rpc() {
   }
 
   rpc_in_flight_ = true;
-  ++stats_.rpcs;
   obs::MetricsRegistry::instance().counter("client", "rpcs").add();
   if (requesting) {
     obs::MetricsRegistry::instance()
@@ -252,7 +251,6 @@ void Client::on_rpc_fail(
     std::vector<std::int64_t> reported_ids,
     std::vector<proto::FetchFailureReport> sent_fetch_failures) {
   rpc_in_flight_ = false;
-  ++stats_.rpc_failures;
   obs::MetricsRegistry::instance().counter("client", "rpc_failures").add();
   // Reports were not delivered; queue them again.
   for (const std::int64_t id : reported_ids) {
@@ -329,7 +327,6 @@ void Client::on_reply(const proto::SchedulerReply& reply, bool requested_work,
 // --- task intake -----------------------------------------------------------
 
 void Client::accept_task(const proto::AssignedTask& assign) {
-  ++stats_.tasks_received;
   obs::MetricsRegistry::instance().counter("client", "tasks_received").add();
   trace_point("assign", assign.result_name);
 
@@ -833,15 +830,13 @@ void Client::upload_output(std::int64_t result_id, const std::string& name,
     return;
   }
   const std::size_t span = trace_begin("upload", name);
-  const Bytes size = payload.size;
   // Copy before the call: `payload` is moved into the failure lambda below,
   // and argument evaluation order is unspecified.
   mr::FilePayload to_send = payload;
   data_.upload(
       node_, name, std::move(to_send),
-      [this, result_id, span, size] {
+      [this, result_id, span] {
         trace_end(span);
-        stats_.bytes_uploaded_server += size;
         if (Task* t = find_task(result_id)) {
           if (--t->uploads_in_flight == 0) mark_ready_to_report(*t);
         }
@@ -873,7 +868,6 @@ void Client::fail_task(Task& task, const std::string& why) {
     return;
   }
   log_.warn(actor_, ": task ", task.assign.result_name, " failed: ", why);
-  ++stats_.tasks_failed;
   obs::MetricsRegistry::instance().counter("client", "tasks_failed").add();
   obs::publish(sim_.now(), "client", "task_failed", actor_, why);
   task.report_success = false;

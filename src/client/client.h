@@ -113,11 +113,7 @@ struct ClientConfig {
 };
 
 struct ClientStats {
-  std::int64_t rpcs = 0;
-  std::int64_t rpc_failures = 0;
-  std::int64_t tasks_received = 0;
   std::int64_t tasks_completed = 0;
-  std::int64_t tasks_failed = 0;
   std::int64_t results_reported = 0;
   std::int64_t backoffs = 0;
   std::int64_t server_fallbacks = 0;  ///< peer fetch → server fallback
@@ -125,7 +121,6 @@ struct ClientStats {
   std::int64_t store_misses = 0;      ///< Bloom false positives / lost chunks
   Bytes bytes_downloaded_store = 0;   ///< chunk bytes from volunteer peers
   Bytes bytes_downloaded_server = 0;
-  Bytes bytes_uploaded_server = 0;
   Bytes bytes_read_locally = 0;  ///< reduce inputs already on local disk
 };
 

@@ -5,8 +5,8 @@
 // JsonWriter builds a single JSON object: chain field() calls, then str()
 // or emit(). Keys are emitted in insertion order so lines diff cleanly
 // across runs, and the numeric formatting (%.6g doubles, plain integers)
-// matches the historical bench::JsonRow output byte for byte — bench lines
-// produced through the alias are regression-pinned in tests/test_obs.cpp.
+// is the one every committed bench row uses, regression-pinned in
+// tests/test_obs.cpp.
 
 #include <cstdint>
 #include <string>

@@ -3,6 +3,7 @@
 #include "common/error.h"
 #include "common/strings.h"
 #include "common/xml.h"
+#include "server/config.h"
 #include "workflow/workflow.h"
 
 namespace vcmr::core {
@@ -61,29 +62,7 @@ Scenario scenario_from_xml(const std::string& xml) {
   }
 
   if (const XmlNode* r = root->child("replication")) {
-    auto& rc = s.project.reputation;
-    if (const std::string* mode = r->attr("policy")) {
-      rc.mode = rep::policy_mode_from_string(*mode);
-    }
-    rc.min_consecutive_valid = static_cast<int>(
-        r->child_i64("min_consecutive_valid", rc.min_consecutive_valid));
-    rc.max_error_rate = r->child_double("max_error_rate", rc.max_error_rate);
-    rc.spot_check_probability =
-        r->child_double("spot_check_probability", rc.spot_check_probability);
-    rc.error_rate_prior =
-        r->child_double("error_rate_prior", rc.error_rate_prior);
-    rc.error_rate_decay =
-        r->child_double("error_rate_decay", rc.error_rate_decay);
-    rc.trust_max_skips =
-        static_cast<int>(r->child_i64("trust_max_skips", rc.trust_max_skips));
-    require(rc.min_consecutive_valid >= 1,
-            "scenario xml: min_consecutive_valid must be >= 1");
-    require(rc.spot_check_probability >= 0 && rc.spot_check_probability <= 1,
-            "scenario xml: spot_check_probability must be in [0,1]");
-    require(rc.error_rate_decay > 0 && rc.error_rate_decay < 1,
-            "scenario xml: error_rate_decay must be in (0,1)");
-    require(rc.trust_max_skips >= 0,
-            "scenario xml: trust_max_skips must be >= 0");
+    server::read_replication(*r, "scenario xml", s.project.reputation);
   }
 
   if (const XmlNode* c = root->child("client")) {
@@ -390,20 +369,7 @@ std::string scenario_to_xml(const Scenario& s) {
   p.add_child_text("feeder_fair_share",
                    s.project.feeder_fair_share ? "1" : "0");
 
-  const auto& rc = s.project.reputation;
-  XmlNode& r = root.add_child("replication");
-  r.set_attr("policy", rep::to_string(rc.mode));
-  r.add_child_text("min_consecutive_valid",
-                   std::to_string(rc.min_consecutive_valid));
-  r.add_child_text("max_error_rate",
-                   common::strprintf("%.6f", rc.max_error_rate));
-  r.add_child_text("spot_check_probability",
-                   common::strprintf("%.6f", rc.spot_check_probability));
-  r.add_child_text("error_rate_prior",
-                   common::strprintf("%.6f", rc.error_rate_prior));
-  r.add_child_text("error_rate_decay",
-                   common::strprintf("%.6f", rc.error_rate_decay));
-  r.add_child_text("trust_max_skips", std::to_string(rc.trust_max_skips));
+  server::write_replication(root, s.project.reputation);
 
   XmlNode& c = root.add_child("client");
   c.add_child_text("work_buf_min_s",

@@ -42,7 +42,6 @@ void ReputationStore::record_valid(HostId host) {
   ++h.consecutive_valid;
   h.error_rate *= cfg_.error_rate_decay;
   ++h.results_valid;
-  ++stats_.valids;
   if (!was && is_trusted(h)) ++stats_.promotions;
 }
 
@@ -53,7 +52,6 @@ void ReputationStore::record_invalid(HostId host) {
   h.error_rate = h.error_rate * cfg_.error_rate_decay +
                  (1.0 - cfg_.error_rate_decay);
   ++h.results_invalid;
-  ++stats_.invalids;
   if (was && !is_trusted(h)) ++stats_.demotions;
 }
 
@@ -61,7 +59,6 @@ void ReputationStore::record_inconclusive(HostId host) {
   // The answer hasn't been judged yet; valid/invalid follows once the
   // quorum settles, so only the tally moves here.
   ++db_.host(host).results_inconclusive;
-  ++stats_.inconclusives;
 }
 
 void ReputationStore::record_error(HostId host) {
@@ -69,7 +66,6 @@ void ReputationStore::record_error(HostId host) {
   const bool was = is_trusted(h);
   h.consecutive_valid = 0;
   ++h.results_errored;
-  ++stats_.errors;
   if (was && !is_trusted(h)) ++stats_.demotions;
 }
 

@@ -52,10 +52,6 @@ struct ReputationConfig {
 };
 
 struct ReputationStats {
-  std::int64_t valids = 0;
-  std::int64_t invalids = 0;
-  std::int64_t inconclusives = 0;
-  std::int64_t errors = 0;
   std::int64_t promotions = 0;  ///< untrusted -> trusted transitions
   std::int64_t demotions = 0;   ///< trusted -> untrusted transitions
 };

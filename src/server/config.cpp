@@ -38,27 +38,7 @@ ProjectConfig parse_mr_jobtracker(const std::string& xml, ProjectConfig base) {
     cfg.report_fetch_failures = root->child_i64("report_fetch_failures") != 0;
   }
   if (const common::XmlNode* r = root->child("replication")) {
-    auto& rc = cfg.reputation;
-    if (const std::string* mode = r->attr("policy")) {
-      rc.mode = rep::policy_mode_from_string(*mode);
-    }
-    rc.min_consecutive_valid = static_cast<int>(
-        r->child_i64("min_consecutive_valid", rc.min_consecutive_valid));
-    rc.max_error_rate = r->child_double("max_error_rate", rc.max_error_rate);
-    rc.spot_check_probability =
-        r->child_double("spot_check_probability", rc.spot_check_probability);
-    rc.error_rate_prior =
-        r->child_double("error_rate_prior", rc.error_rate_prior);
-    rc.error_rate_decay =
-        r->child_double("error_rate_decay", rc.error_rate_decay);
-    rc.trust_max_skips =
-        static_cast<int>(r->child_i64("trust_max_skips", rc.trust_max_skips));
-    require(rc.min_consecutive_valid >= 1,
-            "mr_jobtracker.xml: min_consecutive_valid must be >= 1");
-    require(rc.spot_check_probability >= 0 && rc.spot_check_probability <= 1,
-            "mr_jobtracker.xml: spot_check_probability must be in [0,1]");
-    require(rc.error_rate_decay > 0 && rc.error_rate_decay < 1,
-            "mr_jobtracker.xml: error_rate_decay must be in (0,1)");
+    read_replication(*r, "mr_jobtracker.xml", cfg.reputation);
   }
   require(cfg.default_n_maps >= 1, "mr_jobtracker.xml: n_maps must be >= 1");
   require(cfg.default_n_reducers >= 1,
@@ -83,22 +63,50 @@ std::string mr_jobtracker_xml(const ProjectConfig& cfg) {
                       cfg.resend_lost_results ? "1" : "0");
   root.add_child_text("report_fetch_failures",
                       cfg.report_fetch_failures ? "1" : "0");
-  common::XmlNode& r = root.add_child("replication");
-  r.set_attr("policy", rep::to_string(cfg.reputation.mode));
-  r.add_child_text("min_consecutive_valid",
-                   std::to_string(cfg.reputation.min_consecutive_valid));
-  r.add_child_text("max_error_rate",
-                   common::strprintf("%.6f", cfg.reputation.max_error_rate));
-  r.add_child_text(
-      "spot_check_probability",
-      common::strprintf("%.6f", cfg.reputation.spot_check_probability));
-  r.add_child_text("error_rate_prior",
-                   common::strprintf("%.6f", cfg.reputation.error_rate_prior));
-  r.add_child_text("error_rate_decay",
-                   common::strprintf("%.6f", cfg.reputation.error_rate_decay));
-  r.add_child_text("trust_max_skips",
-                   std::to_string(cfg.reputation.trust_max_skips));
+  write_replication(root, cfg.reputation);
   return root.to_string();
+}
+
+void read_replication(const common::XmlNode& r, const std::string& doc,
+                      rep::ReputationConfig& rc) {
+  if (const std::string* mode = r.attr("policy")) {
+    rc.mode = rep::policy_mode_from_string(*mode);
+  }
+  rc.min_consecutive_valid = static_cast<int>(
+      r.child_i64("min_consecutive_valid", rc.min_consecutive_valid));
+  rc.max_error_rate = r.child_double("max_error_rate", rc.max_error_rate);
+  rc.spot_check_probability =
+      r.child_double("spot_check_probability", rc.spot_check_probability);
+  rc.error_rate_prior = r.child_double("error_rate_prior", rc.error_rate_prior);
+  rc.error_rate_decay = r.child_double("error_rate_decay", rc.error_rate_decay);
+  rc.trust_max_skips =
+      static_cast<int>(r.child_i64("trust_max_skips", rc.trust_max_skips));
+  const auto check = [&doc](bool ok, const char* what) {
+    if (!ok) throw Error(doc + ": " + what);
+  };
+  check(rc.min_consecutive_valid >= 1, "min_consecutive_valid must be >= 1");
+  check(rc.spot_check_probability >= 0 && rc.spot_check_probability <= 1,
+        "spot_check_probability must be in [0,1]");
+  check(rc.error_rate_decay > 0 && rc.error_rate_decay < 1,
+        "error_rate_decay must be in (0,1)");
+  check(rc.trust_max_skips >= 0, "trust_max_skips must be >= 0");
+}
+
+void write_replication(common::XmlNode& parent,
+                       const rep::ReputationConfig& rc) {
+  common::XmlNode& r = parent.add_child("replication");
+  r.set_attr("policy", rep::to_string(rc.mode));
+  r.add_child_text("min_consecutive_valid",
+                   std::to_string(rc.min_consecutive_valid));
+  r.add_child_text("max_error_rate",
+                   common::strprintf("%.6f", rc.max_error_rate));
+  r.add_child_text("spot_check_probability",
+                   common::strprintf("%.6f", rc.spot_check_probability));
+  r.add_child_text("error_rate_prior",
+                   common::strprintf("%.6f", rc.error_rate_prior));
+  r.add_child_text("error_rate_decay",
+                   common::strprintf("%.6f", rc.error_rate_decay));
+  r.add_child_text("trust_max_skips", std::to_string(rc.trust_max_skips));
 }
 
 }  // namespace vcmr::server

@@ -10,6 +10,10 @@
 #include "reputation/reputation.h"
 #include "store/store.h"
 
+namespace vcmr::common {
+class XmlNode;
+}
+
 namespace vcmr::server {
 
 struct ProjectConfig {
@@ -120,5 +124,14 @@ ProjectConfig parse_mr_jobtracker(const std::string& xml,
 
 /// Serializes the MR-relevant fields back to `mr_jobtracker.xml` form.
 std::string mr_jobtracker_xml(const ProjectConfig& cfg);
+
+/// The `<replication policy="fixed|adaptive">` block, shared by
+/// `mr_jobtracker.xml` and scenario XML. Reads `r` over `rc` (absent fields
+/// keep their values) and validates the result; errors name `doc`.
+void read_replication(const common::XmlNode& r, const std::string& doc,
+                      rep::ReputationConfig& rc);
+/// Appends the `<replication>` block for `rc` to `parent`.
+void write_replication(common::XmlNode& parent,
+                       const rep::ReputationConfig& rc);
 
 }  // namespace vcmr::server

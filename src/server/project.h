@@ -14,14 +14,14 @@
 #include "server/assimilator.h"
 #include "server/config.h"
 #include "server/daemon.h"
-#include "server/data_server.h"
 #include "server/feeder.h"
-#include "store/store.h"
 #include "server/jobtracker.h"
 #include "server/scheduler.h"
 #include "server/transitioner.h"
 #include "server/validator.h"
 #include "sim/simulation.h"
+#include "store/data_server.h"
+#include "store/store.h"
 
 namespace vcmr::server {
 
@@ -70,7 +70,7 @@ class Project {
   store::StorageTier& storage() { return data_; }
   const store::StorageTier& storage() const { return data_; }
   /// The primary data server — the historical single-server accessor.
-  DataServer& data_server() { return data_.primary(); }
+  store::DataServer& data_server() { return data_.primary(); }
   JobTracker& jobtracker() { return jobtracker_; }
   Scheduler& scheduler() { return scheduler_; }
   const ProjectConfig& config() const { return cfg_; }

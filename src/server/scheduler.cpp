@@ -16,6 +16,10 @@ common::Logger log_("scheduler");
 obs::Counter& sched_counter(const char* name) {
   return obs::MetricsRegistry::instance().counter("scheduler", name);
 }
+
+/// Registry counter per Deferral reason, in enum order.
+constexpr const char* kDeferralCounters[] = {"trust_skips", "store_gate_skips",
+                                             "locality_skips"};
 }
 
 Scheduler::Scheduler(sim::Simulation& sim, db::Database& db, Feeder& feeder,
@@ -64,12 +68,10 @@ Scheduler::~Scheduler() { http_.stop_listening(ep_); }
 
 void Scheduler::crash() {
   down_ = true;
-  locality_skips_.clear();
-  trust_skips_.clear();
+  deferrals_.clear();
   input_cachers_.clear();
   store_directory_.clear();
   server_sends_.clear();
-  store_skips_.clear();
 }
 
 proto::SchedulerReply Scheduler::process(const proto::SchedulerRequest& req) {
@@ -89,7 +91,6 @@ proto::SchedulerReply Scheduler::process(const proto::SchedulerRequest& req) {
         store_directory_.update(host,
                                 common::BloomFilter::parse(req.store_filter),
                                 req.serving_endpoint, sim_.now());
-        ++stats_.store_adverts;
         sched_counter("store_adverts").add();
       } catch (const Error&) {
         // Malformed advert: ignore it, keep whatever we knew before.
@@ -117,10 +118,7 @@ proto::SchedulerReply Scheduler::process(const proto::SchedulerRequest& req) {
   if (req.work_request_seconds > 0) {
     assign_work(req, reply);
     reply.had_work = !reply.tasks.empty();
-    if (!reply.had_work) {
-      ++stats_.empty_replies;
-      sched_counter("empty_replies").add();
-    }
+    if (!reply.had_work) sched_counter("empty_replies").add();
     sched_counter("results_dispatched")
         .add(static_cast<std::int64_t>(reply.tasks.size()));
   }
@@ -187,21 +185,18 @@ void Scheduler::note_cached_files(HostId host,
 }
 
 void Scheduler::handle_report(HostId host, const proto::ReportedResult& rep) {
-  ++stats_.reports;
   sched_counter("reports").add();
   const ResultId rid{rep.result_id};
   db::ResultRecord* r = nullptr;
   try {
     r = &db_.result(rid);
   } catch (const Error&) {
-    ++stats_.late_reports;
     sched_counter("late_reports").add();
     return;
   }
   if (r->server_state != db::ServerState::kInProgress || r->host != host) {
     // Late, duplicate, or post-timeout report: BOINC marks these "too
     // late"; the work was already rescheduled elsewhere.
-    ++stats_.late_reports;
     sched_counter("late_reports").add();
     return;
   }
@@ -279,8 +274,6 @@ void Scheduler::handle_fetch_failure(HostId reporter,
     log_.info("host ", reporter.value(), " could not fetch map ",
               ff.map_index, " outputs from host ", ff.holder_host,
               "; invalidated, map will re-run");
-  } else {
-    ++stats_.fetch_failures_ignored;
   }
 }
 
@@ -292,15 +285,6 @@ void Scheduler::assign_work(const proto::SchedulerRequest& req,
   int host_in_progress =
       static_cast<int>(db_.in_progress_on_host(host).size());
 
-  // Skip counters are only meaningful while a result awaits dispatch; drop
-  // them once it is assigned or its WU completes, or the maps grow without
-  // bound across a long run.
-  const auto drop_skip_counters = [this](ResultId rid) {
-    locality_skips_.erase(rid);
-    trust_skips_.erase(rid);
-    store_skips_.erase(rid);
-  };
-
   // Snapshot: assignment mutates the cache through feeder_.remove().
   const std::vector<ResultId> cache = feeder_.cache();
   for (const ResultId rid : cache) {
@@ -311,14 +295,14 @@ void Scheduler::assign_work(const proto::SchedulerRequest& req,
     db::ResultRecord& r = db_.result(rid);
     if (r.server_state != db::ServerState::kUnsent) {
       feeder_.remove(rid);
-      drop_skip_counters(rid);
+      deferrals_.erase(rid);
       continue;
     }
     db::WorkUnitRecord& wu = db_.workunit(r.wu);
     if (wu.error_mass || wu.canonical_found) {
       // The transitioner will abort this replica; its deferral history is
       // dead weight either way.
-      drop_skip_counters(rid);
+      deferrals_.erase(rid);
       continue;
     }
 
@@ -378,19 +362,19 @@ void Scheduler::assign_work(const proto::SchedulerRequest& req,
         }
       }
       if (wait_for_replica) {
-        if (store_skips_[rid] < cfg_.volunteer_store.dispatch_max_skips) {
-          ++store_skips_[rid];
-          ++stats_.store_gate_skips;
-          sched_counter("store_gate_skips").add();
+        if (defer(rid, Deferral::kStore,
+                  cfg_.volunteer_store.dispatch_max_skips)) {
           continue;
         }
         // Skip bound exhausted: release this replica server-sourced, but
-        // restart every other gated counter. Sibling replicas burn skips at
-        // the same rate, so without the reset they would all cross the
+        // restart every other store-gate count. Sibling replicas burn skips
+        // at the same rate, so without the reset they would all cross the
         // bound in the same polling wave and fan a download per host off
         // the project tier; staggered releases give each one's host time
         // to validate (and so become a trusted serve point) first.
-        store_skips_.clear();
+        for (auto& [id, counts] : deferrals_) {
+          counts[static_cast<std::size_t>(Deferral::kStore)] = 0;
+        }
       }
     }
 
@@ -409,12 +393,8 @@ void Scheduler::assign_work(const proto::SchedulerRequest& req,
       const auto mine = held.find(host.value());
       const Bytes my_bytes = mine == held.end() ? 0 : mine->second;
       if (best > 0 && my_bytes >= best) {
-        ++stats_.locality_hits;
         sched_counter("locality_hits").add();
-      } else if (locality_skips_[rid] < cfg_.locality_max_skips) {
-        ++locality_skips_[rid];
-        ++stats_.locality_skips;
-        sched_counter("locality_skips").add();
+      } else if (defer(rid, Deferral::kLocality, cfg_.locality_max_skips)) {
         continue;
       }
     }
@@ -425,8 +405,7 @@ void Scheduler::assign_work(const proto::SchedulerRequest& req,
     r.sent_time = sim_.now();
     r.report_deadline = sim_.now() + wu.delay_bound;
     feeder_.remove(rid);
-    drop_skip_counters(rid);
-    ++stats_.results_dispatched;
+    deferrals_.erase(rid);
     ++host_in_progress;
 
     if (wu.mr_phase != db::MrPhase::kNone) {
@@ -456,14 +435,10 @@ bool Scheduler::apply_trust_policy(const db::ResultRecord& r,
   if (!policy_->store().is_trusted(host)) {
     // Prefer trusted hosts for single-replica work: defer a bounded number
     // of times, then hand it out escalated so nothing starves.
-    if (trust_skips_[r.id] < cfg_.reputation.trust_max_skips) {
-      ++trust_skips_[r.id];
-      ++stats_.trust_skips;
-      sched_counter("trust_skips").add();
+    if (defer(r.id, Deferral::kTrust, cfg_.reputation.trust_max_skips)) {
       return false;
     }
     escalate();
-    ++stats_.trust_escalations;
     sched_counter("trust_escalations").add();
     if (trace_) {
       trace_->point(sim_.now(), "scheduler", "trust_escalate", r.name);
@@ -477,12 +452,10 @@ bool Scheduler::apply_trust_policy(const db::ResultRecord& r,
       // Feeder fast-tracks the check replicas (reclassifies the WU's
       // unsent results into the audit-first ready queue).
       db_.set_workunit_audit(wu.id, true);
-      ++stats_.spot_checks;
       sched_counter("spot_checks").add();
       if (trace_) trace_->point(sim_.now(), "scheduler", "spot_check", r.name);
       break;
     case rep::AssignmentDecision::kSingle:
-      ++stats_.trusted_singles;
       sched_counter("trusted_singles").add();
       if (trace_) {
         trace_->point(sim_.now(), "scheduler", "trust_single", r.name);
@@ -492,9 +465,18 @@ bool Scheduler::apply_trust_policy(const db::ResultRecord& r,
       // Unreachable: trust was checked above, but keep the conservative
       // fallback so a racing demotion still replicates.
       escalate();
-      ++stats_.trust_escalations;
+      sched_counter("trust_escalations").add();
       break;
   }
+  return true;
+}
+
+bool Scheduler::defer(ResultId rid, Deferral reason, int max) {
+  const auto i = static_cast<std::size_t>(reason);
+  int& n = deferrals_[rid][i];
+  if (n >= max) return false;
+  ++n;
+  sched_counter(kDeferralCounters[i]).add();
   return true;
 }
 
@@ -578,7 +560,7 @@ proto::AssignedTask Scheduler::build_task(const db::ResultRecord& r,
             p.on_server = f.on_server;
             in.peers.push_back(std::move(p));
             ++attached;
-            ++stats_.input_peers_attached;
+            sched_counter("input_peers_attached").add();
           }
         }
       }
@@ -599,7 +581,6 @@ proto::AssignedTask Scheduler::build_task(const db::ResultRecord& r,
             p.on_server = f.on_server;
             p.from_store = true;
             in.peers.push_back(std::move(p));
-            ++stats_.store_peers_attached;
             sched_counter("store_peers_attached").add();
           }
         }

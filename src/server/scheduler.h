@@ -8,6 +8,7 @@
 // reduce results "uses JobTracker to identify which clients have finished
 // map tasks for this job" and appends their addresses (§III.B, Fig. 3).
 
+#include <array>
 #include <functional>
 #include <map>
 #include <set>
@@ -25,32 +26,13 @@
 
 namespace vcmr::server {
 
+/// The per-cluster counts core::RunOutcome reports. Every other scheduler
+/// fact lives only in the `scheduler/*` registry counters.
 struct SchedulerStats {
   std::int64_t rpcs = 0;
-  std::int64_t reports = 0;
-  std::int64_t results_dispatched = 0;
-  std::int64_t empty_replies = 0;  ///< work requested, none available
-  std::int64_t late_reports = 0;   ///< report for a non-in-progress result
-  std::int64_t locality_hits = 0;  ///< reduce results placed on data holders
-  std::int64_t locality_skips = 0; ///< deferrals waiting for a holder
-  std::int64_t input_peers_attached = 0;  ///< cacher endpoints handed out
-
-  // Adaptive replication (vcmr::rep) trust decisions.
-  std::int64_t trusted_singles = 0;   ///< dispatched as a lone replica
-  std::int64_t spot_checks = 0;       ///< trusted host, replicated anyway
-  std::int64_t trust_escalations = 0; ///< untrusted host forced a full quorum
-  std::int64_t trust_skips = 0;       ///< deferrals waiting for a trusted host
-
-  // Fast lost-work recovery.
   std::int64_t results_lost = 0;      ///< reconciled away (client forgot them)
   std::int64_t fetch_failures_reported = 0;  ///< failed-fetch reports received
-  std::int64_t fetch_failures_ignored = 0;   ///< stale or server-mirrored
   std::int64_t maps_invalidated = 0;  ///< map WUs re-issued early
-
-  // Volunteer replica store (vcmr::store).
-  std::int64_t store_adverts = 0;         ///< Bloom adverts received
-  std::int64_t store_peers_attached = 0;  ///< serve points handed out
-  std::int64_t store_gate_skips = 0;      ///< dispatches deferred for a replica
 };
 
 class Scheduler {
@@ -75,8 +57,8 @@ class Scheduler {
 
   /// Server crash-fault: while down the endpoint answers every RPC with 503
   /// (clients back off and retry as for any failed RPC), and the CGI's soft
-  /// state — delay-scheduling counters, trust deferrals, input-cacher map —
-  /// is discarded; it never survives a process restart.
+  /// state — deferral counts, input-cacher map, store directory — is
+  /// discarded; it never survives a process restart.
   void crash();
   /// Back up after a restore; soft state rebuilds from future requests.
   void restore() { down_ = false; }
@@ -87,6 +69,14 @@ class Scheduler {
   proto::SchedulerReply process(const proto::SchedulerRequest& req);
 
  private:
+  /// Why a feedable result was passed over for the requesting host. Each
+  /// reason has its own skip bound and its own `scheduler/*_skips` counter.
+  enum class Deferral {
+    kTrust,     ///< single-replica work waiting for a trusted host
+    kStore,     ///< map chunk waiting for a trusted volunteer replica
+    kLocality,  ///< reduce partition waiting for its best data holder
+  };
+
   void handle_report(HostId host, const proto::ReportedResult& rep);
   /// resend_lost_results: marks in-progress results the client no longer
   /// knows about as kOver/kLost and flags their WUs for transition.
@@ -110,6 +100,10 @@ class Scheduler {
   /// WU to the full quorum before the caller assigns.
   bool apply_trust_policy(const db::ResultRecord& r, db::WorkUnitRecord& wu,
                           HostId host);
+  /// The one deferral gate: passes `rid` over for `reason` unless it has
+  /// already been deferred `max` times for that reason. Returns true (and
+  /// counts the skip) when the caller should move on to the next result.
+  bool defer(ResultId rid, Deferral reason, int max);
 
   sim::Simulation& sim_;
   db::Database& db_;
@@ -122,8 +116,10 @@ class Scheduler {
   sim::TraceRecorder* trace_ = nullptr;
   SchedulerStats stats_;
   bool down_ = false;
-  std::map<ResultId, int> locality_skips_;  ///< delay-scheduling counters
-  std::map<ResultId, int> trust_skips_;     ///< trusted-host deferral counters
+  /// Deferrals so far per awaiting result, indexed by Deferral. Erased once
+  /// the result is assigned or its WU completes, so the map stays bounded
+  /// across a long run.
+  std::map<ResultId, std::array<int, 3>> deferrals_;
   /// Peer-assisted input distribution: file name -> hosts serving it.
   std::map<std::string, std::vector<HostId>> input_cachers_;
   /// Volunteer replica store: Bloom adverts by host (soft state, like the
@@ -135,7 +131,6 @@ class Scheduler {
   /// the same shared chunk downloads it once, so only new hosts widen the
   /// project tier's exposure.
   std::map<std::string, std::set<HostId>> server_sends_;
-  std::map<ResultId, int> store_skips_;  ///< gate deferral counters
 };
 
 }  // namespace vcmr::server

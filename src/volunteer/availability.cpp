@@ -4,10 +4,7 @@ namespace vcmr::volunteer {
 
 void AvailabilityModel::attach(client::Client& client, std::uint64_t index) {
   common::Rng rng = sim_.rng_stream("volunteer.churn", index);
-  if (!rng.chance(cfg_.initial_online)) {
-    client.set_online(false);
-    ++stats_.offline_transitions;
-  }
+  if (!rng.chance(cfg_.initial_online)) client.set_online(false);
   schedule_next(client, rng);
 }
 
@@ -17,13 +14,7 @@ void AvailabilityModel::schedule_next(client::Client& client, common::Rng rng) {
                              : cfg_.mean_off.as_seconds();
   const SimTime dwell = SimTime::seconds(rng.exponential(mean));
   sim_.after(dwell, [this, &client, rng]() mutable {
-    const bool was_online = client.online();
-    client.set_online(!was_online);
-    if (was_online) {
-      ++stats_.offline_transitions;
-    } else {
-      ++stats_.online_transitions;
-    }
+    client.set_online(!client.online());
     schedule_next(client, rng);
   });
 }

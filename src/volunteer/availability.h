@@ -23,11 +23,6 @@ struct ChurnConfig {
   double initial_online = 0.95;
 };
 
-struct ChurnStats {
-  std::int64_t offline_transitions = 0;
-  std::int64_t online_transitions = 0;
-};
-
 /// Drives Client::set_online over exponential on/off sessions.
 class AvailabilityModel {
  public:
@@ -37,7 +32,6 @@ class AvailabilityModel {
   /// Starts churning `client`; `index` keys its RNG stream.
   void attach(client::Client& client, std::uint64_t index);
 
-  const ChurnStats& stats() const { return stats_; }
   /// Long-run fraction of time online implied by the configuration.
   double expected_availability() const {
     const double on = cfg_.mean_on.as_seconds();
@@ -50,7 +44,6 @@ class AvailabilityModel {
 
   sim::Simulation& sim_;
   ChurnConfig cfg_;
-  ChurnStats stats_;
 };
 
 }  // namespace vcmr::volunteer

@@ -36,8 +36,8 @@ using obs::ScopedMetricsRegistry;
 // --- JsonWriter (satellite 1: the hoisted bench JSON path) -----------------
 
 TEST(JsonWriter, FormatMatchesHistoricalBenchRows) {
-  // Byte-for-byte pin of the format bench_*.cpp rows have always used; the
-  // JsonRow alias in bench_util.h routes through this class.
+  // Byte-for-byte pin of the format bench_*.cpp rows have always used;
+  // every bench row is written through this class.
   JsonWriter w;
   w.field("experiment", "E2")
       .field("seed", static_cast<std::int64_t>(3))

@@ -1,6 +1,6 @@
 // Tests for bench::SeedPool — the parallel sweep runner — and its
 // determinism contract: a pooled sweep's rendered rows are byte-identical
-// to the historical serial loop's at any --jobs value, results come back
+// to a plain serial loop's at any --jobs value, results come back
 // in task order no matter the completion order, and a throwing seed fails
 // the whole sweep loudly, naming the seed.
 
@@ -56,6 +56,34 @@ TEST(SeedPool, SlowSeedsStillEmitInSeedOrder) {
   // The slow seed really did complete out of submission order.
   ASSERT_EQ(completion_order.size(), 6u);
   EXPECT_EQ(completion_order.back(), 0);
+}
+
+TEST(SeedPool, OnReadyStreamsResultsInTaskOrder) {
+  for (const int jobs : {1, 4}) {
+    std::atomic<int> started{0};
+    std::vector<int> ready_order;
+    std::vector<int> started_at_ready;
+    SeedPool pool(jobs);
+    const auto out = pool.map(
+        6,
+        [&](int i) {
+          started.fetch_add(1);
+          std::this_thread::sleep_for(
+              std::chrono::milliseconds(i == 0 ? 150 : 5));
+          return 10 + i;
+        },
+        [&](int i, const int& v) {
+          EXPECT_EQ(v, 10 + i);
+          ready_order.push_back(i);
+          started_at_ready.push_back(started.load());
+        });
+    ASSERT_EQ(out.size(), 6u);
+    EXPECT_EQ(ready_order, (std::vector<int>{0, 1, 2, 3, 4, 5})) << jobs;
+    if (jobs == 1) {
+      // One worker: each result streams before the next task starts.
+      EXPECT_EQ(started_at_ready, (std::vector<int>{1, 2, 3, 4, 5, 6}));
+    }
+  }
 }
 
 TEST(SeedPool, JobsClampedToAtLeastOne) {
@@ -161,8 +189,8 @@ TEST(SeedPoolDeathTest, ParseJobsFlagRejectsMalformedValues) {
 // The same shape the bench binaries use: a (config, seed) grid of real
 // Cluster simulations, one registry per point, rows rendered from the
 // seed-ordered outcomes plus the merged registry. The serial reference is
-// the literal historical loop; the pooled run must reproduce its rendered
-// rows byte-for-byte at every --jobs value.
+// a plain loop on the calling thread; the pooled run must reproduce its
+// rendered rows byte-for-byte at every --jobs value.
 
 core::Scenario mini_scenario(int n_maps, std::uint64_t seed) {
   core::Scenario s;
@@ -194,7 +222,7 @@ std::string render_mini_row(int n_maps, const std::vector<MiniSeed>& seeds,
     ++ok;
     total += r.total_seconds;
   }
-  bench::JsonRow row;
+  common::JsonWriter row;
   row.field("maps", n_maps)
       .field("completed", ok)
       .field("makespan_s", ok > 0 ? total / ok : 0.0)

@@ -71,6 +71,20 @@ TEST(Config, RejectsInvalid) {
                Error);
 }
 
+// mr_jobtracker.xml and scenario XML read <replication> through one reader,
+// so a bound scenario XML rejects is rejected here too, naming this document.
+TEST(Config, RejectsNegativeTrustMaxSkips) {
+  try {
+    parse_mr_jobtracker(
+        "<mr_jobtracker><replication><trust_max_skips>-1</trust_max_skips>"
+        "</replication></mr_jobtracker>");
+    FAIL() << "trust_max_skips -1 accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "mr_jobtracker.xml: trust_max_skips must be >= 0");
+  }
+}
+
 TEST(Templates, RenderParseRoundTrip) {
   WuTemplate t;
   t.wu_name = "job_map_3";

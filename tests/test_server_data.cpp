@@ -3,8 +3,8 @@
 
 #include <gtest/gtest.h>
 
-#include "server/data_server.h"
 #include "sim/simulation.h"
+#include "store/data_server.h"
 
 namespace vcmr::server {
 namespace {
@@ -15,14 +15,14 @@ struct Fixture {
   net::HttpService http{net};
   NodeId server_node;
   NodeId client_node;
-  std::unique_ptr<DataServer> data;
+  std::unique_ptr<store::DataServer> data;
 
   Fixture() {
     net::NodeConfig c;
     c.latency = SimTime::millis(2);
     server_node = net.add_node(c);
     client_node = net.add_node(c);
-    data = std::make_unique<DataServer>(http, server_node);
+    data = std::make_unique<store::DataServer>(http, server_node);
   }
 };
 

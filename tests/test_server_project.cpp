@@ -5,6 +5,7 @@
 
 #include "common/error.h"
 #include "net/http.h"
+#include "obs/metrics.h"
 #include "server/project.h"
 #include "sim/simulation.h"
 
@@ -183,6 +184,10 @@ TEST(Scheduler, ReportAdvancesResultAndRecordsFiles) {
 }
 
 TEST(Scheduler, LateReportIgnored) {
+  obs::ScopedMetricsRegistry metrics;
+  const auto late_reports = [&] {
+    return metrics.registry().counter_total("scheduler", "late_reports");
+  };
   ProjectFixture f;
   f.project->submit_job(small_job(1, 1));
   const HostId h = f.add_host();
@@ -190,9 +195,9 @@ TEST(Scheduler, LateReportIgnored) {
   const auto reply = f.ask_for_work(h);
   ASSERT_EQ(reply.tasks.size(), 1u);
   f.report_success(h, reply.tasks[0], "d", 1);
-  const auto before = f.project->scheduler().stats().late_reports;
+  const auto before = late_reports();
   f.report_success(h, reply.tasks[0], "d", 1);  // duplicate
-  EXPECT_EQ(f.project->scheduler().stats().late_reports, before + 1);
+  EXPECT_EQ(late_reports(), before + 1);
 
   proto::SchedulerRequest bogus;
   bogus.host_id = h.value();
@@ -200,7 +205,7 @@ TEST(Scheduler, LateReportIgnored) {
   rep.result_id = 99999;
   bogus.reports.push_back(rep);
   f.project->scheduler().process(bogus);
-  EXPECT_EQ(f.project->scheduler().stats().late_reports, before + 2);
+  EXPECT_EQ(late_reports(), before + 2);
 }
 
 TEST(JobTracker, MapQuorumCreatesReduceWithLocations) {

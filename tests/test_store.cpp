@@ -1,6 +1,6 @@
 // Tests for vcmr::store — the distributed storage tier.
 //
-// Four families:
+// Five families:
 //  1. StorageTier unit tests: shard routing, placement stickiness, per-shard
 //     outage, counter aggregation.
 //  2. ReplicaDirectory unit tests: advert lifecycle, TTL eviction, trust
@@ -11,6 +11,8 @@
 //  4. End-to-end correctness: sharded tiers and the volunteer replica store
 //     (including Bloom false-positive redirects and per-shard outages) keep
 //     word-count output byte-identical to the local-runtime oracle.
+//  5. The scheduler's deferral gate: trust, store-gate and locality
+//     deferrals in one pinned run.
 
 #include <gtest/gtest.h>
 
@@ -255,6 +257,7 @@ TEST(ReplicaDirectory, TtlEvictsStaleAdverts) {
 // Bloom geometry): disabled-store config must be inert — no extra events,
 // RNG draws, or wire bytes.
 TEST(StoreRegression, DisabledStoreBitIdenticalToSeed) {
+  obs::ScopedMetricsRegistry metrics;
   core::Scenario s;
   s.seed = 11;
   s.n_nodes = 8;
@@ -280,9 +283,10 @@ TEST(StoreRegression, DisabledStoreBitIdenticalToSeed) {
   EXPECT_EQ(out.store_fetches, 0);
   EXPECT_EQ(out.store_misses, 0);
   EXPECT_EQ(out.store_bytes, 0);
-  EXPECT_EQ(cluster.project().scheduler().stats().store_adverts, 0);
-  EXPECT_EQ(cluster.project().scheduler().stats().store_peers_attached, 0);
-  EXPECT_EQ(cluster.project().scheduler().stats().store_gate_skips, 0);
+  const obs::MetricsRegistry& reg = metrics.registry();
+  EXPECT_EQ(reg.counter_total("scheduler", "store_adverts"), 0);
+  EXPECT_EQ(reg.counter_total("scheduler", "store_peers_attached"), 0);
+  EXPECT_EQ(reg.counter_total("scheduler", "store_gate_skips"), 0);
   EXPECT_TRUE(cluster.shard_nodes().empty());
 }
 
@@ -404,12 +408,12 @@ TEST(StoreEndToEnd, VolunteerStoreMatchesSingleServerOracle) {
   const std::string text = corpus(200 * 1024, 43);
   core::Scenario s = volunteer_store_scenario(text);
   const server::MrJobSpec spec = shared_spec("shared", text);
+  obs::ScopedMetricsRegistry metrics;
   core::Cluster cluster(s);
   const core::RunOutcome out = cluster.run_job(spec);
   ASSERT_TRUE(out.metrics.completed);
+  EXPECT_GT(metrics.registry().counter_total("scheduler", "store_adverts"), 0);
   EXPECT_EQ(cluster.collect_output(out.job), single_server_output(s, spec));
-  const server::SchedulerStats& st = cluster.project().scheduler().stats();
-  EXPECT_GT(st.store_adverts, 0);
   // Egress convergence: 12 map results run, but only the handful of hosts
   // that were released server-sourced ever hit the project tier — everyone
   // else self-serves from the advertised local copy.
@@ -436,13 +440,14 @@ TEST(StoreEndToEnd, VolunteerStoreServesChunkOffTheProjectTier) {
   s.project.volunteer_store.dispatch_max_skips = 50;
   server::MrJobSpec spec = shared_spec("shared-trusted", text);
   spec.n_maps = 18;
+  obs::ScopedMetricsRegistry metrics;
   core::Cluster cluster(s);
   const core::RunOutcome out = cluster.run_job(spec);
   ASSERT_TRUE(out.metrics.completed);
+  const obs::MetricsRegistry& reg = metrics.registry();
+  EXPECT_GT(reg.counter_total("scheduler", "store_adverts"), 0);
+  EXPECT_GT(reg.counter_total("scheduler", "store_peers_attached"), 0);
   EXPECT_EQ(cluster.collect_output(out.job), single_server_output(s, spec));
-  const server::SchedulerStats& st = cluster.project().scheduler().stats();
-  EXPECT_GT(st.store_adverts, 0);
-  EXPECT_GT(st.store_peers_attached, 0);
   EXPECT_GT(out.store_fetches, 0);
   EXPECT_GT(out.store_bytes, 0);
   EXPECT_EQ(cluster.project().storage().downloads(), 1);
@@ -480,14 +485,55 @@ TEST(StoreEndToEnd, DispatchGateReleasesWithoutReplicas) {
   // store_sources stays empty and every gated dispatch must be released by
   // the skip bound.
   const server::MrJobSpec spec = shared_spec("gated", text);
+  obs::ScopedMetricsRegistry metrics;
   core::Cluster cluster(s);
   const core::RunOutcome out = cluster.run_job(spec);
   ASSERT_TRUE(out.metrics.completed);
+  const obs::MetricsRegistry& reg = metrics.registry();
+  EXPECT_GT(reg.counter_total("scheduler", "store_gate_skips"), 0);
+  EXPECT_EQ(reg.counter_total("scheduler", "store_peers_attached"), 0);
   EXPECT_EQ(cluster.collect_output(out.job), single_server_output(s, spec));
-  const server::SchedulerStats& st = cluster.project().scheduler().stats();
-  EXPECT_GT(st.store_gate_skips, 0);
-  EXPECT_EQ(st.store_peers_attached, 0);
   EXPECT_EQ(out.store_fetches, 0);
+}
+
+// The scheduler's one deferral gate with every reason live in one run:
+// adaptive replication holds single-replica work for trusted hosts, the
+// dispatch gate holds the shared chunk for a volunteer replica, and
+// locality-aware reduce holds partitions for their best holder. Each
+// reason keeps its own bound and counter, so the per-reason totals, the
+// event count and the makespan all pin the gate's behaviour.
+TEST(DeferralGate, AllThreeReasonsInOneRun) {
+  obs::ScopedMetricsRegistry metrics;
+  core::Scenario s;
+  s.seed = 29;
+  s.n_nodes = 8;
+  s.n_maps = 12;
+  s.n_reducers = 3;
+  s.input_size = 60LL * 1000 * 1000;
+  s.boinc_mr = true;
+  s.project.reputation.mode = rep::PolicyMode::kAdaptive;
+  s.project.reputation.min_consecutive_valid = 1;
+  s.project.reputation.error_rate_prior = 0.0;
+  s.project.reputation.trust_max_skips = 2;
+  s.project.volunteer_store.enabled = true;
+  s.project.volunteer_store.dispatch_gate_width = 1;
+  s.project.volunteer_store.dispatch_max_skips = 4;
+  s.project.locality_aware_reduce = true;
+  server::MrJobSpec spec;
+  spec.name = "gate";
+  spec.n_maps = s.n_maps;
+  spec.n_reducers = s.n_reducers;
+  spec.input_size = s.input_size;
+  spec.shared_input = true;
+  core::Cluster cluster(s);
+  const core::RunOutcome out = cluster.run_job(spec);
+  ASSERT_TRUE(out.metrics.completed);
+  const obs::MetricsRegistry& reg = metrics.registry();
+  EXPECT_EQ(reg.counter_total("scheduler", "trust_skips"), 27);
+  EXPECT_EQ(reg.counter_total("scheduler", "store_gate_skips"), 211);
+  EXPECT_EQ(reg.counter_total("scheduler", "locality_skips"), 5);
+  EXPECT_EQ(cluster.simulation().events_executed(), 935);
+  EXPECT_EQ(out.metrics.total_seconds, 566.686788);
 }
 
 // --- Bloom false positive: miss/redirect, not failure ------------------------

@@ -273,20 +273,14 @@ void run(int max_hosts, const char* trace_path, const char* out_path,
       "unusable at 10k hosts.\n",
       baseline_hosts, speedup);
 
-  std::string doc = "{\"experiment\": \"E20\", \"max_hosts\": " +
-                    std::to_string(max_hosts) + ", \"rows\": [";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    if (i) doc += ", ";
-    doc += rows[i];
-  }
-  doc += "], \"headline\": ";
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   double points_wall_s = 0;
   for (const RowResult& r : results) points_wall_s += r.wall_s;
   common::JsonWriter headline;
-  headline.field("baseline_hosts", baseline_hosts)
+  headline.field("max_hosts", max_hosts)
+      .field("baseline_hosts", baseline_hosts)
       .field("incremental_wall_per_sim_sec",
              incr_at_baseline.wall_per_sim_sec())
       .field("global_wall_per_sim_sec", global.wall_per_sim_sec())
@@ -296,11 +290,7 @@ void run(int max_hosts, const char* trace_path, const char* out_path,
       .field("wall_s", wall_s)
       .field("points_wall_s", points_wall_s)
       .field("parallel_speedup_x", wall_s > 0 ? points_wall_s / wall_s : 0.0);
-  doc += headline.str();
-  doc += "}\n";
-  std::ofstream out(out_path);
-  out << doc;
-  std::printf("wrote %s\n", out_path);
+  bench::write_bench_doc(out_path, "E20", rows, headline.str());
 
   for (const auto& r : rows) std::printf("%s\n", r.c_str());
 }

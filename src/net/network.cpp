@@ -65,7 +65,8 @@ void Network::set_link_scale(NodeId id, double scale) {
   Node& n = node(id);
   if (n.link_scale == scale) return;
   n.link_scale = scale;
-  reallocate({up_key(id), down_key(id)});
+  size_links();
+  reallocate(Resources{{up_res(id), down_res(id)}, 2});
 }
 
 double Network::link_scale(NodeId id) const { return node(id).link_scale; }
@@ -98,31 +99,38 @@ const NodeTraffic& Network::traffic(NodeId id) const {
   return node(id).traffic;
 }
 
-std::vector<std::int64_t> Network::resources_of(const Flow& f) const {
-  std::vector<std::int64_t> r{up_key(f.spec.src), down_key(f.spec.dst)};
-  if (f.spec.relay) {
-    r.push_back(down_key(*f.spec.relay));
-    r.push_back(up_key(*f.spec.relay));
-  }
-  return r;
+bool Network::Resources::contains(std::uint32_t x) const {
+  return std::find(begin(), end(), x) != end();
 }
 
-double Network::resource_capacity(std::int64_t key) const {
-  const NodeId id{key >= 0 ? key : -key - 1};
-  const Node& n = node(id);
-  return (key >= 0 ? n.cfg.up_bps : n.cfg.down_bps) * n.link_scale;
+Network::Resources Network::resources_of(const FlowSpec& spec) {
+  if (!spec.relay) return Resources{{up_res(spec.src), down_res(spec.dst)}, 2};
+  return Resources{{up_res(spec.src), down_res(spec.dst),
+                    down_res(*spec.relay), up_res(*spec.relay)},
+                   4};
 }
 
-void Network::index_flow(FlowId id, const Flow& f) {
-  for (const auto r : resources_of(f)) flows_by_resource_[r].insert(id);
+void Network::size_links() {
+  if (links_.size() < 2 * nodes_.size()) links_.resize(2 * nodes_.size());
 }
 
-void Network::unindex_flow(FlowId id, const Flow& f) {
-  for (const auto r : resources_of(f)) {
-    const auto it = flows_by_resource_.find(r);
-    if (it == flows_by_resource_.end()) continue;
-    it->second.erase(id);
-    if (it->second.empty()) flows_by_resource_.erase(it);
+double Network::link_capacity(std::uint32_t r) const {
+  const Node& n = nodes_[r / 2];
+  return (r % 2 == 0 ? n.cfg.up_bps : n.cfg.down_bps) * n.link_scale;
+}
+
+void Network::index_flow(FlowEntry& e) {
+  // A relay that is also an endpoint lists one link twice; the entry then
+  // appears twice there, and unindex_flow() removes both.
+  for (const auto r : e.second.res) links_[r].flows.push_back(&e);
+}
+
+void Network::unindex_flow(const FlowEntry& e) {
+  for (const auto r : e.second.res) {
+    auto& flows = links_[r].flows;
+    flows.erase(std::lower_bound(
+        flows.begin(), flows.end(), e.first,
+        [](const FlowEntry* a, FlowId id) { return a->first < id; }));
   }
 }
 
@@ -151,6 +159,7 @@ FlowId Network::start_flow(FlowSpec spec) {
 
   Flow f;
   f.spec = std::move(spec);
+  f.res = resources_of(f.spec);
   f.anchor_time = sim_.now();
   if (flow_failure_rate_ > 0.0 &&
       f.spec.src != failure_exempt_ && f.spec.dst != failure_exempt_ &&
@@ -159,9 +168,9 @@ FlowId Network::start_flow(FlowSpec spec) {
     f.fail_after_bytes = static_cast<Bytes>(
         fail_rng_.uniform() * static_cast<double>(f.spec.bytes));
   }
-  const auto dirty = resources_of(f);
-  index_flow(id, f);
-  flows_.emplace(id, std::move(f));
+  size_links();
+  const Resources dirty = f.res;
+  index_flow(*flows_.emplace(id, std::move(f)).first);
   reallocate(dirty);
   return id;
 }
@@ -171,8 +180,8 @@ void Network::cancel_flow(FlowId id) {
   if (it == flows_.end()) return;
   settle(it->second);
   sim_.cancel(it->second.completion);
-  const auto dirty = resources_of(it->second);
-  unindex_flow(id, it->second);
+  const Resources dirty = it->second.res;
+  unindex_flow(*it);
   flows_.erase(it);
   reallocate(dirty);
 }
@@ -231,99 +240,114 @@ Network::Milestone Network::milestone_of(const Flow& f) {
   return {f.spec.bytes, false};
 }
 
-std::set<FlowId> Network::component_of(
-    const std::vector<std::int64_t>& dirty) const {
-  std::set<FlowId> comp;
-  std::set<std::int64_t> seen;
-  std::vector<std::int64_t> frontier;
-  for (const auto r : dirty) {
-    if (seen.insert(r).second) frontier.push_back(r);
-  }
-  while (!frontier.empty()) {
-    const auto r = frontier.back();
-    frontier.pop_back();
-    const auto it = flows_by_resource_.find(r);
-    if (it == flows_by_resource_.end()) continue;
-    for (const FlowId id : it->second) {
-      if (!comp.insert(id).second) continue;
-      for (const auto r2 : resources_of(flows_.at(id))) {
-        if (seen.insert(r2).second) frontier.push_back(r2);
-      }
+void Network::component_of(const Resources& dirty,
+                           std::vector<FlowEntry*>& comp) {
+  const std::uint64_t epoch = ++epoch_;
+  comp.clear();
+  frontier_.clear();
+  const auto visit = [&](std::uint32_t r) {
+    if (links_[r].mark == epoch) return;
+    links_[r].mark = epoch;
+    frontier_.push_back(r);
+  };
+  for (const auto r : dirty) visit(r);
+  while (!frontier_.empty()) {
+    const auto r = frontier_.back();
+    frontier_.pop_back();
+    for (FlowEntry* e : links_[r].flows) {
+      Flow& f = e->second;
+      if (f.mark == epoch) continue;
+      f.mark = epoch;
+      comp.push_back(e);
+      for (const auto r2 : f.res) visit(r2);
     }
   }
-  return comp;
+  std::sort(comp.begin(), comp.end(),
+            [](const FlowEntry* a, const FlowEntry* b) {
+              return a->first < b->first;
+            });
 }
 
-std::map<FlowId, double> Network::level(const std::set<FlowId>& ids) const {
-  // Progressive filling, foreground first, background on the residue —
-  // identical arithmetic to the historical global pass, merely restricted
-  // to `ids` (iterated in flow-id order, resources in key order, so the
-  // per-resource operation sequence matches the global fill's exactly).
-  std::map<FlowId, double> rate;
-  std::map<std::int64_t, double> cap;  // remaining capacity per resource
-  for (const FlowId id : ids) {
-    rate[id] = 0.0;
-    for (const auto r : resources_of(flows_.at(id))) {
-      cap.emplace(r, resource_capacity(r));
+void Network::level(const std::vector<FlowEntry*>& comp,
+                    std::vector<double>& rate) {
+  // Progressive filling, foreground first, background on the residue. The
+  // floating-point operations and their order are a contract (pinned
+  // bit-for-bit by the AllocOracle suite): flows in FlowId order, the
+  // bottleneck is the smallest max(0, cap) / users with ties to the
+  // smallest tie_key(), and each link's subtractions come in FlowId order.
+  rate.assign(comp.size(), 0.0);
+  const std::uint64_t epoch = ++epoch_;
+  comp_links_.clear();
+  for (const FlowEntry* e : comp) {
+    for (const auto r : e->second.res) {
+      Link& l = links_[r];
+      if (l.mark == epoch) continue;
+      l.mark = epoch;
+      l.cap = link_capacity(r);
+      comp_links_.push_back(r);
     }
   }
 
   for (const FlowPriority cls :
        {FlowPriority::kForeground, FlowPriority::kBackground}) {
-    // Flows of this class still awaiting a rate.
-    std::map<FlowId, const Flow*> pending;
-    std::map<std::int64_t, int> users;  // resource -> #pending flows
-    for (const FlowId id : ids) {
-      const Flow& f = flows_.at(id);
+    // Flows of this class still awaiting a rate, and per link the number
+    // of them crossing it.
+    pending_.clear();
+    for (const auto r : comp_links_) links_[r].users = 0;
+    for (std::size_t i = 0; i < comp.size(); ++i) {
+      const Flow& f = comp[i]->second;
       if (f.spec.priority != cls) continue;
-      pending.emplace(id, &f);
-      for (const auto r : resources_of(f)) ++users[r];
+      pending_.push_back(i);
+      for (const auto r : f.res) ++links_[r].users;
     }
-    while (!pending.empty()) {
-      // Find the bottleneck: resource with the smallest fair share.
+    while (!pending_.empty()) {
+      // Find the bottleneck: link with the smallest fair share.
       double best_share = std::numeric_limits<double>::infinity();
-      std::int64_t best_r = 0;
-      for (const auto& [r, n] : users) {
-        if (n <= 0) continue;
-        const double share = std::max(0.0, cap[r]) / n;
-        if (share < best_share) {
+      std::uint32_t best_r = 0;
+      for (const auto r : comp_links_) {
+        const Link& l = links_[r];
+        if (l.users <= 0) continue;
+        const double share = std::max(0.0, l.cap) / l.users;
+        if (share < best_share ||
+            (share == best_share && tie_key(r) < tie_key(best_r))) {
           best_share = share;
           best_r = r;
         }
       }
       if (!std::isfinite(best_share)) break;
       // Freeze every pending flow crossing the bottleneck at the fair share.
-      for (auto it = pending.begin(); it != pending.end();) {
-        const auto rs = resources_of(*it->second);
-        if (std::find(rs.begin(), rs.end(), best_r) == rs.end()) {
-          ++it;
+      std::size_t kept = 0;
+      for (std::size_t k = 0; k < pending_.size(); ++k) {
+        const std::size_t i = pending_[k];
+        const Resources& rs = comp[i]->second.res;
+        if (!rs.contains(best_r)) {
+          pending_[kept++] = i;
           continue;
         }
-        rate[it->first] = best_share;
+        rate[i] = best_share;
         for (const auto r : rs) {
-          cap[r] -= best_share;
-          --users[r];
+          links_[r].cap -= best_share;
+          --links_[r].users;
         }
-        it = pending.erase(it);
       }
+      pending_.resize(kept);
     }
   }
-  return rate;
 }
 
-void Network::reallocate(const std::vector<std::int64_t>& dirty) {
+void Network::reallocate(const Resources& dirty) {
   // 1. The flows whose allocation can have changed: the connected component
-  // around the dirty resources (everything in kGlobal mode).
-  std::set<FlowId> comp;
+  // around the dirty links (everything in kGlobal mode).
   if (alloc_mode_ == AllocMode::kGlobal) {
-    for (const auto& [id, f] : flows_) comp.insert(id);
+    comp_.clear();
+    for (auto& e : flows_) comp_.push_back(&e);
   } else {
-    comp = component_of(dirty);
+    component_of(dirty, comp_);
   }
 
-  if (!comp.empty()) {
+  if (!comp_.empty()) {
     // 2. Water-fill the component alone.
-    const std::map<FlowId, double> leveled = level(comp);
+    level(comp_, rates_);
 
     // 3. Apply. A flow whose rate comes out bit-identical keeps its anchor
     // and its scheduled completion event untouched; only actual rate
@@ -331,9 +355,10 @@ void Network::reallocate(const std::vector<std::int64_t>& dirty) {
     // superset but every extra flow's rate is unchanged by construction,
     // both modes perform the same mutations here.
     const SimTime now = sim_.now();
-    for (const FlowId id : comp) {
-      Flow& f = flows_.at(id);
-      double r = leveled.at(id);
+    for (std::size_t i = 0; i < comp_.size(); ++i) {
+      const FlowId id = comp_[i]->first;
+      Flow& f = comp_[i]->second;
+      double r = rates_[i];
       if (r < 1e-3) {
         // Stalled (starved background class) or floating-point residue from
         // the water-filling subtraction; a sub-millibyte/s rate would also
@@ -350,44 +375,45 @@ void Network::reallocate(const std::vector<std::int64_t>& dirty) {
       sim_.cancel(f.completion);
       f.completion = sim::EventHandle{};
 
+      // A milestone already reached fires now; milestone_of() never
+      // reports an armed threshold at or past `done`, so that is always a
+      // completion.
       const Milestone m = milestone_of(f);
       const Bytes left = m.target - f.done;
-      const FlowId fid = id;
-      if (left <= 0) {
-        // Already past the milestone; fire now. milestone_of() never
-        // reports an armed threshold at or past `done`, so this is always
-        // a completion.
-        f.completion =
-            sim_.after(SimTime::zero(), [this, fid] { complete_flow(fid); });
-        continue;
+      f.fails = m.is_failure;
+      SimTime at = now;
+      if (left > 0) {
+        if (f.rate == 0.0) continue;
+        at = now + SimTime::seconds(static_cast<double>(left) / f.rate);
       }
-      if (f.rate == 0.0) continue;
-      const double secs = static_cast<double>(left) / f.rate;
-      const bool is_failure = m.is_failure;
-      f.completion =
-          sim_.at(now + SimTime::seconds(secs), [this, fid, is_failure] {
-            if (is_failure) {
-              fail_flow(fid, NetError::kInjectedFailure);
-            } else {
-              complete_flow(fid);
-            }
-          });
+      f.completion = sim_.at(at, [this, id] { reach_milestone(id); });
     }
   }
 
   if (check_alloc_) check_against_oracle();
 }
 
-void Network::check_against_oracle() const {
-  std::set<FlowId> all;
-  for (const auto& [id, f] : flows_) all.insert(id);
-  const std::map<FlowId, double> oracle = level(all);
-  for (const auto& [id, f] : flows_) {
-    double r = oracle.at(id);
+void Network::check_against_oracle() {
+  std::vector<FlowEntry*> all;
+  for (auto& e : flows_) all.push_back(&e);
+  std::vector<double> oracle;
+  level(all, oracle);
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    double r = oracle[i];
     if (r < 1e-3) r = 0.0;
-    require(r == f.rate,
+    require(r == all[i]->second.rate,
             "VCMR_NET_CHECK_ALLOC: incremental allocation diverged from the "
             "global water-filling oracle");
+  }
+}
+
+void Network::reach_milestone(FlowId id) {
+  const auto it = flows_.find(id);
+  if (it == flows_.end()) return;
+  if (it->second.fails) {
+    fail_flow(id, NetError::kInjectedFailure);
+  } else {
+    complete_flow(id);
   }
 }
 
@@ -407,8 +433,8 @@ void Network::complete_flow(FlowId id) {
     f.done = f.spec.bytes;
   }
   auto cb = std::move(f.spec.on_complete);
-  const auto dirty = resources_of(f);
-  unindex_flow(id, f);
+  const Resources dirty = f.res;
+  unindex_flow(*it);
   flows_.erase(it);
   reallocate(dirty);
   if (cb) cb();
@@ -420,21 +446,24 @@ void Network::fail_flow(FlowId id, NetError err) {
   settle(it->second);
   auto cb = std::move(it->second.spec.on_fail);
   sim_.cancel(it->second.completion);
-  const auto dirty = resources_of(it->second);
-  unindex_flow(id, it->second);
+  const Resources dirty = it->second.res;
+  unindex_flow(*it);
   flows_.erase(it);
   reallocate(dirty);
   if (cb) cb(err);
 }
 
 void Network::fail_flows_touching(NodeId id) {
+  // A flow traverses `id` as sender or relay (its uplink) or as receiver
+  // or relay (its downlink), so the two index entries list every doomed
+  // flow; fail them in FlowId order.
+  size_links();
   std::vector<FlowId> doomed;
-  for (const auto& [fid, f] : flows_) {
-    if (f.spec.src == id || f.spec.dst == id ||
-        (f.spec.relay && *f.spec.relay == id)) {
-      doomed.push_back(fid);
-    }
+  for (const auto r : {up_res(id), down_res(id)}) {
+    for (const FlowEntry* e : links_[r].flows) doomed.push_back(e->first);
   }
+  std::sort(doomed.begin(), doomed.end());
+  doomed.erase(std::unique(doomed.begin(), doomed.end()), doomed.end());
   for (const FlowId fid : doomed) fail_flow(fid, NetError::kNodeOffline);
 }
 

@@ -23,10 +23,11 @@
 // bench baseline), and VCMR_NET_CHECK_ALLOC cross-checks each incremental
 // pass against a full global water-filling oracle.
 
+#include <array>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -176,8 +177,21 @@ class Network {
     NodeTraffic traffic;
   };
 
+  /// A flow's access-link resources as dense indices (see up_res/down_res),
+  /// in fill order: sender uplink, receiver downlink, then for a relayed
+  /// flow the relay's downlink and uplink. Fixed for the flow's lifetime.
+  struct Resources {
+    std::array<std::uint32_t, 4> r{};
+    std::uint32_t n = 0;
+
+    const std::uint32_t* begin() const { return r.data(); }
+    const std::uint32_t* end() const { return r.data() + n; }
+    bool contains(std::uint32_t x) const;
+  };
+
   struct Flow {
     FlowSpec spec;
+    Resources res;
     Bytes done = 0;
     double rate = 0.0;           ///< bytes/s under current allocation
     /// Progress anchor: `done` at any instant is anchor_done plus the bytes
@@ -190,8 +204,26 @@ class Network {
     Bytes anchor_done = 0;
     SimTime anchor_time;
     bool leveled = false;        ///< been through the allocator at least once
+    /// The pending `completion` event is the injected failure, not the end
+    /// of the transfer. Kept here so the event's callback is just
+    /// (this, id) and fits std::function's small buffer.
+    bool fails = false;
     sim::EventHandle completion;
     Bytes fail_after_bytes = -1;  ///< injected failure threshold; -1 = none
+    std::uint64_t mark = 0;       ///< component_of() visit epoch
+  };
+  using FlowEntry = std::map<FlowId, Flow>::value_type;
+
+  /// One direction of one access link. `flows` is the allocator's index,
+  /// sorted by FlowId (ids only grow, so a new flow appends); it points
+  /// into flows_, whose map nodes never move. The other fields are
+  /// component_of()/level() scratch, meaningful only for the links of the
+  /// component in hand.
+  struct Link {
+    std::vector<FlowEntry*> flows;
+    double cap = 0.0;        ///< remaining capacity during a fill
+    int users = 0;           ///< pending flows of the class being filled
+    std::uint64_t mark = 0;  ///< last component_of()/level() epoch seen
   };
 
   /// Next scheduled progress point of a flow: either the armed injected
@@ -210,25 +242,29 @@ class Network {
 
   /// Settle traffic accounting to `now` from the flow's anchor.
   void settle(Flow& f);
-  /// Re-level the connected component reachable from the dirty resource
-  /// keys (every flow in kGlobal mode): water-fill the component, then for
+  /// Re-level the connected component reachable from the dirty links
+  /// (every flow in kGlobal mode): water-fill the component, then for
   /// each flow whose rate actually changed, settle, re-anchor, and
   /// reschedule its milestone event. Unchanged flows are left entirely
   /// alone — same rate, same pending completion event.
-  void reallocate(const std::vector<std::int64_t>& dirty);
-  /// Flows sharing resources, transitively, with the given resource keys.
-  std::set<FlowId> component_of(const std::vector<std::int64_t>& dirty) const;
-  /// Two-class progressive filling restricted to `ids`. Max-min rates of a
-  /// connected component do not depend on flows outside it, and the
-  /// restricted fill performs the identical floating-point operations the
-  /// global fill would on this component, so the result is bit-equal.
-  std::map<FlowId, double> level(const std::set<FlowId>& ids) const;
+  void reallocate(const Resources& dirty);
+  /// Flows sharing links, transitively, with the dirty ones, into `comp`
+  /// in FlowId order.
+  void component_of(const Resources& dirty, std::vector<FlowEntry*>& comp);
+  /// Two-class progressive filling restricted to `comp` (in FlowId order);
+  /// rate[i] is comp[i]'s rate. Max-min rates of a connected component do
+  /// not depend on flows outside it, and the restricted fill performs the
+  /// identical floating-point operations the global fill would on this
+  /// component, so the result is bit-equal.
+  void level(const std::vector<FlowEntry*>& comp, std::vector<double>& rate);
   /// VCMR_NET_CHECK_ALLOC: compare every stored rate against a fresh global
   /// water-filling; throws on any mismatch.
-  void check_against_oracle() const;
+  void check_against_oracle();
+  /// Fires a flow's pending milestone: completion or injected failure.
+  void reach_milestone(FlowId id);
 
-  void index_flow(FlowId id, const Flow& f);
-  void unindex_flow(FlowId id, const Flow& f);
+  void index_flow(FlowEntry& e);
+  void unindex_flow(const FlowEntry& e);
 
   void complete_flow(FlowId id);
   void fail_flow(FlowId id, NetError err);
@@ -237,18 +273,36 @@ class Network {
   /// Fails every flow whose endpoints/relay now span partition classes.
   void fail_partitioned_flows();
 
-  /// Resource keys for the allocator: +id = uplink, -id-1 = downlink.
-  static std::int64_t up_key(NodeId id) { return id.value(); }
-  static std::int64_t down_key(NodeId id) { return -id.value() - 1; }
-  std::vector<std::int64_t> resources_of(const Flow& f) const;
-  double resource_capacity(std::int64_t key) const;
+  /// Dense link index: 2·node for the uplink, 2·node + 1 for the downlink.
+  static std::uint32_t up_res(NodeId id) {
+    return static_cast<std::uint32_t>(2 * id.value());
+  }
+  static std::uint32_t down_res(NodeId id) { return up_res(id) + 1; }
+  /// Bottleneck tie-break order: level() picks the smallest key, +node for
+  /// an uplink and -node-1 for a downlink, which keeps every rate equal to
+  /// the one the committed fingerprints were recorded with.
+  static std::int64_t tie_key(std::uint32_t r) {
+    const auto n = static_cast<std::int64_t>(r / 2);
+    return r % 2 == 0 ? n : -n - 1;
+  }
+  static Resources resources_of(const FlowSpec& spec);
+  double link_capacity(std::uint32_t r) const;
+  /// Grows links_ to cover every node. Called where a link is first
+  /// needed rather than in add_node(), so building a topology makes one
+  /// allocation for the index instead of one per doubling.
+  void size_links();
 
   sim::Simulation& sim_;
   std::vector<Node> nodes_;
   std::map<FlowId, Flow> flows_;  ///< ordered: deterministic iteration
-  /// Per-resource flow index: resource key → flows currently using it.
-  /// Maintained at flow add/remove; drives component_of().
-  std::map<std::int64_t, std::set<FlowId>> flows_by_resource_;
+  std::vector<Link> links_;       ///< by up_res()/down_res(); see size_links()
+  std::uint64_t epoch_ = 0;       ///< visit stamp for Link/Flow::mark
+  // reallocate()/level() working storage, reused across calls.
+  std::vector<FlowEntry*> comp_;
+  std::vector<double> rates_;
+  std::vector<std::uint32_t> frontier_;
+  std::vector<std::uint32_t> comp_links_;
+  std::vector<std::size_t> pending_;
   std::int64_t next_flow_id_ = 1;
   AllocMode alloc_mode_ = AllocMode::kIncremental;
   bool check_alloc_ = false;

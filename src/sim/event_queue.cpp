@@ -1,48 +1,93 @@
 #include "sim/event_queue.h"
 
+#include <utility>
+
 #include "common/error.h"
 
 namespace vcmr::sim {
 
+void EventQueue::place(std::size_t i, const Key& k) {
+  heap_[i] = k;
+  slots_[k.slot].pos = static_cast<std::uint32_t>(i);
+}
+
+void EventQueue::sift_up(std::size_t i, Key k) {
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!before(k, heap_[parent])) break;
+    place(i, heap_[parent]);
+    i = parent;
+  }
+  place(i, k);
+}
+
+void EventQueue::sift_down(std::size_t i, Key k) {
+  const std::size_t n = heap_.size();
+  for (;;) {
+    std::size_t child = 2 * i + 1;
+    if (child >= n) break;
+    if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
+    if (!before(heap_[child], k)) break;
+    place(i, heap_[child]);
+    i = child;
+  }
+  place(i, k);
+}
+
+void EventQueue::remove_at(std::size_t i) {
+  const Key last = heap_.back();
+  heap_.pop_back();
+  if (i == heap_.size()) return;
+  if (i > 0 && before(last, heap_[(i - 1) / 2])) {
+    sift_up(i, last);
+  } else {
+    sift_down(i, last);
+  }
+}
+
+EventFn EventQueue::release(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.seq = 0;
+  free_.push_back(slot);
+  return std::exchange(s.fn, nullptr);
+}
+
 EventHandle EventQueue::schedule(SimTime at, EventFn fn) {
-  auto e = std::make_shared<Entry>(Entry{at, next_seq_++, std::move(fn), false});
-  heap_.push(e);
-  by_seq_[e->seq] = e;
-  ++live_;
-  return EventHandle(e->seq);
+  std::uint32_t slot;
+  if (free_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+  }
+  const Key k{at, next_seq_++, slot};
+  slots_[slot].fn = std::move(fn);
+  slots_[slot].seq = k.seq;
+  heap_.push_back(k);
+  sift_up(heap_.size() - 1, k);
+  return EventHandle(slot, k.seq);
 }
 
 void EventQueue::cancel(EventHandle h) {
-  if (!h.valid()) return;
-  const auto it = by_seq_.find(h.seq_);
-  if (it == by_seq_.end()) return;
-  it->second->cancelled = true;
-  it->second->fn = nullptr;  // release captured state promptly
-  by_seq_.erase(it);
-  --live_;
-}
-
-void EventQueue::purge() {
-  while (!heap_.empty() && heap_.top()->cancelled) heap_.pop();
-}
-
-SimTime EventQueue::next_time() const {
-  // purge() only removes dead entries; it does not change observable state.
-  const_cast<EventQueue*>(this)->purge();
-  return heap_.empty() ? SimTime::infinity() : heap_.top()->at;
+  if (!h.valid() || h.slot_ >= slots_.size()) return;
+  const Slot& s = slots_[h.slot_];
+  if (s.seq != h.seq_) return;  // fired, cancelled, or slot reused
+  remove_at(s.pos);
+  // The returned callback dies only once the queue is consistent again, so
+  // captured state may schedule or cancel from its destructor.
+  release(h.slot_);
 }
 
 SimTime EventQueue::pop_and_run() {
-  purge();
   require(!heap_.empty(), "EventQueue::pop_and_run on empty queue");
-  const std::shared_ptr<Entry> e = heap_.top();
-  heap_.pop();
-  by_seq_.erase(e->seq);
-  --live_;
-  // The callback may schedule or cancel other events; this entry is already
-  // detached so that is safe.
-  e->fn();
-  return e->at;
+  const Key top = heap_.front();
+  remove_at(0);
+  // The slot is free before the callback runs, so the callback may
+  // schedule (reusing it) or cancel anything, itself included, safely.
+  const EventFn fn = release(top.slot);
+  fn();
+  return top.at;
 }
 
 }  // namespace vcmr::sim

@@ -4,12 +4,17 @@
 // Events at equal simulated times fire in insertion order (a monotonically
 // increasing sequence number breaks ties), which is what makes simulations
 // reproducible: no behaviour may depend on heap internals.
+//
+// Storage is a binary min-heap of (time, seq) keys over a slot array that
+// owns the callbacks. Every slot knows its entry's heap position, so
+// cancel() removes the entry outright and destroys its callback at once:
+// the heap holds exactly the live events, never a dead one. A slot is
+// recycled as soon as its event fires or is cancelled; handles carry
+// (slot, seq), and the sequence check keeps a stale handle from touching
+// the slot's next occupant.
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -19,7 +24,7 @@ namespace vcmr::sim {
 using EventFn = std::function<void()>;
 
 /// Handle to a scheduled event; used to cancel it. Default-constructed
-/// handles are inert.
+/// handles are inert, and so is a handle whose event fired or was cancelled.
 class EventHandle {
  public:
   EventHandle() = default;
@@ -27,7 +32,8 @@ class EventHandle {
 
  private:
   friend class EventQueue;
-  explicit EventHandle(std::uint64_t seq) : seq_(seq) {}
+  EventHandle(std::uint32_t slot, std::uint64_t seq) : slot_(slot), seq_(seq) {}
+  std::uint32_t slot_ = 0;
   std::uint64_t seq_ = 0;
 };
 
@@ -39,43 +45,48 @@ class EventQueue {
   /// Cancels a pending event; harmless if it already fired or was cancelled.
   void cancel(EventHandle h);
 
-  bool empty() const { return live_ == 0; }
-  std::size_t size() const { return live_; }
+  bool empty() const { return heap_.empty(); }
+  std::size_t size() const { return heap_.size(); }
 
   /// Time of the earliest pending event; infinity when empty.
-  SimTime next_time() const;
+  SimTime next_time() const {
+    return heap_.empty() ? SimTime::infinity() : heap_.front().at;
+  }
 
   /// Pops and runs the earliest event. Requires !empty().
   /// Returns the time the event fired at.
   SimTime pop_and_run();
 
  private:
-  struct Entry {
+  struct Key {
     SimTime at;
     std::uint64_t seq = 0;
+    std::uint32_t slot = 0;
+  };
+  struct Slot {
     EventFn fn;
-    bool cancelled = false;
-  };
-  struct Cmp {
-    // std::priority_queue is a max-heap; invert for earliest-first, with
-    // sequence number as the deterministic tiebreak.
-    bool operator()(const std::shared_ptr<Entry>& a,
-                    const std::shared_ptr<Entry>& b) const {
-      if (a->at != b->at) return a->at > b->at;
-      return a->seq > b->seq;
-    }
+    std::uint64_t seq = 0;  ///< 0 while the slot is free
+    std::uint32_t pos = 0;  ///< index of this slot's key in heap_
   };
 
-  /// Drops cancelled entries sitting at the top.
-  void purge();
+  static bool before(const Key& a, const Key& b) {
+    return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+  }
+  /// Writes k at heap index i and records the position in its slot.
+  void place(std::size_t i, const Key& k);
+  /// Moves k from the hole at i towards the root / the leaves.
+  void sift_up(std::size_t i, Key k);
+  void sift_down(std::size_t i, Key k);
+  /// Removes heap_[i], refilling the hole with the last entry.
+  void remove_at(std::size_t i);
+  /// Frees the slot and hands back its callback for the caller to run or
+  /// destroy once the queue is consistent again.
+  EventFn release(std::uint32_t slot);
 
-  std::priority_queue<std::shared_ptr<Entry>,
-                      std::vector<std::shared_ptr<Entry>>, Cmp>
-      heap_;
+  std::vector<Key> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;  ///< recycled slot indices
   std::uint64_t next_seq_ = 1;
-  std::size_t live_ = 0;
-  // Cancellation lookup: seq -> entry.
-  std::unordered_map<std::uint64_t, std::shared_ptr<Entry>> by_seq_;
 };
 
 }  // namespace vcmr::sim

@@ -4,6 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <limits>
+#include <map>
+#include <optional>
+#include <set>
 #include <vector>
 
 #include "common/rng.h"
@@ -250,6 +257,197 @@ TEST_P(AllocEquivalence, IncrementalMatchesGlobalBitForBit) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AllocEquivalence,
                          ::testing::Range<std::uint64_t>(1, 25));
+
+// --- independent allocator oracle -----------------------------------------
+//
+// VCMR_NET_CHECK_ALLOC and AllocMode::kGlobal both run the allocator's own
+// level(), so neither can see a change in its floating-point operation
+// order. This is the historical std::map-based progressive filling, kept
+// verbatim as an executable spec (only its inputs now come through the
+// public API): flows in FlowId order, resources keyed +id (uplink) and
+// -id-1 (downlink) and scanned in key order, so the bottleneck is the
+// smallest max(0, cap) / users with ties to the smallest key. Every
+// flow_rate() must equal it bit for bit.
+
+struct OracleFlow {
+  NodeId src, dst;
+  std::optional<NodeId> relay;
+  FlowPriority priority = FlowPriority::kForeground;
+};
+
+std::map<FlowId, double> reference_level(
+    const Network& net, const std::map<FlowId, OracleFlow>& flows) {
+  const auto up_key = [](NodeId id) { return id.value(); };
+  const auto down_key = [](NodeId id) { return -id.value() - 1; };
+  const auto resources_of = [&](const OracleFlow& f) {
+    std::vector<std::int64_t> r{up_key(f.src), down_key(f.dst)};
+    if (f.relay) {
+      r.push_back(down_key(*f.relay));
+      r.push_back(up_key(*f.relay));
+    }
+    return r;
+  };
+  const auto resource_capacity = [&](std::int64_t key) {
+    const NodeId id{key >= 0 ? key : -key - 1};
+    return (key >= 0 ? net.up_bps(id) : net.down_bps(id)) * net.link_scale(id);
+  };
+  std::set<FlowId> ids;
+  for (const auto& [id, f] : flows) ids.insert(id);
+
+  std::map<FlowId, double> rate;
+  std::map<std::int64_t, double> cap;  // remaining capacity per resource
+  for (const FlowId id : ids) {
+    rate[id] = 0.0;
+    for (const auto r : resources_of(flows.at(id))) {
+      cap.emplace(r, resource_capacity(r));
+    }
+  }
+
+  for (const FlowPriority cls :
+       {FlowPriority::kForeground, FlowPriority::kBackground}) {
+    // Flows of this class still awaiting a rate.
+    std::map<FlowId, const OracleFlow*> pending;
+    std::map<std::int64_t, int> users;  // resource -> #pending flows
+    for (const FlowId id : ids) {
+      const OracleFlow& f = flows.at(id);
+      if (f.priority != cls) continue;
+      pending.emplace(id, &f);
+      for (const auto r : resources_of(f)) ++users[r];
+    }
+    while (!pending.empty()) {
+      // Find the bottleneck: resource with the smallest fair share.
+      double best_share = std::numeric_limits<double>::infinity();
+      std::int64_t best_r = 0;
+      for (const auto& [r, n] : users) {
+        if (n <= 0) continue;
+        const double share = std::max(0.0, cap[r]) / n;
+        if (share < best_share) {
+          best_share = share;
+          best_r = r;
+        }
+      }
+      if (!std::isfinite(best_share)) break;
+      // Freeze every pending flow crossing the bottleneck at the fair share.
+      for (auto it = pending.begin(); it != pending.end();) {
+        const auto rs = resources_of(*it->second);
+        if (std::find(rs.begin(), rs.end(), best_r) == rs.end()) {
+          ++it;
+          continue;
+        }
+        rate[it->first] = best_share;
+        for (const auto r : rs) {
+          cap[r] -= best_share;
+          --users[r];
+        }
+        it = pending.erase(it);
+      }
+    }
+  }
+  return rate;
+}
+
+/// Drives a project-server star (every link the same 100 Mbit Emulab
+/// interface, so fair shares tie across links and only the smallest-key
+/// rule picks the bottleneck) plus client-to-client, relayed and
+/// background flows, link degradation and an outage, checking every
+/// active flow's rate against reference_level() after each network
+/// change. Returns the number of (flow, instant) rates compared.
+int run_oracle_star(std::uint64_t seed, AllocMode mode) {
+  sim::Simulation sim(seed);
+  Network net(sim);
+  net.set_alloc_mode(mode);
+  common::Rng rng = sim.rng_stream("oracle");
+
+  constexpr int kClients = 9;
+  const NodeId server = net.add_node(NodeConfig{});
+  std::vector<NodeId> clients;
+  for (int i = 0; i < kClients; ++i) clients.push_back(net.add_node(NodeConfig{}));
+  const auto client = [&] {
+    return clients[static_cast<std::size_t>(rng.uniform_int(0, kClients - 1))];
+  };
+
+  std::map<FlowId, OracleFlow> started;
+  int compared = 0;
+  const auto check = [&] {
+    std::map<FlowId, OracleFlow> active;
+    for (const auto& [id, f] : started) {
+      if (net.flow_active(id)) active.emplace(id, f);
+    }
+    for (const auto& [id, want] : reference_level(net, active)) {
+      const double r = want < 1e-3 ? 0.0 : want;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(net.flow_rate(id)),
+                std::bit_cast<std::uint64_t>(r))
+          << "flow " << id.value() << " at " << sim.now().str() << ": "
+          << net.flow_rate(id) << " vs oracle " << r;
+      ++compared;
+    }
+  };
+
+  for (int i = 0; i < 80; ++i) {
+    OracleFlow f;
+    const double kind = rng.uniform();
+    if (kind < 0.45) {  // input download from the server
+      f.src = server;
+      f.dst = client();
+    } else if (kind < 0.8) {  // output upload to the server
+      f.src = client();
+      f.dst = server;
+    } else {  // inter-client transfer, sometimes relayed
+      f.src = client();
+      do {
+        f.dst = client();
+      } while (f.dst == f.src);
+      if (rng.chance(0.5)) {
+        NodeId relay = client();
+        if (relay != f.src && relay != f.dst) f.relay = relay;
+      }
+    }
+    if (rng.chance(0.25)) f.priority = FlowPriority::kBackground;
+    const Bytes bytes = rng.uniform_int(100'000, 20'000'000);
+    const SimTime start = SimTime::millis(rng.uniform_int(0, 4000));
+    sim.at(start, [&, f, bytes] {
+      FlowSpec fs;
+      fs.src = f.src;
+      fs.dst = f.dst;
+      fs.relay = f.relay;
+      fs.bytes = bytes;
+      fs.priority = f.priority;
+      fs.on_complete = check;
+      fs.on_fail = [&](NetError) { check(); };
+      started.emplace(net.start_flow(std::move(fs)), f);
+      check();
+    });
+  }
+  // Degrade and restore links (uniform per node, so ties survive), and
+  // take one client offline for a while.
+  for (int i = 0; i < 6; ++i) {
+    const NodeId n = rng.chance(0.3) ? server : client();
+    const double scale = rng.chance(0.5) ? 0.5 : rng.uniform(0.2, 1.0);
+    sim.at(SimTime::millis(rng.uniform_int(500, 6000)), [&, n, scale] {
+      net.set_link_scale(n, scale);
+      check();
+    });
+  }
+  const NodeId down = client();
+  sim.at(SimTime::seconds(3), [&, down] {
+    net.set_online(down, false);
+    check();
+  });
+  sim.run();
+  EXPECT_EQ(net.active_flow_count(), 0u);
+  return compared;
+}
+
+class AllocOracle : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(AllocOracle, RatesMatchHistoricalFillBitForBit) {
+  for (const AllocMode mode : {AllocMode::kIncremental, AllocMode::kGlobal}) {
+    EXPECT_GT(run_oracle_star(GetParam(), mode), 1000);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AllocOracle,
+                         ::testing::Range<std::uint64_t>(1, 13));
 
 TEST(NetProperty, AllocationNeverExceedsCapacity) {
   // At every reallocation instant, each node's outgoing allocation must be

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
 #include <vector>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "sim/event_queue.h"
 #include "sim/simulation.h"
 #include "sim/trace.h"
@@ -75,6 +78,111 @@ TEST(EventQueue, CallbackMaySchedule) {
   q.schedule(SimTime::zero(), chain);
   while (!q.empty()) q.pop_and_run();
   EXPECT_EQ(count, 5);
+}
+
+TEST(EventQueue, CancelReleasesCallbackAtOnce) {
+  EventQueue q;
+  auto token = std::make_shared<int>(0);
+  const EventHandle h = q.schedule(SimTime::seconds(5), [token] {});
+  q.schedule(SimTime::seconds(9), [] {});
+  EXPECT_EQ(token.use_count(), 2);
+  q.cancel(h);
+  EXPECT_EQ(token.use_count(), 1);  // no dead entry keeps it alive
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.next_time(), SimTime::seconds(9));
+}
+
+TEST(EventQueue, StaleHandleCannotCancelSlotReuser) {
+  EventQueue q;
+  std::vector<char> fired;
+  const EventHandle a = q.schedule(SimTime::seconds(1), [&] { fired.push_back('a'); });
+  q.cancel(a);
+  // b takes the slot a freed; a's handle must stay inert.
+  const EventHandle b = q.schedule(SimTime::seconds(2), [&] { fired.push_back('b'); });
+  q.cancel(a);
+  EXPECT_EQ(q.size(), 1u);
+  q.pop_and_run();
+  // c takes the slot b freed by firing; neither older handle reaches it.
+  q.schedule(SimTime::seconds(3), [&] { fired.push_back('c'); });
+  q.cancel(b);
+  q.cancel(a);
+  EXPECT_EQ(q.size(), 1u);
+  q.pop_and_run();
+  EXPECT_EQ(fired, (std::vector<char>{'b', 'c'}));
+}
+
+// Differential test: random schedule/cancel/pop sequences against a
+// reference that orders pending events by (time, insertion order). Times
+// come from a handful of values so most events tie; callbacks schedule,
+// cancel other events (pending or not), and cancel themselves; the driver
+// also cancels events long after they fired or were cancelled, so stale
+// handles keep meeting slots that have since been reused.
+TEST(EventQueue, MatchesReferenceOrderUnderRandomOps) {
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    common::Rng rng(seed);
+    EventQueue q;
+    // Labels are issued in insertion order, so (time, label) is the
+    // reference order.
+    std::map<std::pair<SimTime, int>, int> ref;
+    std::vector<EventHandle> handle;  // by label
+    std::vector<SimTime> when;        // by label
+    std::vector<int> fired, expected;
+    SimTime now = SimTime::zero();
+
+    std::function<void()> schedule_one;
+    const auto cancel_any = [&] {
+      if (handle.empty()) return;
+      const auto l = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(handle.size()) - 1));
+      q.cancel(handle[l]);
+      ref.erase({when[l], static_cast<int>(l)});
+    };
+    schedule_one = [&] {
+      const int label = static_cast<int>(handle.size());
+      const SimTime at = now + SimTime::seconds(
+                                   static_cast<double>(rng.uniform_int(0, 3)));
+      when.push_back(at);
+      ref.emplace(std::make_pair(at, label), label);
+      handle.push_back(q.schedule(at, [&, label] {
+        fired.push_back(label);
+        switch (rng.uniform_int(0, 4)) {
+          case 0: schedule_one(); break;
+          case 1: cancel_any(); break;
+          case 2: q.cancel(handle[static_cast<std::size_t>(label)]); break;
+          default: break;
+        }
+      }));
+    };
+
+    for (int op = 0; op < 400; ++op) {
+      const std::int64_t kind = rng.uniform_int(0, 9);
+      if (kind < 4) {
+        schedule_one();
+      } else if (kind < 6) {
+        cancel_any();
+      } else if (!ref.empty()) {
+        const auto next = ref.begin();
+        const SimTime at = next->first.first;
+        expected.push_back(next->second);
+        ref.erase(next);  // before the callback, which may cancel others
+        EXPECT_EQ(q.next_time(), at);
+        now = at;
+        EXPECT_EQ(q.pop_and_run(), at);
+      }
+      ASSERT_EQ(q.size(), ref.size()) << "seed " << seed << " op " << op;
+      ASSERT_EQ(q.empty(), ref.empty());
+      ASSERT_EQ(q.next_time(),
+                ref.empty() ? SimTime::infinity() : ref.begin()->first.first);
+    }
+    while (!ref.empty()) {
+      expected.push_back(ref.begin()->second);
+      now = ref.begin()->first.first;
+      ref.erase(ref.begin());
+      q.pop_and_run();
+    }
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(fired, expected) << "seed " << seed;
+  }
 }
 
 TEST(Simulation, ClockAdvancesToEventTimes) {

@@ -50,11 +50,13 @@ core::Scenario chaos_scenario(std::uint64_t seed) {
   return s;
 }
 
-/// One (point, seed) simulation's outcome-level result.
+/// One (point, seed) simulation's outcome-level result and its cluster's
+/// registry.
 struct SeedRun {
   bool completed = false;
   double total_seconds = 0;
   double wall_s = 0;  ///< real time this simulation took
+  obs::MetricsRegistry metrics;
 };
 
 /// Outcome-level aggregates. Timings come from JobMetrics; every fault and
@@ -87,6 +89,7 @@ SeedRun run_chaos_seed(const PointSpec& p, int seed_index) {
   r.wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
+  r.metrics = cluster.metrics();
   return r;
 }
 
@@ -110,7 +113,7 @@ void finish_point(const PointSpec& p, Timings* t) {
 
 /// Renders one point's JSON row from its aggregates and merged registry.
 /// Field names and values match the historical private-struct emitter
-/// exactly (the fault kind labels map 1:1 onto the old FaultStats fields).
+/// exactly (each fault counter is one fault/injections{kind} label).
 std::string render_row(const PointSpec& p, const Timings& t, double base_avg,
                        const obs::MetricsRegistry& reg) {
   return common::JsonWriter()
@@ -124,29 +127,20 @@ std::string render_row(const PointSpec& p, const Timings& t, double base_avg,
       .field("degradation_pct",
              base_avg > 0 ? 100.0 * (t.makespan - base_avg) / base_avg : 0.0)
       .field("recovery_s", t.recovery)
-      .field("faults_injected",
-             bench::fault_kinds(reg, {"link_down", "partition", "server_down",
-                                      "crash", "corrupt_upload", "rpc_drop",
-                                      "group_down", "link_degrade",
-                                      "trace_down", "server_crash"}))
-      .field("faults_recovered",
-             bench::fault_kinds(reg, {"link_up", "partition_heal", "server_up",
-                                      "restart", "group_up",
-                                      "link_restore_rate", "trace_up",
-                                      "server_restore"}))
-      .field("backoffs",
-             bench::histogram_count(reg, "client", "backoff_seconds"))
+      .field("faults_injected", fault::injected(reg))
+      .field("faults_recovered", fault::recovered(reg))
+      .field("backoffs", reg.histogram_count("client", "backoff_seconds"))
       .field("server_fallbacks",
              reg.counter_total("client", "server_fallbacks"))
       .field("results_lost", reg.counter_total("scheduler", "results_lost"))
       .field("maps_invalidated",
              reg.counter_total("scheduler", "maps_invalidated"))
-      .field("links_downed", bench::fault_kind(reg, "link_down"))
-      .field("groups_downed", bench::fault_kind(reg, "group_down"))
-      .field("links_degraded", bench::fault_kind(reg, "link_degrade"))
-      .field("trace_links_downed", bench::fault_kind(reg, "trace_down"))
-      .field("server_crashes", bench::fault_kind(reg, "server_crash"))
-      .field("server_restores", bench::fault_kind(reg, "server_restore"))
+      .field("links_downed", fault::injections(reg, "link_down"))
+      .field("groups_downed", fault::injections(reg, "group_down"))
+      .field("links_degraded", fault::injections(reg, "link_degrade"))
+      .field("trace_links_downed", fault::injections(reg, "trace_down"))
+      .field("server_crashes", fault::injections(reg, "server_crash"))
+      .field("server_restores", fault::injections(reg, "server_restore"))
       .str();
 }
 
@@ -342,9 +336,8 @@ void run(int n_seeds, const char* out_path, int jobs) {
   const PointSpec no_faults{"baseline", 0, [](core::Scenario&) {}, nullptr};
   bench::SeedPool pool(jobs);
 
-  // Fault-free makespan per seed: the recovery-time yardstick. Each pool
-  // task runs under its own registry, so the baseline runs don't leak
-  // counters into the process registry.
+  // Fault-free makespan per seed: the recovery-time yardstick. Each run
+  // counts into its own cluster's registry, which the baseline ignores.
   std::vector<double> baseline;
   for (const SeedRun& r : pool.map(
            n_seeds, [&](int i) { return run_chaos_seed(no_faults, i); })) {
@@ -369,9 +362,9 @@ void run(int n_seeds, const char* out_path, int jobs) {
 
   // The whole (point, seed) grid runs as one flat batch — full
   // parallelism even when n_seeds < jobs — and each point is then reduced
-  // in seed order from the per-task registries.
+  // in seed order from the per-cluster registries.
   const int n_points = static_cast<int>(points.size());
-  const auto results = pool.map_metered(n_points * n_seeds, [&](int task) {
+  const auto results = pool.map(n_points * n_seeds, [&](int task) {
     return run_chaos_seed(points[static_cast<std::size_t>(task / n_seeds)],
                           task % n_seeds);
   });
@@ -379,10 +372,10 @@ void run(int n_seeds, const char* out_path, int jobs) {
     obs::MetricsRegistry merged;
     Timings t;
     for (int i = 0; i < n_seeds; ++i) {
-      const auto& m = results[static_cast<std::size_t>(p * n_seeds + i)];
-      merged.merge_from(m.metrics);
-      points_wall_s += m.value.wall_s;
-      fold_seed(m.value, baseline[i], &t);
+      const SeedRun& r = results[static_cast<std::size_t>(p * n_seeds + i)];
+      merged.merge_from(r.metrics);
+      points_wall_s += r.wall_s;
+      fold_seed(r, baseline[i], &t);
     }
     finish_point(points[static_cast<std::size_t>(p)], &t);
     emit(render_row(points[static_cast<std::size_t>(p)], t, base_avg, merged));

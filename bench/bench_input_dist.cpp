@@ -43,15 +43,14 @@ void run(int n_seeds) {
         s.project.peer_input_distribution = peer_dist;
         s.client.initial_rpc_jitter = SimTime::minutes(stagger_min);
         s.time_limit = SimTime::hours(24);
-        obs::ScopedMetricsRegistry metrics;
         core::Cluster cluster(s);
         const core::RunOutcome out = cluster.run_job();
         if (!out.metrics.completed) continue;
         ++ok;
         srv_out += static_cast<double>(out.server_bytes_sent) / 1e6;
         p2p += static_cast<double>(out.interclient_bytes) / 1e6;
-        attached += static_cast<double>(
-            bench::counter("scheduler", "input_peers_attached"));
+        attached += static_cast<double>(cluster.metrics().counter_value(
+            "scheduler", "input_peers_attached"));
         total += out.metrics.total_seconds;
         total_trim += out.metrics.total_seconds_trimmed;
       }

@@ -36,7 +36,6 @@ void run(int n_seeds) {
         s.input_size = 1000LL * 1000 * 1000;
         s.boinc_mr = true;
         s.project.locality_aware_reduce = locality;
-        obs::ScopedMetricsRegistry metrics;
         core::Cluster cluster(s);
         const core::RunOutcome out = cluster.run_job();
         if (!out.metrics.completed) continue;
@@ -48,9 +47,9 @@ void run(int n_seeds) {
         p2p += static_cast<double>(out.interclient_bytes) / 1e6;
         local_mb += static_cast<double>(out.local_read_bytes) / 1e6;
         hits += static_cast<double>(
-            bench::counter("scheduler", "locality_hits"));
+            cluster.metrics().counter_value("scheduler", "locality_hits"));
         skips += static_cast<double>(
-            bench::counter("scheduler", "locality_skips"));
+            cluster.metrics().counter_value("scheduler", "locality_skips"));
       }
       if (ok > 0) {
         reduce_avg /= ok;

@@ -67,17 +67,17 @@ SeedRun run_point_seed(const Point& p, int i) {
   return r;
 }
 
-/// Renders one variant row from the seed-ordered outcomes and the point's
-/// aggregate registry; captures the headline gaps for the 20-node geometry.
+/// Renders one variant row from the seed-ordered outcomes; captures the
+/// headline gaps for the 20-node geometry.
 void render_row(const Point& p, const std::vector<core::RunOutcome>& outcomes,
-                const obs::MetricsRegistry& reg,
                 std::vector<std::string>& rows, double* baseline_gap,
                 double* mitigated_gap) {
   const Variant& v = p.v;
   const bench::AveragedRow avg = bench::average(outcomes);
-  const double rpcs =
-      static_cast<double>(reg.counter_total("scheduler", "rpcs")) /
-      static_cast<double>(outcomes.size());
+  std::int64_t total_rpcs = 0;
+  for (const core::RunOutcome& o : outcomes) total_rpcs += o.scheduler_rpcs;
+  const double rpcs = static_cast<double>(total_rpcs) /
+                      static_cast<double>(outcomes.size());
   if (p.nodes == 20) {
     if (!v.immediate_report && !v.pipelined && v.boinc_mr)
       *baseline_gap = avg.gap;
@@ -144,23 +144,21 @@ void run(int n_seeds, const char* out_path, int jobs) {
   const int n_points = static_cast<int>(points.size());
 
   bench::SeedPool pool(jobs);
-  const auto results = pool.map_metered(n_points * n_seeds, [&](int task) {
+  const auto results = pool.map(n_points * n_seeds, [&](int task) {
     return run_point_seed(points[static_cast<std::size_t>(task / n_seeds)],
                           task % n_seeds);
   });
   for (int p = 0; p < n_points; ++p) {
     const Point& point = points[static_cast<std::size_t>(p)];
     if (p % n_variants == 0) print_geometry_heading(point, n_seeds);
-    obs::MetricsRegistry merged;
     std::vector<core::RunOutcome> outcomes;
     outcomes.reserve(static_cast<std::size_t>(n_seeds));
     for (int i = 0; i < n_seeds; ++i) {
-      const auto& m = results[static_cast<std::size_t>(p * n_seeds + i)];
-      merged.merge_from(m.metrics);
-      points_wall_s += m.value.wall_s;
-      outcomes.push_back(m.value.out);
+      const SeedRun& r = results[static_cast<std::size_t>(p * n_seeds + i)];
+      points_wall_s += r.wall_s;
+      outcomes.push_back(r.out);
     }
-    render_row(point, outcomes, merged, rows, &baseline_gap, &mitigated_gap);
+    render_row(point, outcomes, rows, &baseline_gap, &mitigated_gap);
   }
   std::printf(
       "\nExpected shape: E4 collapses the map phase's report tail (map raw ~=\n"

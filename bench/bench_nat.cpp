@@ -45,7 +45,7 @@ void run(int n_seeds) {
 
   for (const MixRow& m : mixes) {
     for (const bool overlay : {false, true}) {
-      net::TraversalStats agg;
+      obs::MetricsRegistry agg;  ///< every seed's cluster registry, merged
       double total = 0;
       double relay_mb = 0;
       int ok = 0;
@@ -67,12 +67,7 @@ void run(int n_seeds) {
         s.time_limit = SimTime::hours(24);
         core::Cluster cluster(s);
         const core::RunOutcome out = cluster.run_job();
-        agg.attempts += out.traversal.attempts;
-        agg.direct += out.traversal.direct;
-        agg.reversal += out.traversal.reversal;
-        agg.hole_punch += out.traversal.hole_punch;
-        agg.relayed += out.traversal.relayed;
-        agg.failed += out.traversal.failed;
+        agg.merge_from(cluster.metrics());
         if (out.metrics.completed) {
           ++ok;
           total += out.metrics.total_seconds;
@@ -82,14 +77,16 @@ void run(int n_seeds) {
                       1e6;
         }
       }
-      const double n = std::max<double>(1, agg.attempts);
+      const double n = std::max<double>(1, net::connects(agg));
       std::printf("%-28s %-9s | %6.1f%% %7.1f%% %6.1f%% %6.1f%% %6.1f%% | "
                   "%-10.0f | %6.0f MB\n",
                   m.name, overlay ? "supernode" : "server",
-                  100.0 * agg.direct / n, 100.0 * agg.reversal / n,
-                  100.0 * agg.hole_punch / n, 100.0 * agg.relayed / n,
-                  100.0 * agg.failed / n, ok ? total / ok : 0,
-                  ok ? relay_mb / ok : 0);
+                  100.0 * net::connects(agg, net::ConnectTier::kDirect) / n,
+                  100.0 * net::connects(agg, net::ConnectTier::kReversal) / n,
+                  100.0 * net::connects(agg, net::ConnectTier::kHolePunch) / n,
+                  100.0 * net::connects(agg, net::ConnectTier::kRelay) / n,
+                  100.0 * net::connects(agg, net::ConnectTier::kFailed) / n,
+                  ok ? total / ok : 0, ok ? relay_mb / ok : 0);
     }
   }
   std::printf(

@@ -111,19 +111,8 @@ server::MrJobSpec sweep_job(Bytes input_size = kSharedInput) {
   return spec;
 }
 
-Bytes tier_egress(const obs::MetricsRegistry& reg, const std::string& tier) {
-  Bytes total = 0;
-  for (const auto& [key, c] : reg.counters()) {
-    if (key.component != "store" || key.name != "tier_egress_bytes") continue;
-    for (const auto& [k, v] : key.labels) {
-      if (k == "tier" && v == tier) total += c.value();
-    }
-  }
-  return total;
-}
-
-/// Runs one (shards, store) point across the seeds under a single registry
-/// scope and renders the row from registry state — the same counters the
+/// Runs one (shards, store) point across the seeds, merges the clusters'
+/// registries and renders the row from them — the same counters the
 /// exporters see (no private stat struct). Outcome-level timings and the
 /// per-point project/volunteer egress split stay byte-identical to the
 /// historical emitter. Returns the JSON row; `project_egress_out` reports
@@ -131,7 +120,7 @@ Bytes tier_egress(const obs::MetricsRegistry& reg, const std::string& tier) {
 std::string sweep_point(int n_seeds, int shards, bool store_on,
                         const std::string& trace_csv,
                         Bytes* project_egress_out) {
-  obs::ScopedMetricsRegistry metrics;
+  obs::MetricsRegistry reg;
   int runs = 0, completed = 0;
   double makespan = 0, wall_s = 0;
   std::size_t events = 0;
@@ -145,14 +134,15 @@ std::string sweep_point(int n_seeds, int shards, bool store_on,
                   .count();
     ++runs;
     events += cluster.simulation().events_executed();
+    reg.merge_from(cluster.metrics());
     if (!out.metrics.completed) continue;
     ++completed;
     makespan += out.metrics.total_seconds;
   }
   if (completed > 0) makespan /= completed;
 
-  const obs::MetricsRegistry& reg = metrics.registry();
-  const Bytes project_egress = tier_egress(reg, "project");
+  const Bytes project_egress =
+      reg.counter_value("store", "tier_egress_bytes", {{"tier", "project"}});
   if (project_egress_out) *project_egress_out = project_egress;
   common::JsonWriter row;
   row.field("experiment", "E18")
@@ -162,7 +152,9 @@ std::string sweep_point(int n_seeds, int shards, bool store_on,
       .field("completed", completed)
       .field("makespan_s", makespan)
       .field("project_egress_bytes", project_egress)
-      .field("volunteer_egress_bytes", tier_egress(reg, "volunteer"))
+      .field("volunteer_egress_bytes",
+             reg.counter_value("store", "tier_egress_bytes",
+                               {{"tier", "volunteer"}}))
       .field("store_fetches", reg.counter_total("client", "store_fetches"))
       .field("store_misses", reg.counter_total("client", "store_misses"))
       .field("store_adverts", reg.counter_total("scheduler", "store_adverts"))

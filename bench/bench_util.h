@@ -6,6 +6,11 @@
 // report program that runs scenarios and prints paper-style tables; the
 // micro-benchmarks (bench_mr_micro, bench_net_micro) use google-benchmark
 // for real wall-clock measurements of the substrate.
+//
+// Bench rows come from the same registry the exporters see: each Cluster's
+// own (core::Cluster::metrics()), read while the cluster is alive through
+// obs::MetricsRegistry's readers, or copied out and merged in seed order
+// when a row aggregates several clusters. No private stat struct.
 
 #include <cstdio>
 #include <fstream>
@@ -91,50 +96,6 @@ inline AveragedRow average(const std::vector<core::RunOutcome>& outcomes) {
 inline std::string cell(double raw, double trimmed) {
   if (raw - trimmed < 1.0) return common::strprintf("%.0f", raw);
   return common::strprintf("%.0f [%.0f]", raw, trimmed);
-}
-
-// --- registry readers ------------------------------------------------------
-// The bench rows come from the same MetricsRegistry the exporters see:
-// scope a ScopedMetricsRegistry around the measured clusters, then read
-// the totals with these instead of keeping private stat structs.
-
-/// counter_total shorthand against the current registry.
-inline std::int64_t counter(const std::string& component,
-                            const std::string& name) {
-  return obs::MetricsRegistry::instance().counter_total(component, name);
-}
-
-/// Total injections of one fault kind (fault/injections{kind=...}).
-inline std::int64_t fault_kind(const obs::MetricsRegistry& reg,
-                               const std::string& kind) {
-  std::int64_t total = 0;
-  for (const auto& [key, c] : reg.counters()) {
-    if (key.component == "fault" && key.name == "injections" &&
-        key.labels == obs::Labels{{"kind", kind}}) {
-      total += c.value();
-    }
-  }
-  return total;
-}
-
-/// Sum of fault/injections across several kinds.
-inline std::int64_t fault_kinds(const obs::MetricsRegistry& reg,
-                                std::initializer_list<const char*> kinds) {
-  std::int64_t total = 0;
-  for (const char* kind : kinds) total += fault_kind(reg, kind);
-  return total;
-}
-
-/// Total observation count of one histogram family across label sets
-/// (e.g. client/backoff_seconds summed over hosts).
-inline std::int64_t histogram_count(const obs::MetricsRegistry& reg,
-                                    const std::string& component,
-                                    const std::string& name) {
-  std::int64_t total = 0;
-  for (const auto& [key, h] : reg.histograms()) {
-    if (key.component == component && key.name == name) total += h.count();
-  }
-  return total;
 }
 
 /// Writes a consolidated BENCH_*.json doc ({"experiment", "rows",

@@ -40,12 +40,14 @@ struct QuorumConfig {
   double faulty;
 };
 
-/// One (config, seed) simulation for the E7 sweep.
+/// One (config, seed) simulation for the E7 sweep and its cluster's
+/// registry.
 struct QuorumSeed {
   bool completed = false;
   double total_seconds = 0;
   double executed = 0;  ///< results reported (success or validate-error)
   double wall_s = 0;
+  obs::MetricsRegistry metrics;
 };
 
 QuorumSeed run_quorum_seed(const QuorumConfig& cfg, int i) {
@@ -78,6 +80,7 @@ QuorumSeed run_quorum_seed(const QuorumConfig& cfg, int i) {
           }
         });
   }
+  r.metrics = cluster.metrics();
   r.wall_s = wall_since(t0);
   return r;
 }
@@ -154,7 +157,7 @@ void run(bench::SeedPool& pool, int n_seeds, std::vector<std::string>& rows,
   }
 
   const int n_configs = static_cast<int>(configs.size());
-  const auto results = pool.map_metered(n_configs * n_seeds, [&](int task) {
+  const auto results = pool.map(n_configs * n_seeds, [&](int task) {
     return run_quorum_seed(configs[static_cast<std::size_t>(task / n_seeds)],
                            task % n_seeds);
   });
@@ -163,10 +166,10 @@ void run(bench::SeedPool& pool, int n_seeds, std::vector<std::string>& rows,
     obs::MetricsRegistry merged;
     QuorumPoint point;
     for (int i = 0; i < n_seeds; ++i) {
-      const auto& m = results[static_cast<std::size_t>(c * n_seeds + i)];
-      merged.merge_from(m.metrics);
-      *points_wall_s += m.value.wall_s;
-      fold_quorum_seed(cfg, m.value, merged, &point);
+      const QuorumSeed& r = results[static_cast<std::size_t>(c * n_seeds + i)];
+      merged.merge_from(r.metrics);
+      *points_wall_s += r.wall_s;
+      fold_quorum_seed(cfg, r, merged, &point);
     }
     emit_quorum_point(cfg, point, n_seeds, merged, rows);
   }
@@ -215,7 +218,8 @@ struct AdaptiveConfig {
 
 /// One (config, seed) fleet pair for E7b: the clean reference train plus
 /// the measured churned fleet. All registry reads happen inside the task
-/// (under the per-seed scope), so the pooled path needs no merge.
+/// (from the measured cluster's registry), so the pooled path needs no
+/// merge.
 struct AdaptiveSeed {
   int jobs_ok = 0;
   bool measured = false;
@@ -238,9 +242,8 @@ AdaptiveSeed run_adaptive_seed(const AdaptiveConfig& cfg, int i) {
   for (int j = 0; j < kJobsPerFleet; ++j) ref.run_job();
   const auto truth = canonical_digests(ref);
 
-  // The measured fleet gets its own registry scope (the clean reference
-  // above must not pollute the counters read below).
-  obs::ScopedMetricsRegistry metrics;
+  // The measured fleet nests its registry over the reference's, so the
+  // counters read below are its own.
   core::Scenario s = adaptive_scenario(seed);
   s.project.reputation.mode = cfg.mode;
   volunteer::ChurnConfig churn;
@@ -264,8 +267,8 @@ AdaptiveSeed run_adaptive_seed(const AdaptiveConfig& cfg, int i) {
     const auto it = truth.find(name);
     if (it == truth.end() || digest != it->second) ++out.invalid_canonicals;
   }
-  out.spot_checks = bench::counter("scheduler", "spot_checks");
-  out.singles = bench::counter("scheduler", "trusted_singles");
+  out.spot_checks = cluster.metrics().counter_value("scheduler", "spot_checks");
+  out.singles = cluster.metrics().counter_value("scheduler", "trusted_singles");
 
   if (last.metrics.completed) {
     out.measured = true;

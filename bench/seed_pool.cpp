@@ -6,6 +6,8 @@
 #include <cstring>
 #include <thread>
 
+#include "obs/metrics.h"
+
 namespace vcmr::bench {
 
 SeedPool::SeedPool(int jobs) : jobs_(jobs < 1 ? 1 : jobs) {}

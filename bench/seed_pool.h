@@ -12,12 +12,15 @@
 //
 // Determinism argument, in short:
 //   - each task runs under its own ScopedMetricsRegistry (thread-local
-//     current pointer, see obs/metrics.h) and its own simulation + RNG
-//     streams, so nothing a task computes depends on scheduling;
-//   - results come back indexed by task, and callers reduce them in task
-//     (= seed) order — integer counter merges are order-independent and
-//     the floating-point reductions run in seed order whatever the
-//     completion order;
+//     current pointer, see obs/metrics.h), and every Cluster it builds
+//     counts into its own registry nested inside it, with its own
+//     simulation + RNG streams, so nothing a task computes depends on
+//     scheduling;
+//   - results come back indexed by task — a task that needs its counters
+//     later returns a copy of its cluster's registry with its value — and
+//     callers reduce them in task (= seed) order: integer counter merges
+//     are order-independent and the floating-point reductions run in seed
+//     order whatever the completion order;
 //   - worker threads have a silent thread-local EventBus and their own
 //     log time-provider slot, so no cross-thread observer state exists.
 //
@@ -33,8 +36,6 @@
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "obs/metrics.h"
 
 namespace vcmr::bench {
 
@@ -54,16 +55,6 @@ class SeedPoolError : public std::runtime_error {
   int task_index_;
 };
 
-/// A pool task's return value plus a copy of everything its simulation
-/// recorded in the task-private metrics registry. Merge the registries in
-/// task order with MetricsRegistry::merge_from to reproduce a serial
-/// sweep's aggregate registry.
-template <class T>
-struct Metered {
-  T value{};
-  obs::MetricsRegistry metrics;
-};
-
 class SeedPool {
  public:
   /// `jobs` worker threads (clamped to >= 1).
@@ -75,10 +66,10 @@ class SeedPool {
   static int default_jobs();
 
   /// Runs fn(i) for i in [0, n) on the workers; returns the results in
-  /// task order. Each invocation runs under a fresh ScopedMetricsRegistry
-  /// (discarded — use map_metered to keep it). If any task throws, the
-  /// batch still drains, then the lowest-index failure is rethrown as a
-  /// SeedPoolError naming the task.
+  /// task order. Each invocation runs under a fresh ScopedMetricsRegistry,
+  /// discarded afterwards. If any task throws, the batch still drains, then
+  /// the lowest-index failure is rethrown as a SeedPoolError naming the
+  /// task.
   template <class Fn>
   auto map(int n, Fn&& fn) -> std::vector<decltype(fn(0))> {
     return map(n, std::forward<Fn>(fn), [](int, const auto&) {});
@@ -104,24 +95,6 @@ class SeedPool {
       }
     });
     std::vector<T> out;
-    out.reserve(slots.size());
-    for (auto& slot : slots) out.push_back(std::move(*slot));
-    return out;
-  }
-
-  /// map(), but each result also carries the task-private registry.
-  template <class Fn>
-  auto map_metered(int n, Fn&& fn) -> std::vector<Metered<decltype(fn(0))>> {
-    using T = decltype(fn(0));
-    std::vector<std::optional<Metered<T>>> slots(
-        static_cast<std::size_t>(n));
-    run_indexed(n, [&](int i) {
-      Metered<T> m;
-      m.value = fn(i);
-      m.metrics = obs::MetricsRegistry::instance();  // the task's own scope
-      slots[static_cast<std::size_t>(i)].emplace(std::move(m));
-    });
-    std::vector<Metered<T>> out;
     out.reserve(slots.size());
     for (auto& slot : slots) out.push_back(std::move(*slot));
     return out;

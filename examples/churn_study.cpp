@@ -69,24 +69,31 @@ int main(int argc, char** argv) {
               "%d lost to churn (re-replicated), %d client errors, "
               "%d abandoned\n",
               success, invalid, no_reply, client_err, abandoned);
-  std::printf("validator: %lld WUs validated, %lld invalid results, "
+  int wus_validated = 0;
+  db.for_each_workunit([&](const db::WorkUnitRecord& wu) {
+    if (wu.canonical_found) ++wus_validated;
+  });
+  // The validator's rows are the results it judged plus its inconclusive
+  // quorum checks, so the checks are what the judged results leave over.
+  const obs::MetricsRegistry& reg = cluster.metrics();
+  const std::int64_t results_invalid =
+      reg.counter_value("validator", "results_invalid");
+  const std::int64_t inconclusive_checks =
+      reg.counter_value("daemon", "rows_touched", {{"daemon", "validator"}}) -
+      reg.counter_value("validator", "results_valid") - results_invalid;
+  std::printf("validator: %d WUs validated, %lld invalid results, "
               "%lld inconclusive checks (tie-breaks issued)\n",
-              static_cast<long long>(cluster.project().validator_stats().wus_validated),
-              static_cast<long long>(cluster.project().validator_stats().results_invalid),
-              static_cast<long long>(cluster.project().validator_stats().inconclusive_checks));
-  std::printf("transitioner: %lld results created (replication + retries), "
-              "%lld timed out\n",
-              static_cast<long long>(cluster.project().transitioner_stats().results_created),
-              static_cast<long long>(cluster.project().transitioner_stats().results_timed_out));
-
-  std::int64_t fallbacks = 0, fetches = 0;
-  for (std::size_t i = 0; i < cluster.n_clients(); ++i) {
-    fallbacks += cluster.client(i).stats().server_fallbacks;
-    fetches += cluster.client(i).peer_stats().fetches_ok;
-  }
+              wus_validated, static_cast<long long>(results_invalid),
+              static_cast<long long>(inconclusive_checks));
+  // Every result is a transitioner replica, and only its deadline pass
+  // marks one no-reply.
+  std::printf("transitioner: %zu results created (replication + retries), "
+              "%d timed out\n",
+              db.result_count(), no_reply);
   std::printf("inter-client: %lld successful peer fetches, %lld fell back to "
               "the server mirror (offline mappers)\n",
-              static_cast<long long>(fetches),
-              static_cast<long long>(fallbacks));
+              static_cast<long long>(
+                  reg.counter_value("interclient", "fetch_ok")),
+              static_cast<long long>(out.server_fallbacks));
   return out.metrics.completed ? 0 : 1;
 }

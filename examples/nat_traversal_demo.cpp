@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "core/cluster.h"
+#include "net/traversal.h"
 #include "volunteer/population.h"
 
 int main(int argc, char** argv) {
@@ -38,24 +39,26 @@ int main(int argc, char** argv) {
 
     core::Cluster cluster(s);
     const core::RunOutcome out = cluster.run_job();
-    const net::TraversalStats& ts = out.traversal;
-    const double n = std::max<std::int64_t>(1, ts.attempts);
+    const obs::MetricsRegistry& reg = cluster.metrics();
+    const std::int64_t attempts = net::connects(reg);
+    const double n = std::max<std::int64_t>(1, attempts);
 
     std::printf("\n--- relay via %s ---\n",
                 overlay ? "supernode overlay" : "project server");
     std::printf("job %s in %.0f s; %lld connection attempts:\n",
                 out.metrics.completed ? "completed" : "DID NOT COMPLETE",
                 out.metrics.total_seconds,
-                static_cast<long long>(ts.attempts));
+                static_cast<long long>(attempts));
     std::printf("  direct      %5.1f%%   (target publicly reachable)\n",
-                100.0 * ts.direct / n);
+                100.0 * net::connects(reg, net::ConnectTier::kDirect) / n);
     std::printf("  reversal    %5.1f%%   (NATed mapper dials back)\n",
-                100.0 * ts.reversal / n);
+                100.0 * net::connects(reg, net::ConnectTier::kReversal) / n);
     std::printf("  hole punch  %5.1f%%   (STUN-style simultaneous open)\n",
-                100.0 * ts.hole_punch / n);
+                100.0 * net::connects(reg, net::ConnectTier::kHolePunch) / n);
     std::printf("  relayed     %5.1f%%   (TURN-style, last resort)\n",
-                100.0 * ts.relayed / n);
-    std::printf("  failed      %5.1f%%\n", 100.0 * ts.failed / n);
+                100.0 * net::connects(reg, net::ConnectTier::kRelay) / n);
+    std::printf("  failed      %5.1f%%\n",
+                100.0 * net::connects(reg, net::ConnectTier::kFailed) / n);
     std::printf("server relay traffic: %.1f MB\n",
                 cluster.network().traffic(cluster.server_node()).bytes_relayed /
                     1e6);
@@ -65,12 +68,8 @@ int main(int argc, char** argv) {
                   cluster.overlay()->member_count());
     }
     std::printf("peer fetches ok %lld, server fallbacks %lld\n",
-                static_cast<long long>([&] {
-                  std::int64_t ok = 0;
-                  for (std::size_t i = 0; i < cluster.n_clients(); ++i)
-                    ok += cluster.client(i).peer_stats().fetches_ok;
-                  return ok;
-                }()),
+                static_cast<long long>(
+                    reg.counter_value("interclient", "fetch_ok")),
                 static_cast<long long>(out.server_fallbacks));
   }
   return 0;

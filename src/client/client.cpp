@@ -267,7 +267,6 @@ void Client::on_rpc_fail(
   }
   const SimTime delay = backoff_.next();
   backoff_until_ = sim_.now() + delay;
-  ++stats_.backoffs;
   note_backoff(delay, "rpc_fail");
   consider_rpc();
 }
@@ -298,7 +297,6 @@ void Client::on_reply(const proto::SchedulerReply& reply, bool requested_work,
   for (const std::int64_t id : reported_ids) {
     const auto it = tasks_.find(id);
     if (it != tasks_.end() && it->second.state == TaskState::kReporting) {
-      ++stats_.results_reported;
       tasks_.erase(it);
     }
   }
@@ -310,7 +308,6 @@ void Client::on_reply(const proto::SchedulerReply& reply, bool requested_work,
     if (reply.tasks.empty()) {
       const SimTime delay = backoff_.next();
       backoff_until_ = sim_.now() + delay;
-      ++stats_.backoffs;
       note_backoff(delay, "empty_reply");
       backoff_span_ = trace_begin("backoff", "");
     } else {
@@ -437,11 +434,9 @@ void Client::start_input_fetch(Task& task, TaskInput& input) {
           loc.endpoint, name,
           [this, id, name, span](const mr::FilePayload& p) {
             trace_end(span);
-            ++stats_.store_fetches;
             obs::MetricsRegistry::instance()
                 .counter("client", "store_fetches")
                 .add();
-            stats_.bytes_downloaded_store += p.size;
             obs::MetricsRegistry::instance()
                 .counter("store", "tier_egress_bytes", {{"tier", "volunteer"}})
                 .add(p.size);
@@ -454,7 +449,7 @@ void Client::start_input_fetch(Task& task, TaskInput& input) {
       return;
     }
     fetcher_.fetch(
-        loc.endpoint, name, loc.size,
+        loc.endpoint, name,
         [this, id, name, span](const mr::FilePayload& p) {
           trace_end(span);
           input_done(id, name, p);
@@ -575,7 +570,6 @@ void Client::input_failed(std::int64_t result_id, const std::string& name,
       // A volunteer serve point missed: Bloom false positive, chunk
       // withdrawn, or peer gone. That is a cheap redirect, never a holder
       // failure — the reduce-side failed_fetch machinery stays out of it.
-      ++stats_.store_misses;
       obs::MetricsRegistry::instance().counter("client", "store_misses").add();
       trace_point("store_miss", name);
     } else if (cfg_.report_fetch_failures && !it->spec.peers.empty() &&
@@ -610,7 +604,6 @@ void Client::input_failed(std::int64_t result_id, const std::string& name,
     } else if (it->spec.on_server) {
       // §III.C fallback: after n failed attempts, fetch from the server.
       log_.debug(actor_, ": falling back to server for ", name, " (", why, ")");
-      ++stats_.server_fallbacks;
       obs::MetricsRegistry::instance()
           .counter("client", "server_fallbacks")
           .add();
@@ -745,7 +738,6 @@ void Client::start_execution(Task& t) {
 void Client::finish_execution(Task& task) {
   trace_end(task.compute_span);
   --running_count_;
-  ++stats_.tasks_completed;
   obs::MetricsRegistry::instance().counter("client", "tasks_completed").add();
 
   // Byzantine model: a faulty/malicious client reports a corrupted digest

@@ -112,14 +112,9 @@ struct ClientConfig {
   store::VolunteerStoreConfig volunteer_store;
 };
 
+/// The two per-client byte counts with no registry twin; every other
+/// client fact is a `client/*` (or `interclient/*`) registry counter.
 struct ClientStats {
-  std::int64_t tasks_completed = 0;
-  std::int64_t results_reported = 0;
-  std::int64_t backoffs = 0;
-  std::int64_t server_fallbacks = 0;  ///< peer fetch → server fallback
-  std::int64_t store_fetches = 0;     ///< chunks served by volunteer peers
-  std::int64_t store_misses = 0;      ///< Bloom false positives / lost chunks
-  Bytes bytes_downloaded_store = 0;   ///< chunk bytes from volunteer peers
   Bytes bytes_downloaded_server = 0;
   Bytes bytes_read_locally = 0;  ///< reduce inputs already on local disk
 };
@@ -165,8 +160,6 @@ class Client {
   HostId host_id() const { return host_id_; }
   NodeId node() const { return node_; }
   const ClientStats& stats() const { return stats_; }
-  const PeerFetchStats& peer_stats() const { return fetcher_.stats(); }
-  const ServeStats& serve_stats() const { return serve_.stats(); }
   bool idle() const;
   std::size_t tasks_in_hand() const { return tasks_.size(); }
 

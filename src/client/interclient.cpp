@@ -99,12 +99,10 @@ bool MapOutputServer::start_serving(
     std::function<void(net::NetError)> on_fail) {
   const auto it = files_.find(name);
   if (it == files_.end()) {
-    ++stats_.rejected_missing;
     ic_counter("serve_rejected_missing").add();
     return false;
   }
   if (active_ >= cfg_.max_connections) {
-    ++stats_.rejected_busy;
     ic_counter("serve_rejected_busy").add();
     return false;
   }
@@ -123,8 +121,6 @@ bool MapOutputServer::start_serving(
   fs.relay = relay;
   fs.on_complete = [this, payload, on_done = std::move(on_done)] {
     --active_;
-    ++stats_.served;
-    stats_.bytes_served += payload.size;
     ic_counter("files_served").add();
     ic_counter("bytes_served").add(payload.size);
     if (on_done) on_done(payload);
@@ -150,10 +146,9 @@ PeerFetcher::PeerFetcher(sim::Simulation& sim, net::Network& net,
       establisher_(establisher),
       cfg_(cfg) {}
 
-void PeerFetcher::fetch(net::Endpoint ep, const std::string& name, Bytes size,
+void PeerFetcher::fetch(net::Endpoint ep, const std::string& name,
                         std::function<void(const mr::FilePayload&)> on_done,
                         std::function<void(std::string)> on_fail) {
-  (void)size;
   attempt(ep, name, cfg_.max_attempts, std::move(on_done), std::move(on_fail));
 }
 
@@ -161,68 +156,30 @@ void PeerFetcher::fetch_store(
     net::Endpoint ep, const std::string& name,
     std::function<void(const mr::FilePayload&)> on_done,
     std::function<void(std::string)> on_miss) {
-  ++stats_.attempts;
   ic_counter("fetch_attempts").add();
 
-  auto miss = [this, name, on_miss](const std::string& why) {
-    ++stats_.store_misses;
+  auto miss = [name, on_miss](const std::string& why) {
     ic_counter("store_misses").add();
     log_.debug("store fetch of ", name, " missed (", why, ")");
     if (on_miss) on_miss(why);
   };
 
-  auto transfer = [this, ep, name, on_done,
-                   miss](std::optional<NodeId> relay) {
-    MapOutputServer* server = registry_.find(ep);
-    if (server == nullptr) {
-      miss("no listener at " + ep.str());
-      return;
-    }
-    if (relay) ++stats_.relayed;
-    const bool accepted = server->start_serving(
-        node_, name, relay,
-        [this, on_done](const mr::FilePayload& p) {
-          ++stats_.fetches_ok;
-          stats_.bytes_fetched += p.size;
-          ic_counter("fetch_ok").add();
-          ic_counter("bytes_fetched").add(p.size);
-          if (on_done) on_done(p);
-        },
-        [miss](net::NetError err) { miss(net::to_string(err)); });
-    if (!accepted) miss("peer refused (busy or chunk withdrawn)");
-  };
-
-  if (establisher_ == nullptr) {
+  if (establisher_ == nullptr && !net_.online(ep.node)) {
     // Even a dead probe costs a handshake RTT before it comes back empty.
-    if (!net_.online(ep.node)) {
-      sim_.after(net_.rtt(node_, ep.node), [miss] { miss("peer offline"); });
-      return;
-    }
-    sim_.after(net_.rtt(node_, ep.node),
-               [transfer] { transfer(std::nullopt); });
+    sim_.after(net_.rtt(node_, ep.node), [miss] { miss("peer offline"); });
     return;
   }
-
-  establisher_->establish(node_, ep.node,
-                          [transfer, miss](net::ConnectResult r) {
-                            if (!r.ok()) {
-                              miss("connection establishment failed");
-                              return;
-                            }
-                            transfer(r.relay);
-                          });
+  connect(ep, name, std::move(on_done), miss);
 }
 
 void PeerFetcher::attempt(net::Endpoint ep, std::string name, int tries_left,
                           std::function<void(const mr::FilePayload&)> on_done,
                           std::function<void(std::string)> on_fail) {
   if (tries_left <= 0) {
-    ++stats_.fetches_failed;
     ic_counter("fetch_failures").add();
     if (on_fail) on_fail("peer fetch attempts exhausted for " + name);
     return;
   }
-  ++stats_.attempts;
   ic_counter("fetch_attempts").add();
 
   auto retry = [this, ep, name, tries_left, on_done,
@@ -235,42 +192,45 @@ void PeerFetcher::attempt(net::Endpoint ep, std::string name, int tries_left,
     });
   };
 
+  if (establisher_ == nullptr && !net_.online(ep.node)) {
+    retry("peer offline");
+    return;
+  }
+  connect(ep, name, on_done, retry);
+}
+
+void PeerFetcher::connect(net::Endpoint ep, const std::string& name,
+                          std::function<void(const mr::FilePayload&)> on_done,
+                          std::function<void(const std::string&)> fail) {
   auto transfer = [this, ep, name, on_done,
-                   retry](std::optional<NodeId> relay) {
+                   fail](std::optional<NodeId> relay) {
     MapOutputServer* server = registry_.find(ep);
     if (server == nullptr) {
-      retry("no listener at " + ep.str());
+      fail("no listener at " + ep.str());
       return;
     }
-    if (relay) ++stats_.relayed;
     const bool accepted = server->start_serving(
         node_, name, relay,
-        [this, on_done](const mr::FilePayload& p) {
-          ++stats_.fetches_ok;
-          stats_.bytes_fetched += p.size;
+        [on_done](const mr::FilePayload& p) {
           ic_counter("fetch_ok").add();
           ic_counter("bytes_fetched").add(p.size);
           if (on_done) on_done(p);
         },
-        [retry](net::NetError err) { retry(net::to_string(err)); });
-    if (!accepted) retry("peer refused (busy or file withdrawn)");
+        [fail](net::NetError err) { fail(net::to_string(err)); });
+    if (!accepted) fail("peer refused (busy or file withdrawn)");
   };
 
   if (establisher_ == nullptr) {
     // Open-ports deployment: direct connection after one handshake RTT.
-    if (!net_.online(ep.node)) {
-      retry("peer offline");
-      return;
-    }
     sim_.after(net_.rtt(node_, ep.node),
                [transfer] { transfer(std::nullopt); });
     return;
   }
 
   establisher_->establish(node_, ep.node,
-                          [transfer, retry](net::ConnectResult r) {
+                          [transfer, fail](net::ConnectResult r) {
                             if (!r.ok()) {
-                              retry("connection establishment failed");
+                              fail("connection establishment failed");
                               return;
                             }
                             transfer(r.relay);

@@ -53,13 +53,6 @@ struct MapOutputServerConfig {
   bool background_priority = false;
 };
 
-struct ServeStats {
-  std::int64_t served = 0;
-  std::int64_t rejected_busy = 0;
-  std::int64_t rejected_missing = 0;
-  Bytes bytes_served = 0;
-};
-
 class MapOutputServer {
  public:
   MapOutputServer(sim::Simulation& sim, net::Network& net, NodeId node,
@@ -89,7 +82,6 @@ class MapOutputServer {
   /// Names currently offered, lexicographic order.
   std::vector<std::string> served_names() const;
   int active_connections() const { return active_; }
-  const ServeStats& stats() const { return stats_; }
 
   /// Peer-side entry point: transfer `name` to `requester`. Returns false
   /// (synchronously) when the file is gone or the connection limit is hit;
@@ -115,22 +107,12 @@ class MapOutputServer {
   std::map<std::string, Entry> files_;
   int active_ = 0;
   bool registered_ = false;
-  ServeStats stats_;
 };
 
 struct PeerFetchConfig {
   int max_attempts = 3;                       ///< then fall back to server
   SimTime retry_delay = SimTime::seconds(5);
   net::FlowPriority priority = net::FlowPriority::kForeground;
-};
-
-struct PeerFetchStats {
-  std::int64_t fetches_ok = 0;
-  std::int64_t fetches_failed = 0;   ///< exhausted attempts
-  std::int64_t attempts = 0;
-  std::int64_t relayed = 0;
-  std::int64_t store_misses = 0;     ///< single-probe store fetches that missed
-  Bytes bytes_fetched = 0;
 };
 
 class PeerFetcher {
@@ -141,9 +123,9 @@ class PeerFetcher {
               PeerRegistry& registry, net::ConnectionEstablisher* establisher,
               PeerFetchConfig cfg = {});
 
-  /// Fetches `name` (size `size`) from the peer at `ep`; retries up to
-  /// max_attempts, then calls on_fail.
-  void fetch(net::Endpoint ep, const std::string& name, Bytes size,
+  /// Fetches `name` from the peer at `ep`; retries up to max_attempts,
+  /// then calls on_fail.
+  void fetch(net::Endpoint ep, const std::string& name,
              std::function<void(const mr::FilePayload&)> on_done,
              std::function<void(std::string)> on_fail);
 
@@ -155,12 +137,16 @@ class PeerFetcher {
                    std::function<void(const mr::FilePayload&)> on_done,
                    std::function<void(std::string)> on_miss);
 
-  const PeerFetchStats& stats() const { return stats_; }
-
  private:
   void attempt(net::Endpoint ep, std::string name, int tries_left,
                std::function<void(const mr::FilePayload&)> on_done,
                std::function<void(std::string)> on_fail);
+  /// The one connect path: reach the peer (one handshake RTT, or the
+  /// traversal ladder), then transfer `name`. Any failure on the way calls
+  /// `fail` with the reason; callers handle an offline peer themselves.
+  void connect(net::Endpoint ep, const std::string& name,
+               std::function<void(const mr::FilePayload&)> on_done,
+               std::function<void(const std::string&)> fail);
 
   sim::Simulation& sim_;
   net::Network& net_;
@@ -168,7 +154,6 @@ class PeerFetcher {
   PeerRegistry& registry_;
   net::ConnectionEstablisher* establisher_;
   PeerFetchConfig cfg_;
-  PeerFetchStats stats_;
 };
 
 }  // namespace vcmr::client

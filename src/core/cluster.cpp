@@ -96,8 +96,6 @@ Cluster::Cluster(Scenario scenario) : scenario_(std::move(scenario)) {
     ccfg.report_known_results = scenario_.project.resend_lost_results;
     ccfg.report_fetch_failures = scenario_.project.report_fetch_failures;
     ccfg.volunteer_store = scenario_.project.volunteer_store;
-    ccfg.report_results_immediately =
-        scenario_.client.report_results_immediately;
     if (i < static_cast<int>(scenario_.error_probabilities.size())) {
       ccfg.error_probability =
           scenario_.error_probabilities[static_cast<std::size_t>(i)];
@@ -236,9 +234,17 @@ void Cluster::start_fleet() {
   }
 }
 
+void Cluster::require_current(const char* what) const {
+  if (metrics_.current()) return;
+  throw Error(std::string(what) +
+              ": another metrics registry is current on this thread (a "
+              "newer Cluster or ScopedMetricsRegistry is live)");
+}
+
 std::vector<RunOutcome> Cluster::run_jobs(
     const std::vector<server::MrJobSpec>& specs) {
   require(!specs.empty(), "run_jobs: no jobs given");
+  require_current("run_jobs");
   std::vector<MrJobId> jobs;
   jobs.reserve(specs.size());
   for (const auto& spec : specs) jobs.push_back(project_->submit_job(spec));
@@ -271,23 +277,23 @@ RunOutcome Cluster::job_outcome(MrJobId job, bool finished) {
   const net::NodeTraffic& st = net_->traffic(server_node_);
   out.server_bytes_sent = st.bytes_sent;
   out.server_bytes_received = st.bytes_received;
-  out.scheduler_rpcs = project_->scheduler().stats().rpcs;
-  out.results_lost = project_->scheduler().stats().results_lost;
+  obs::MetricsRegistry& reg = metrics();
+  out.scheduler_rpcs = reg.counter_value("scheduler", "rpcs");
+  out.results_lost = reg.counter_value("scheduler", "results_lost");
   out.fetch_failures_reported =
-      project_->scheduler().stats().fetch_failures_reported;
-  out.maps_invalidated = project_->scheduler().stats().maps_invalidated;
+      reg.counter_value("scheduler", "fetch_failures_reported");
+  out.maps_invalidated = reg.counter_value("scheduler", "maps_invalidated");
+  out.backoffs = reg.histogram_count("client", "backoff_seconds");
+  out.server_fallbacks = reg.counter_value("client", "server_fallbacks");
+  out.peer_fetch_attempts = reg.counter_value("interclient", "fetch_attempts");
+  out.interclient_bytes = reg.counter_value("interclient", "bytes_fetched");
+  out.store_bytes =
+      reg.counter_value("store", "tier_egress_bytes", {{"tier", "volunteer"}});
+  out.store_fetches = reg.counter_value("client", "store_fetches");
+  out.store_misses = reg.counter_value("client", "store_misses");
   for (const auto& c : clients_) {
-    out.backoffs += c->stats().backoffs;
-    out.server_fallbacks += c->stats().server_fallbacks;
-    out.peer_fetch_attempts += c->peer_stats().attempts;
-    out.interclient_bytes += c->peer_stats().bytes_fetched;
     out.local_read_bytes += c->stats().bytes_read_locally;
-    out.store_bytes += c->stats().bytes_downloaded_store;
-    out.store_fetches += c->stats().store_fetches;
-    out.store_misses += c->stats().store_misses;
   }
-  if (establisher_) out.traversal = establisher_->stats();
-  if (injector_) out.faults = injector_->stats();
 
   log_.info("job ", job.value(), out.metrics.completed ? " completed" :
             (out.metrics.failed ? " FAILED" : " timed out"),
@@ -295,7 +301,6 @@ RunOutcome Cluster::job_outcome(MrJobId job, bool finished) {
 
   // Job-level roll-up: gauges keyed by job id so multi-job runs keep each
   // job's summary distinct in the metrics export.
-  auto& reg = obs::MetricsRegistry::instance();
   const obs::Labels job_label = {{"job", std::to_string(job.value())}};
   reg.gauge("job", "total_seconds", job_label)
       .set(out.metrics.total_seconds);
@@ -323,6 +328,7 @@ WorkflowRunResult Cluster::run_workflow() {
 }
 
 WorkflowRunResult Cluster::run_workflow(const wf::WorkflowGraph& graph) {
+  require_current("run_workflow");
   wf::WorkflowCoordinator coordinator(
       *sim_, *project_, graph, scenario_.record_trace ? &trace_ : nullptr);
   const double t0 = sim_->now().as_seconds();

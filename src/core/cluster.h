@@ -7,6 +7,14 @@
 // extras: NAT profiles with tiered traversal, a supernode overlay, churn,
 // byzantine hosts, and transfer-failure injection. This is the façade the
 // examples and every benchmark drive.
+//
+// Each Cluster owns the metrics registry its simulation counts into: an
+// obs::ScopedMetricsRegistry built before every component and freed after
+// them, current on the building thread for the cluster's whole life and
+// never folded into the enclosing registry. RunOutcome, the exporters and
+// the benches all read it (metrics()). Clusters on one thread therefore
+// nest LIFO like any registry scope: destroy them in reverse order of
+// construction, and only the newest may run.
 
 #include <memory>
 #include <optional>
@@ -18,6 +26,7 @@
 #include "mr/keyvalue.h"
 #include "net/overlay.h"
 #include "net/traversal.h"
+#include "obs/metrics.h"
 #include "server/project.h"
 #include "sim/trace.h"
 #include "volunteer/availability.h"
@@ -93,6 +102,9 @@ struct Scenario {
   SimTime time_limit = SimTime::hours(12);
 };
 
+/// One job's metrics plus whole-run counters. The counters are read from
+/// the cluster's registry, except the server traffic (the server node's
+/// link) and local_read_bytes (the clients' ClientStats).
 struct RunOutcome {
   MrJobId job;
   JobMetrics metrics;
@@ -114,8 +126,6 @@ struct RunOutcome {
   std::int64_t results_lost = 0;      ///< reconciled away after client crashes
   std::int64_t fetch_failures_reported = 0;
   std::int64_t maps_invalidated = 0;  ///< map WUs re-run after holder loss
-  net::TraversalStats traversal;
-  fault::FaultStats faults;         ///< injected/recovered fault counters
 };
 
 /// Result of one workflow run (Cluster::run_workflow).
@@ -137,7 +147,8 @@ class Cluster {
   Cluster& operator=(const Cluster&) = delete;
 
   /// Submits the scenario's job and runs to completion, failure, or the
-  /// time limit.
+  /// time limit. Like run_jobs and run_workflow, throws vcmr::Error when
+  /// another registry is current (a newer cluster or scope is live).
   RunOutcome run_job();
   /// Same, with an explicit job spec (multiple jobs per cluster are fine).
   RunOutcome run_job(const server::MrJobSpec& spec);
@@ -157,6 +168,9 @@ class Cluster {
   RunOutcome job_outcome(MrJobId job, bool finished);
 
   // --- access -------------------------------------------------------------
+  /// This cluster's metrics registry (every count its simulation made).
+  obs::MetricsRegistry& metrics() { return metrics_.registry(); }
+  const obs::MetricsRegistry& metrics() const { return metrics_.registry(); }
   sim::Simulation& simulation() { return *sim_; }
   net::Network& network() { return *net_; }
   server::Project& project() { return *project_; }
@@ -180,7 +194,11 @@ class Cluster {
  private:
   /// Starts the project daemons, clients, and churn once per cluster.
   void start_fleet();
+  /// Throws unless this cluster's registry is the current one.
+  void require_current(const char* what) const;
 
+  /// First member: current while every other member is built and torn down.
+  obs::ScopedMetricsRegistry metrics_;
   Scenario scenario_;
   std::unique_ptr<sim::Simulation> sim_;
   std::unique_ptr<net::Network> net_;

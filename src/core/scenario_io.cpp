@@ -55,8 +55,6 @@ Scenario scenario_from_xml(const std::string& xml) {
                      cfg.report_fetch_failures ? 1 : 0) != 0;
     cfg.snapshot_period = SimTime::seconds(p->child_double(
         "snapshot_period_s", cfg.snapshot_period.as_seconds()));
-    cfg.feeder_fair_share =
-        p->child_i64("feeder_fair_share", cfg.feeder_fair_share ? 1 : 0) != 0;
     require(cfg.min_quorum >= 1 && cfg.min_quorum <= cfg.target_nresults,
             "scenario xml: need 1 <= min_quorum <= target_nresults");
   }
@@ -366,8 +364,6 @@ std::string scenario_to_xml(const Scenario& s) {
   p.add_child_text(
       "snapshot_period_s",
       common::strprintf("%.0f", s.project.snapshot_period.as_seconds()));
-  p.add_child_text("feeder_fair_share",
-                   s.project.feeder_fair_share ? "1" : "0");
 
   server::write_replication(root, s.project.reputation);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <map>
+#include <span>
 #include <sstream>
 
 #include "common/error.h"
@@ -172,6 +173,35 @@ Injector::Injector(sim::Simulation& sim, FaultPlan plan, Hooks hooks,
   }
 }
 
+namespace {
+constexpr const char* kInjectionKinds[] = {
+    "link_down", "partition",  "server_down",  "crash",      "corrupt_upload",
+    "rpc_drop",  "group_down", "link_degrade", "trace_down", "server_crash"};
+constexpr const char* kRecoveryKinds[] = {
+    "link_up",  "partition_heal",    "server_up", "restart",
+    "group_up", "link_restore_rate", "trace_up",  "server_restore"};
+
+std::int64_t sum_kinds(const obs::MetricsRegistry& reg,
+                       std::span<const char* const> kinds) {
+  std::int64_t total = 0;
+  for (const char* kind : kinds) total += injections(reg, kind);
+  return total;
+}
+}  // namespace
+
+std::int64_t injections(const obs::MetricsRegistry& reg,
+                        const std::string& kind) {
+  return reg.counter_value("fault", "injections", {{"kind", kind}});
+}
+
+std::int64_t injected(const obs::MetricsRegistry& reg) {
+  return sum_kinds(reg, kInjectionKinds);
+}
+
+std::int64_t recovered(const obs::MetricsRegistry& reg) {
+  return sum_kinds(reg, kRecoveryKinds);
+}
+
 void Injector::record(const std::string& label, const std::string& detail) {
   log_.debug(label, " ", detail, " at t=", sim_.now().str());
   obs::MetricsRegistry::instance()
@@ -189,14 +219,12 @@ void Injector::arm() {
     const int host = lf.host;
     const bool traced = lf.from_trace;
     sim_.at(lf.down_at, [this, host, traced] {
-      ++(traced ? stats_.trace_links_downed : stats_.links_downed);
       record(traced ? "trace_down" : "link_down",
              "host" + std::to_string(host + 1));
       if (hooks_.set_link) hooks_.set_link(host, false);
     });
     if (lf.up_at < SimTime::infinity()) {
       sim_.at(lf.up_at, [this, host, traced] {
-        ++(traced ? stats_.trace_links_restored : stats_.links_restored);
         record(traced ? "trace_up" : "link_up",
                "host" + std::to_string(host + 1));
         if (hooks_.set_link) hooks_.set_link(host, true);
@@ -212,7 +240,6 @@ void Injector::arm() {
     const std::vector<int> members = git->hosts;
     const std::string name = gf.group;
     sim_.at(gf.down_at, [this, members, name] {
-      ++stats_.groups_downed;
       record("group_down",
              common::strprintf("%s (%zu hosts)", name.c_str(),
                                members.size()));
@@ -222,7 +249,6 @@ void Injector::arm() {
     });
     if (gf.up_at < SimTime::infinity()) {
       sim_.at(gf.up_at, [this, members, name] {
-        ++stats_.groups_restored;
         record("group_up", name);
         if (hooks_.set_link) {
           for (const int h : members) hooks_.set_link(h, true);
@@ -235,14 +261,12 @@ void Injector::arm() {
     const int host = d.host;
     const double factor = d.factor;
     sim_.at(d.at, [this, host, factor] {
-      ++stats_.links_degraded;
       record("link_degrade",
              common::strprintf("host%d x%.3f", host + 1, factor));
       if (hooks_.set_link_degrade) hooks_.set_link_degrade(host, factor);
     });
     if (d.until < SimTime::infinity()) {
       sim_.at(d.until, [this, host] {
-        ++stats_.links_undegraded;
         record("link_restore_rate", "host" + std::to_string(host + 1));
         if (hooks_.set_link_degrade) hooks_.set_link_degrade(host, 1.0);
       });
@@ -251,13 +275,11 @@ void Injector::arm() {
 
   for (const auto& sc : plan_.server_crashes) {
     sim_.at(sc.at, [this] {
-      ++stats_.server_crashes;
       record("server_crash", "scheduler/daemon state lost");
       if (hooks_.crash_server) hooks_.crash_server();
     });
     if (sc.restore_at < SimTime::infinity()) {
       sim_.at(sc.restore_at, [this] {
-        ++stats_.server_restores;
         record("server_restore", "restored from DB snapshot");
         if (hooks_.restore_server) hooks_.restore_server();
       });
@@ -272,14 +294,12 @@ void Injector::arm() {
     const std::vector<int> hosts = p.hosts;
     const int this_cls = cls;
     sim_.at(p.at, [this, hosts, this_cls] {
-      ++stats_.partitions_started;
       record("partition",
              common::strprintf("class%d (%zu hosts)", this_cls, hosts.size()));
       if (hooks_.set_partition) hooks_.set_partition(hosts, this_cls);
     });
     if (p.heal_at < SimTime::infinity()) {
       sim_.at(p.heal_at, [this, hosts, this_cls] {
-        ++stats_.partitions_healed;
         record("partition_heal", common::strprintf("class%d", this_cls));
         if (hooks_.set_partition) hooks_.set_partition(hosts, 0);
       });
@@ -291,13 +311,11 @@ void Injector::arm() {
     const std::string what =
         shard < 0 ? "data server" : "data shard " + std::to_string(shard);
     sim_.at(o.down_at, [this, shard, what] {
-      ++stats_.server_outages;
       record("server_down", what);
       if (hooks_.set_data_server) hooks_.set_data_server(shard, false);
     });
     if (o.up_at < SimTime::infinity()) {
       sim_.at(o.up_at, [this, shard, what] {
-        ++stats_.server_restarts;
         record("server_up", what);
         if (hooks_.set_data_server) hooks_.set_data_server(shard, true);
       });
@@ -307,13 +325,11 @@ void Injector::arm() {
   for (const auto& c : plan_.crashes) {
     const int host = c.host;
     sim_.at(c.at, [this, host] {
-      ++stats_.client_crashes;
       record("crash", "host" + std::to_string(host + 1));
       if (hooks_.crash_client) hooks_.crash_client(host);
     });
     if (c.restart_at < SimTime::infinity()) {
       sim_.at(c.restart_at, [this, host] {
-        ++stats_.client_restarts;
         record("restart", "host" + std::to_string(host + 1));
         if (hooks_.restart_client) hooks_.restart_client(host);
       });
@@ -329,7 +345,6 @@ void Injector::schedule_flap_down(int host) {
   const double up_s = flap_rngs_[static_cast<std::size_t>(host)].exponential(
       plan_.link_flap->mean_up.as_seconds());
   sim_.after(SimTime::seconds(up_s), [this, host] {
-    ++stats_.links_downed;
     record("link_down", "host" + std::to_string(host + 1) + " (flap)");
     if (hooks_.set_link) hooks_.set_link(host, false);
     schedule_flap_up(host);
@@ -340,7 +355,6 @@ void Injector::schedule_flap_up(int host) {
   const double down_s = flap_rngs_[static_cast<std::size_t>(host)].exponential(
       plan_.link_flap->mean_down.as_seconds());
   sim_.after(SimTime::seconds(down_s), [this, host] {
-    ++stats_.links_restored;
     record("link_up", "host" + std::to_string(host + 1) + " (flap)");
     if (hooks_.set_link) hooks_.set_link(host, true);
     schedule_flap_down(host);
@@ -349,14 +363,12 @@ void Injector::schedule_flap_up(int host) {
 
 bool Injector::corrupt_upload_draw() {
   if (!corrupt_rng_.chance(plan_.upload_corruption_rate)) return false;
-  ++stats_.uploads_corrupted;
   record("corrupt_upload", "");
   return true;
 }
 
 bool Injector::drop_message_draw() {
   if (!drop_rng_.chance(plan_.rpc_loss_rate)) return false;
-  ++stats_.messages_dropped;
   record("rpc_drop", "");
   return true;
 }

@@ -23,6 +23,7 @@
 
 #include "common/rng.h"
 #include "common/types.h"
+#include "obs/metrics.h"
 #include "sim/simulation.h"
 #include "sim/trace.h"
 
@@ -158,41 +159,19 @@ std::vector<LinkFault> compile_availability_trace(const std::string& csv,
 std::vector<LinkFault> load_availability_trace_file(const std::string& path,
                                                     int n_hosts);
 
-/// Injection/recovery counters, surfaced in core::RunOutcome.
-struct FaultStats {
-  std::int64_t links_downed = 0;
-  std::int64_t links_restored = 0;
-  std::int64_t partitions_started = 0;
-  std::int64_t partitions_healed = 0;
-  std::int64_t server_outages = 0;
-  std::int64_t server_restarts = 0;
-  std::int64_t client_crashes = 0;
-  std::int64_t client_restarts = 0;
-  std::int64_t uploads_corrupted = 0;
-  std::int64_t messages_dropped = 0;
-  // New families (one injection per fault *event*: a group fault counts
-  // once however many member links it takes down).
-  std::int64_t groups_downed = 0;
-  std::int64_t groups_restored = 0;
-  std::int64_t links_degraded = 0;
-  std::int64_t links_undegraded = 0;
-  std::int64_t trace_links_downed = 0;    ///< replayed from a trace
-  std::int64_t trace_links_restored = 0;
-  std::int64_t server_crashes = 0;        ///< scheduler/daemon state loss
-  std::int64_t server_restores = 0;       ///< DB-snapshot restores
-
-  std::int64_t injected() const {
-    return links_downed + partitions_started + server_outages +
-           client_crashes + uploads_corrupted + messages_dropped +
-           groups_downed + links_degraded + trace_links_downed +
-           server_crashes;
-  }
-  std::int64_t recovered() const {
-    return links_restored + partitions_healed + server_restarts +
-           client_restarts + groups_restored + links_undegraded +
-           trace_links_restored + server_restores;
-  }
-};
+/// Faults injected and recovered, summed from the Injector's
+/// `fault/injections{kind}` counters in `reg`. One count per fault *event*:
+/// a group fault counts once however many member links it takes down, and
+/// replayed trace churn (trace_down/trace_up) stays apart from hand-written
+/// link faults. Injections are link_down, partition, server_down, crash,
+/// corrupt_upload, rpc_drop, group_down, link_degrade, trace_down and
+/// server_crash; recoveries are link_up, partition_heal, server_up,
+/// restart, group_up, link_restore_rate, trace_up and server_restore.
+std::int64_t injected(const obs::MetricsRegistry& reg);
+std::int64_t recovered(const obs::MetricsRegistry& reg);
+/// The `fault/injections{kind}` count of one kind in `reg` (0 if absent).
+std::int64_t injections(const obs::MetricsRegistry& reg,
+                        const std::string& kind);
 
 /// How the Injector acts on the deployment. The engine deliberately knows
 /// nothing about vcmr::net/server/client types — the Cluster supplies
@@ -226,7 +205,6 @@ class Injector {
   void arm();
 
   const FaultPlan& plan() const { return plan_; }
-  const FaultStats& stats() const { return stats_; }
 
   bool wants_upload_corruption() const {
     return plan_.upload_corruption_rate > 0.0;
@@ -251,7 +229,6 @@ class Injector {
   Hooks hooks_;
   int n_hosts_;
   sim::TraceRecorder* trace_;
-  FaultStats stats_;
   common::Rng corrupt_rng_;
   common::Rng drop_rng_;
   std::vector<common::Rng> flap_rngs_;

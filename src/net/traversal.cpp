@@ -1,5 +1,7 @@
 #include "net/traversal.h"
 
+#include "obs/metrics.h"
+
 namespace vcmr::net {
 
 const char* to_string(ConnectTier t) {
@@ -11,6 +13,15 @@ const char* to_string(ConnectTier t) {
     case ConnectTier::kFailed: return "failed";
   }
   return "?";
+}
+
+std::int64_t connects(const obs::MetricsRegistry& reg, ConnectTier tier) {
+  return reg.counter_value("traversal", "connects",
+                           {{"tier", to_string(tier)}});
+}
+
+std::int64_t connects(const obs::MetricsRegistry& reg) {
+  return reg.counter_total("traversal", "connects");
 }
 
 ConnectionEstablisher::ConnectionEstablisher(Network& network, NodeId rendezvous,
@@ -92,20 +103,15 @@ ConnectResult ConnectionEstablisher::plan(NodeId initiator, NodeId target,
 
 void ConnectionEstablisher::establish(NodeId initiator, NodeId target,
                                       std::function<void(ConnectResult)> on_done) {
-  ++stats_.attempts;
   ConnectResult r;
   if (!net_.online(initiator) || !net_.online(target)) {
     r.tier = ConnectTier::kFailed;
   } else {
     r = decide(initiator, target, punch_rng_);
   }
-  switch (r.tier) {
-    case ConnectTier::kDirect: ++stats_.direct; break;
-    case ConnectTier::kReversal: ++stats_.reversal; break;
-    case ConnectTier::kHolePunch: ++stats_.hole_punch; break;
-    case ConnectTier::kRelay: ++stats_.relayed; break;
-    case ConnectTier::kFailed: ++stats_.failed; break;
-  }
+  obs::MetricsRegistry::instance()
+      .counter("traversal", "connects", {{"tier", to_string(r.tier)}})
+      .add();
   net_.sim().after(r.setup_time, [r, on_done = std::move(on_done)] {
     on_done(r);
   });

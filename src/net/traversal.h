@@ -9,6 +9,7 @@
 // *relay* (the project server, or a supernode). ConnectionEstablisher
 // implements exactly that ladder over the simulated network.
 
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <unordered_map>
@@ -16,11 +17,17 @@
 #include "common/rng.h"
 #include "net/nat.h"
 #include "net/network.h"
+#include "obs/metrics.h"
 
 namespace vcmr::net {
 
 enum class ConnectTier { kDirect, kReversal, kHolePunch, kRelay, kFailed };
 const char* to_string(ConnectTier t);
+
+/// Connection attempts counted into `reg` as `traversal/connects{tier}`:
+/// those that ended at `tier`, or all of them.
+std::int64_t connects(const obs::MetricsRegistry& reg, ConnectTier tier);
+std::int64_t connects(const obs::MetricsRegistry& reg);
 
 struct ConnectResult {
   ConnectTier tier = ConnectTier::kFailed;
@@ -28,16 +35,6 @@ struct ConnectResult {
   SimTime setup_time;           ///< simulated time spent establishing
 
   bool ok() const { return tier != ConnectTier::kFailed; }
-};
-
-/// Counters across all establish() calls; drives the E8 bench.
-struct TraversalStats {
-  std::int64_t attempts = 0;
-  std::int64_t direct = 0;
-  std::int64_t reversal = 0;
-  std::int64_t hole_punch = 0;
-  std::int64_t relayed = 0;
-  std::int64_t failed = 0;
 };
 
 /// Which tiers are enabled; the paper's shipped prototype is direct-only
@@ -72,6 +69,7 @@ class ConnectionEstablisher {
   /// Asynchronously walk the tier ladder from `initiator` towards `target`
   /// (the node that must accept the connection). The callback fires after
   /// the simulated setup time with the tier that succeeded, or kFailed.
+  /// Each call counts once in `traversal/connects{tier}` when it decides.
   void establish(NodeId initiator, NodeId target,
                  std::function<void(ConnectResult)> on_done);
 
@@ -79,7 +77,6 @@ class ConnectionEstablisher {
   /// punch coin-flip uses the provided rng and no simulated time elapses.
   ConnectResult plan(NodeId initiator, NodeId target, common::Rng& rng) const;
 
-  const TraversalStats& stats() const { return stats_; }
   const TraversalPolicy& policy() const { return policy_; }
 
  private:
@@ -91,7 +88,6 @@ class ConnectionEstablisher {
   std::unordered_map<NodeId, NatProfile> profiles_;
   std::function<std::optional<NodeId>(NodeId, NodeId)> relay_provider_;
   mutable common::Rng punch_rng_;
-  TraversalStats stats_;
 };
 
 }  // namespace vcmr::net

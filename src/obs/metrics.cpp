@@ -1,6 +1,8 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -109,6 +111,23 @@ std::int64_t MetricsRegistry::counter_total(const std::string& component,
   return total;
 }
 
+std::int64_t MetricsRegistry::counter_value(const std::string& component,
+                                            const std::string& name,
+                                            Labels labels) const {
+  const auto it = counters_.find(
+      MetricKey{component, name, normalized(std::move(labels))});
+  return it == counters_.end() ? 0 : it->second.value();
+}
+
+std::int64_t MetricsRegistry::histogram_count(const std::string& component,
+                                              const std::string& name) const {
+  std::int64_t total = 0;
+  for (const auto& [key, h] : histograms_) {
+    if (key.component == component && key.name == name) total += h.count();
+  }
+  return total;
+}
+
 void MetricsRegistry::merge_from(const MetricsRegistry& other) {
   for (const auto& [key, c] : other.counters_) {
     counters_[key].add(c.value());
@@ -138,6 +157,15 @@ ScopedMetricsRegistry::ScopedMetricsRegistry()
 }
 
 ScopedMetricsRegistry::~ScopedMetricsRegistry() {
+  // Restoring prev_ out of order would leave the thread pointing at a
+  // registry that is (or will be) freed, so this check runs in every build.
+  if (!current()) {
+    std::fputs(
+        "ScopedMetricsRegistry destroyed out of LIFO order or on another "
+        "thread\n",
+        stderr);
+    std::abort();
+  }
   MetricsRegistry::current() = prev_;
 }
 

@@ -18,7 +18,9 @@
 // MetricsRegistry::instance() returns the *current* registry. Tests and
 // report binaries that need isolation install a fresh one with
 // ScopedMetricsRegistry, which restores the previous registry on scope
-// exit.
+// exit. Every core::Cluster holds one as its first member, so a cluster's
+// counts land in its own registry (Cluster::metrics()) and never reach the
+// enclosing one.
 //
 // Thread contract (bench::SeedPool): the current-registry pointer is
 // thread-local. Every thread starts at the shared process-wide root — the
@@ -128,6 +130,14 @@ class MetricsRegistry {
   /// Sum of one counter family across all label sets (0 if absent).
   std::int64_t counter_total(const std::string& component,
                              const std::string& name) const;
+  /// One labelled counter's value (0 if absent); `labels` in any order.
+  std::int64_t counter_value(const std::string& component,
+                             const std::string& name,
+                             Labels labels = {}) const;
+  /// Observation count of one histogram family summed over label sets
+  /// (0 if absent), e.g. client/backoff_seconds over every host.
+  std::int64_t histogram_count(const std::string& component,
+                               const std::string& name) const;
 
   /// Folds `other` into this registry: counters and gauges add; histograms
   /// add bucket-wise (bounds must match — first merge registers them).
@@ -154,7 +164,10 @@ class MetricsRegistry {
 /// it until destruction, which restores the previous registry. The scope
 /// is per-thread: it must be destroyed on the thread that created it, and
 /// other threads (including ones spawned inside the scope) keep resolving
-/// instance() to their own current registry.
+/// instance() to their own current registry. Scopes nest LIFO: destroying
+/// one that is not current (out of order, or on another thread) aborts the
+/// process rather than restore a pointer that would dangle. Nothing is
+/// folded into the previous registry on exit.
 class ScopedMetricsRegistry {
  public:
   ScopedMetricsRegistry();
@@ -164,6 +177,10 @@ class ScopedMetricsRegistry {
   ScopedMetricsRegistry& operator=(const ScopedMetricsRegistry&) = delete;
 
   MetricsRegistry& registry() { return mine_; }
+  const MetricsRegistry& registry() const { return mine_; }
+  /// True while this scope is the calling thread's current registry (no
+  /// newer scope is live on it).
+  bool current() const { return MetricsRegistry::current() == &mine_; }
 
  private:
   MetricsRegistry mine_;

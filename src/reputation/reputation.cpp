@@ -38,21 +38,17 @@ int ReputationStore::trusted_count() const {
 
 void ReputationStore::record_valid(HostId host) {
   db::HostRecord& h = db_.host(host);
-  const bool was = is_trusted(h);
   ++h.consecutive_valid;
   h.error_rate *= cfg_.error_rate_decay;
   ++h.results_valid;
-  if (!was && is_trusted(h)) ++stats_.promotions;
 }
 
 void ReputationStore::record_invalid(HostId host) {
   db::HostRecord& h = db_.host(host);
-  const bool was = is_trusted(h);
   h.consecutive_valid = 0;
   h.error_rate = h.error_rate * cfg_.error_rate_decay +
                  (1.0 - cfg_.error_rate_decay);
   ++h.results_invalid;
-  if (was && !is_trusted(h)) ++stats_.demotions;
 }
 
 void ReputationStore::record_inconclusive(HostId host) {
@@ -63,10 +59,8 @@ void ReputationStore::record_inconclusive(HostId host) {
 
 void ReputationStore::record_error(HostId host) {
   db::HostRecord& h = db_.host(host);
-  const bool was = is_trusted(h);
   h.consecutive_valid = 0;
   ++h.results_errored;
-  if (was && !is_trusted(h)) ++stats_.demotions;
 }
 
 Replication initial_replication(const ReputationConfig& cfg,

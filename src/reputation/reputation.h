@@ -51,11 +51,6 @@ struct ReputationConfig {
   int trust_max_skips = 2;
 };
 
-struct ReputationStats {
-  std::int64_t promotions = 0;  ///< untrusted -> trusted transitions
-  std::int64_t demotions = 0;   ///< trusted -> untrusted transitions
-};
-
 /// Read/update view over the reputation fields of the host table.
 class ReputationStore {
  public:
@@ -77,12 +72,10 @@ class ReputationStore {
   int trusted_count() const;
 
   const ReputationConfig& config() const { return cfg_; }
-  const ReputationStats& stats() const { return stats_; }
 
  private:
   db::Database& db_;
   const ReputationConfig& cfg_;
-  ReputationStats stats_;
 };
 
 /// Per-work-unit replication choice.

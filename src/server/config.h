@@ -36,12 +36,6 @@ struct ProjectConfig {
   SimTime validator_period = SimTime::seconds(10);
   SimTime assimilator_period = SimTime::seconds(10);
   int feeder_cache_size = 200;
-  /// Cross-job fair-share: the feeder tops the cache up round-robin across
-  /// jobs instead of global result-id order, so one job's backlog cannot
-  /// monopolize the bounded cache. With a single job the interleave equals
-  /// id order exactly, keeping all single-job golden traces unchanged; off
-  /// reproduces the historical starvation-prone behaviour for A/B runs.
-  bool feeder_fair_share = true;
   /// Cadence of DB snapshots (crash-recovery points). The snapshot daemon
   /// is only armed when the fault plan contains server crashes, so fault-
   /// free runs schedule no extra events and stay bit-identical.

@@ -16,10 +16,9 @@ int Feeder::refill() {
 
   // Top up from the database's ready queues. The visit order below — audit
   // ids ascending, then bulk interleaved one result per job per round (jobs
-  // ascending, ids ascending within a job) or plain id order without
-  // fair-share — is exactly the order the historical full-table scan
-  // produced, so the cache contents are unchanged; only the cost of a pass
-  // drops from O(results) to O(cache).
+  // ascending, ids ascending within a job) — is exactly the order the
+  // historical full-table scan produced, so the cache contents are
+  // unchanged; only the cost of a pass drops from O(results) to O(cache).
   const auto take = [&](ResultId id) {
     if (cache_.size() >= capacity()) return false;
     if (members_.insert(id).second) {
@@ -33,9 +32,9 @@ int Feeder::refill() {
   for (const ResultId id : db_.unsent_audit()) {
     if (!take(id)) break;
   }
-  if (fair_share_ && cache_.size() < capacity()) {
+  if (cache_.size() < capacity()) {
     // Cross-job fair-share: one result per job per round. One job in the
-    // system → one shard → exactly the historical global id order.
+    // system → one shard → exactly the global id order.
     const auto& by_job = db_.unsent_bulk_by_job();
     std::vector<std::set<ResultId>::const_iterator> cursor, end;
     cursor.reserve(by_job.size());
@@ -52,10 +51,6 @@ int Feeder::refill() {
         any = true;
         room = take(*cursor[i]++);
       }
-    }
-  } else if (cache_.size() < capacity()) {
-    for (const ResultId id : db_.unsent_bulk()) {
-      if (!take(id)) break;
     }
   }
 

@@ -8,10 +8,9 @@
 // With several jobs in the system the cache is the fairness bottleneck: in
 // global result-id order a big job's ready backlog fills every slot and a
 // later job never dispatches until the backlog drains below the cache size.
-// Fair-share mode (the default) tops the cache up round-robin across jobs
-// instead; with a single job the interleave degenerates to exactly the
-// historical id order, so single-job dispatch — and every golden trace — is
-// unchanged.
+// The feeder therefore tops the cache up round-robin across jobs; with a
+// single job the interleave degenerates to exactly the global id order, so
+// single-job dispatch — and every golden trace — is unchanged.
 //
 // A refill pass reads the database's ready queues (per-job shards kept in
 // sync at state-transition time) instead of rescanning the result table,
@@ -28,14 +27,13 @@ namespace vcmr::server {
 
 class Feeder {
  public:
-  Feeder(db::Database& db, int cache_size, bool fair_share = true)
-      : db_(db), cache_size_(cache_size), fair_share_(fair_share) {}
+  Feeder(db::Database& db, int cache_size)
+      : db_(db), cache_size_(cache_size) {}
 
   /// One feeder pass: drop entries that are no longer unsent, then top the
   /// cache up from the database's ready queues — audit results first, then
-  /// round-robin across job shards (fair-share) or in global result-id
-  /// order. Returns the number of cache rows touched (evicted + added), for
-  /// daemon telemetry.
+  /// round-robin across job shards. Returns the number of cache rows touched
+  /// (evicted + added), for daemon telemetry.
   int refill();
 
   const std::vector<ResultId>& cache() const { return cache_; }
@@ -56,7 +54,6 @@ class Feeder {
  private:
   db::Database& db_;
   int cache_size_;
-  bool fair_share_;
   std::vector<ResultId> cache_;   ///< dispatch order (scheduler scans this)
   std::set<ResultId> members_;    ///< same ids; O(log n) membership
 };

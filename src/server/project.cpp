@@ -43,7 +43,7 @@ Project::Project(sim::Simulation& sim, net::HttpService& http,
       rep_policy_(cfg_.reputation, rep_store_,
                   sim.rng_stream("rep.spotcheck")),
       data_(http, server_node, kDataPort),
-      feeder_(db_, cfg_.feeder_cache_size, cfg_.feeder_fair_share),
+      feeder_(db_, cfg_.feeder_cache_size),
       transitioner_(db_, cfg_, &rep_store_),
       validator_(db_, cfg_, &rep_store_),
       assimilator_(db_),
@@ -68,22 +68,10 @@ void Project::start() {
     note_daemon_pass(sim_, "feeder", feeder_.refill());
   });
   transitioner_daemon_.start(cfg_.transitioner_period, [this] {
-    const auto& s = transitioner_.stats();
-    const std::int64_t before = s.results_created + s.results_timed_out +
-                                s.results_aborted + s.wus_errored;
-    transitioner_.pass(sim_.now());
-    const std::int64_t after = s.results_created + s.results_timed_out +
-                               s.results_aborted + s.wus_errored;
-    note_daemon_pass(sim_, "transitioner", after - before);
+    note_daemon_pass(sim_, "transitioner", transitioner_.pass(sim_.now()));
   });
   validator_daemon_.start(cfg_.validator_period, [this] {
-    const auto& s = validator_.stats();
-    const std::int64_t before = s.results_valid + s.results_invalid +
-                                s.inconclusive_checks;
-    validator_.pass(sim_.now());
-    const std::int64_t after = s.results_valid + s.results_invalid +
-                               s.inconclusive_checks;
-    note_daemon_pass(sim_, "validator", after - before);
+    note_daemon_pass(sim_, "validator", validator_.pass());
   });
   assimilator_daemon_.start(cfg_.assimilator_period, [this] {
     const std::int64_t before = assimilator_.assimilated();

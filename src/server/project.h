@@ -77,11 +77,6 @@ class Project {
   NodeId node() const { return node_; }
   net::Endpoint scheduler_endpoint() const { return scheduler_.endpoint(); }
 
-  const TransitionerStats& transitioner_stats() const {
-    return transitioner_.stats();
-  }
-  const ValidatorStats& validator_stats() const { return validator_.stats(); }
-
  private:
   sim::Simulation& sim_;
   NodeId node_;

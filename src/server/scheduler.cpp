@@ -75,7 +75,6 @@ void Scheduler::crash() {
 }
 
 proto::SchedulerReply Scheduler::process(const proto::SchedulerRequest& req) {
-  ++stats_.rpcs;
   sched_counter("rpcs").add();
   const HostId host{req.host_id};
 
@@ -242,7 +241,6 @@ void Scheduler::reconcile_known_results(
     db::ResultRecord& r = db_.result(rid);
     db_.set_server_state(rid, db::ServerState::kOver);
     r.outcome = db::Outcome::kLost;
-    ++stats_.results_lost;
     sched_counter("results_lost").add();
     obs::publish(sim_.now(), "scheduler", "resend_lost", "scheduler", r.name);
     if (policy_) policy_->store().record_error(host);
@@ -255,12 +253,10 @@ void Scheduler::reconcile_known_results(
 
 void Scheduler::handle_fetch_failure(HostId reporter,
                                      const proto::FetchFailureReport& ff) {
-  ++stats_.fetch_failures_reported;
   sched_counter("fetch_failures_reported").add();
   const auto action = jobtracker_.note_fetch_failure(
       MrJobId{ff.job_id}, ff.map_index, HostId{ff.holder_host});
   if (action == JobTracker::FetchFailureAction::kInvalidated) {
-    ++stats_.maps_invalidated;
     sched_counter("maps_invalidated").add();
     obs::publish(sim_.now(), "scheduler", "map_invalidated", "scheduler",
                  "job" + std::to_string(ff.job_id) + "/map" +

@@ -26,15 +26,6 @@
 
 namespace vcmr::server {
 
-/// The per-cluster counts core::RunOutcome reports. Every other scheduler
-/// fact lives only in the `scheduler/*` registry counters.
-struct SchedulerStats {
-  std::int64_t rpcs = 0;
-  std::int64_t results_lost = 0;      ///< reconciled away (client forgot them)
-  std::int64_t fetch_failures_reported = 0;  ///< failed-fetch reports received
-  std::int64_t maps_invalidated = 0;  ///< map WUs re-issued early
-};
-
 class Scheduler {
  public:
   /// `policy` (optional) drives adaptive replication: single-replica work
@@ -50,7 +41,6 @@ class Scheduler {
   Scheduler& operator=(const Scheduler&) = delete;
 
   net::Endpoint endpoint() const { return ep_; }
-  const SchedulerStats& stats() const { return stats_; }
 
   /// Optional trace sink; trust decisions are emitted as scheduler points.
   void set_trace(sim::TraceRecorder* trace) { trace_ = trace; }
@@ -114,7 +104,6 @@ class Scheduler {
   net::Endpoint ep_;
   rep::AdaptiveReplicationPolicy* policy_;
   sim::TraceRecorder* trace_ = nullptr;
-  SchedulerStats stats_;
   bool down_ = false;
   /// Deferrals so far per awaiting result, indexed by Deferral. Erased once
   /// the result is assigned or its WU completes, so the map stays bounded

@@ -2,26 +2,28 @@
 
 namespace vcmr::server {
 
-void Transitioner::pass(SimTime now) {
+int Transitioner::pass(SimTime now) {
+  int touched = 0;
   // (a) Report deadlines: overdue results become no-replies.
   for (const ResultId rid : db_.timed_out_results(now)) {
     db::ResultRecord& r = db_.result(rid);
     db_.set_server_state(rid, db::ServerState::kOver);
     r.outcome = db::Outcome::kNoReply;
-    ++stats_.results_timed_out;
+    ++touched;
     if (rep_ && r.host.valid()) rep_->record_error(r.host);
     db_.flag_transition(r.wu);
   }
 
   // (b)/(c) Handle every flagged work unit.
   for (const WorkUnitId wid : db_.transition_pending()) {
-    transition(db_.workunit(wid));
+    touched += transition(db_.workunit(wid));
     db_.clear_transition(wid);
   }
+  return touched;
 }
 
-void Transitioner::transition(db::WorkUnitRecord& wu) {
-  if (wu.error_mass) return;
+int Transitioner::transition(db::WorkUnitRecord& wu) {
+  if (wu.error_mass) return 0;
 
   int unsent = 0, in_progress = 0, success = 0, errors = 0, total = 0;
   int inconclusive = 0;
@@ -60,6 +62,8 @@ void Transitioner::transition(db::WorkUnitRecord& wu) {
     errors = wu.max_error_results;  // force the error-mass path below
   }
 
+  int touched = 0;  // results aborted or created, plus the WU if errored
+
   // Quorum reached: the work unit is complete regardless of how many
   // replicas failed, so this must be checked before the error-mass cut —
   // otherwise a late straggler timing out after validation could push a
@@ -71,26 +75,26 @@ void Transitioner::transition(db::WorkUnitRecord& wu) {
       if (r.server_state == db::ServerState::kUnsent) {
         db_.set_server_state(rid, db::ServerState::kOver);
         r.outcome = db::Outcome::kAbandoned;
-        ++stats_.results_aborted;
+        ++touched;
       }
     }
-    return;
+    return touched;
   }
 
   // Too many failures: give up on the work unit.
   if (errors >= wu.max_error_results) {
     wu.error_mass = true;
-    ++stats_.wus_errored;
+    ++touched;
     for (const ResultId rid : db_.results_of(wu.id)) {
       db::ResultRecord& r = db_.result(rid);
       if (r.server_state == db::ServerState::kUnsent) {
         db_.set_server_state(rid, db::ServerState::kOver);
         r.outcome = db::Outcome::kAbandoned;
-        ++stats_.results_aborted;
+        ++touched;
       }
     }
     if (on_error_) on_error_(wu.id);
-    return;
+    return touched;
   }
 
   // Replicate up to target_nresults usable instances, bounded by
@@ -102,10 +106,11 @@ void Transitioner::transition(db::WorkUnitRecord& wu) {
     proto.wu = wu.id;
     proto.server_state = db::ServerState::kUnsent;
     db_.create_result(proto);
-    ++stats_.results_created;
+    ++touched;
     --need;
     ++total;
   }
+  return touched;
 }
 
 }  // namespace vcmr::server

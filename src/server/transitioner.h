@@ -16,13 +16,6 @@
 
 namespace vcmr::server {
 
-struct TransitionerStats {
-  std::int64_t results_created = 0;
-  std::int64_t results_timed_out = 0;
-  std::int64_t results_aborted = 0;   ///< unsent siblings after canonical
-  std::int64_t wus_errored = 0;       ///< error_mass set
-};
-
 class Transitioner {
  public:
   /// `rep` (optional): missed deadlines break the host's valid streak.
@@ -30,10 +23,10 @@ class Transitioner {
                rep::ReputationStore* rep = nullptr)
       : db_(db), cfg_(cfg), rep_(rep) {}
 
-  /// One daemon pass at simulated time `now`.
-  void pass(SimTime now);
-
-  const TransitionerStats& stats() const { return stats_; }
+  /// One daemon pass at simulated time `now`. Returns the rows it touched
+  /// (results timed out, created or aborted, plus work units errored out),
+  /// for daemon telemetry.
+  int pass(SimTime now);
 
   /// Invoked when a WU gains error_mass (job-abort handling upstream).
   void set_error_listener(std::function<void(WorkUnitId)> fn) {
@@ -41,12 +34,11 @@ class Transitioner {
   }
 
  private:
-  void transition(db::WorkUnitRecord& wu);
+  int transition(db::WorkUnitRecord& wu);
 
   db::Database& db_;
   const ProjectConfig& cfg_;
   rep::ReputationStore* rep_;
-  TransitionerStats stats_;
   std::function<void(WorkUnitId)> on_error_;
 };
 

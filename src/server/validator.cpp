@@ -9,7 +9,7 @@
 
 namespace vcmr::server {
 
-void Validator::pass(SimTime now) {
+int Validator::pass() {
   std::vector<WorkUnitId> candidates;
   db_.for_each_workunit([&](const db::WorkUnitRecord& wu) {
     if (wu.canonical_found || wu.error_mass) return;
@@ -24,11 +24,12 @@ void Validator::pass(SimTime now) {
     }
     if (successes >= wu.min_quorum) candidates.push_back(wu.id);
   });
-  for (const WorkUnitId wid : candidates) check(db_.workunit(wid), now);
+  int touched = 0;
+  for (const WorkUnitId wid : candidates) touched += check(db_.workunit(wid));
+  return touched;
 }
 
-void Validator::check(db::WorkUnitRecord& wu, SimTime now) {
-  (void)now;
+int Validator::check(db::WorkUnitRecord& wu) {
   // Bucket successful results by reported digest, preserving id order.
   std::map<common::Digest128, std::vector<ResultId>> by_digest;
   for (const ResultId rid : db_.results_of(wu.id)) {
@@ -52,7 +53,6 @@ void Validator::check(db::WorkUnitRecord& wu, SimTime now) {
     }
   }
   if (winners == nullptr) {
-    ++stats_.inconclusive_checks;
     // Mark everything inconclusive and ask the transitioner for another
     // replica (it counts only usable results, and inconclusive ones are
     // still "success", so we must flag a retry explicitly when every
@@ -80,13 +80,12 @@ void Validator::check(db::WorkUnitRecord& wu, SimTime now) {
       if (wu.target_nresults < wu.max_total_results) ++wu.target_nresults;
       db_.flag_transition(wu.id);
     }
-    return;
+    return 1;  // one inconclusive check
   }
 
   wu.canonical_found = true;
   wu.canonical_result = winners->front();
   wu.assimilate_state = db::AssimilateState::kReady;
-  ++stats_.wus_validated;
 
   // BOINC credit policy: every valid replica is granted the quorum's
   // *minimum* claim, so a cheater's inflated claim is clipped by any
@@ -97,12 +96,14 @@ void Validator::check(db::WorkUnitRecord& wu, SimTime now) {
   }
   if (!std::isfinite(grant)) grant = 0;
 
+  int judged = 0;
   for (const ResultId rid : db_.results_of(wu.id)) {
     db::ResultRecord& r = db_.result(rid);
     if (r.server_state != db::ServerState::kOver ||
         r.outcome != db::Outcome::kSuccess) {
       continue;
     }
+    ++judged;
     if (r.output_digest == wu.canonical_digest) {
       r.validate_state = db::ValidateState::kValid;
       r.granted_credit = grant;
@@ -110,7 +111,6 @@ void Validator::check(db::WorkUnitRecord& wu, SimTime now) {
         db_.host(r.host).total_credit += grant;
         if (rep_) rep_->record_valid(r.host);
       }
-      ++stats_.results_valid;
       obs::MetricsRegistry::instance()
           .counter("validator", "results_valid")
           .add();
@@ -118,7 +118,6 @@ void Validator::check(db::WorkUnitRecord& wu, SimTime now) {
       r.validate_state = db::ValidateState::kInvalid;
       r.outcome = db::Outcome::kValidateError;
       if (rep_ && r.host.valid()) rep_->record_invalid(r.host);
-      ++stats_.results_invalid;
       obs::MetricsRegistry::instance()
           .counter("validator", "results_invalid")
           .add();
@@ -127,6 +126,7 @@ void Validator::check(db::WorkUnitRecord& wu, SimTime now) {
 
   db_.flag_transition(wu.id);  // let the transitioner clean up unsent siblings
   if (on_validated_) on_validated_(wu.id);
+  return judged;
 }
 
 }  // namespace vcmr::server

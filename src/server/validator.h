@@ -16,13 +16,6 @@
 
 namespace vcmr::server {
 
-struct ValidatorStats {
-  std::int64_t wus_validated = 0;
-  std::int64_t results_valid = 0;
-  std::int64_t results_invalid = 0;
-  std::int64_t inconclusive_checks = 0;
-};
-
 class Validator {
  public:
   /// `rep` (optional) receives every validate outcome, so hosts earn and
@@ -31,23 +24,21 @@ class Validator {
             rep::ReputationStore* rep = nullptr)
       : db_(db), cfg_(cfg), rep_(rep) {}
 
-  /// One daemon pass at simulated time `now`.
-  void pass(SimTime now);
+  /// One daemon pass. Returns the rows it touched (results judged valid or
+  /// invalid, plus inconclusive quorum checks), for daemon telemetry.
+  int pass();
 
   /// Fires once per work unit when it gains a canonical result.
   void set_validated_listener(std::function<void(WorkUnitId)> fn) {
     on_validated_ = std::move(fn);
   }
 
-  const ValidatorStats& stats() const { return stats_; }
-
  private:
-  void check(db::WorkUnitRecord& wu, SimTime now);
+  int check(db::WorkUnitRecord& wu);
 
   db::Database& db_;
   const ProjectConfig& cfg_;
   rep::ReputationStore* rep_;
-  ValidatorStats stats_;
   std::function<void(WorkUnitId)> on_validated_;
 };
 

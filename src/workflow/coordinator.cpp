@@ -16,20 +16,6 @@ namespace {
 
 common::Logger log_("workflow");
 
-/// Fleet-wide backoff draw count: the sum of the per-host
-/// client/backoff_seconds histogram counts. Deltas of this across a node's
-/// run window are the "how often did volunteers go away empty-handed while
-/// this stage ran" roll-up.
-std::int64_t fleet_backoffs() {
-  std::int64_t total = 0;
-  for (const auto& [key, hist] : obs::MetricsRegistry::instance().histograms()) {
-    if (key.component == "client" && key.name == "backoff_seconds") {
-      total += hist.count();
-    }
-  }
-  return total;
-}
-
 /// Leading double of a value string ("0.25|a,b" reads 0.25; non-numeric
 /// values read 0, so textual outputs converge only when byte-stable keys
 /// keep delta at 0).
@@ -147,7 +133,8 @@ void WorkflowCoordinator::submit_iteration(int node,
   run.job = job;
   run.iteration = iter;
   out.runs.push_back(run);
-  backoff_base_[i] = fleet_backoffs();
+  backoff_base_[i] = obs::MetricsRegistry::instance().histogram_count(
+      "client", "backoff_seconds");
   if (trace_ != nullptr) {
     span_[i] = trace_->begin_span(sim_.now(), "workflow", out.name,
                                   "iter" + std::to_string(iter));
@@ -172,7 +159,9 @@ void WorkflowCoordinator::on_job_finished(MrJobId job) {
   run.dispatch_wait_s = rec.map_first_sent < SimTime::infinity()
                             ? (rec.map_first_sent - rec.created).as_seconds()
                             : 0;
-  run.backoffs = fleet_backoffs() - backoff_base_[i];
+  run.backoffs = obs::MetricsRegistry::instance().histogram_count(
+                     "client", "backoff_seconds") -
+                 backoff_base_[i];
   if (trace_ != nullptr) trace_->end_span(span_[i], now);
 
   if (project_.jobtracker().job_failed(job)) {

@@ -111,7 +111,10 @@ class WorkflowCoordinator {
   std::vector<NodeOutcome> outcomes_;
   std::map<MrJobId, int> job_to_node_;
   std::vector<std::size_t> span_;           ///< open trace span per node
-  std::vector<std::int64_t> backoff_base_;  ///< fleet backoffs at submit
+  /// Fleet backoffs at submit: client/backoff_seconds observations summed
+  /// over hosts, so a run's delta counts the empty-handed volunteer
+  /// returns while that stage ran.
+  std::vector<std::int64_t> backoff_base_;
   std::vector<std::vector<mr::KeyValue>> prev_output_;  ///< per-node, iters
   std::vector<char> materialised_;  ///< last run's outputs all materialised
   bool started_ = false;

@@ -5,6 +5,7 @@
 
 #include "client/backoff.h"
 #include "client/interclient.h"
+#include "obs/metrics.h"
 #include "sim/simulation.h"
 
 namespace vcmr::client {
@@ -51,6 +52,7 @@ TEST(Backoff, JitterStaysInBand) {
 }
 
 struct IcFixture {
+  obs::ScopedMetricsRegistry metrics;  ///< first: outlives everything below
   sim::Simulation sim{3};
   net::Network net{sim};
   PeerRegistry registry;
@@ -70,6 +72,11 @@ struct IcFixture {
     c.serve_timeout = SimTime::seconds(timeout_s);
     return c;
   }
+
+  /// One interclient/* registry counter.
+  std::int64_t ic(const char* name) const {
+    return metrics.registry().counter_value("interclient", name);
+  }
 };
 
 TEST(MapOutputServer, ServesOfferedFile) {
@@ -87,8 +94,8 @@ TEST(MapOutputServer, ServesOfferedFile) {
   EXPECT_TRUE(accepted);
   f.sim.run();
   EXPECT_EQ(got, "w 1\n");
-  EXPECT_EQ(srv.stats().served, 1);
-  EXPECT_EQ(srv.stats().bytes_served, 4);
+  EXPECT_EQ(f.ic("files_served"), 1);
+  EXPECT_EQ(f.ic("bytes_served"), 4);
 }
 
 TEST(MapOutputServer, RejectsMissingFile) {
@@ -98,7 +105,7 @@ TEST(MapOutputServer, RejectsMissingFile) {
   srv.offer("exists", mr::FilePayload::of_content("x"));
   EXPECT_FALSE(srv.start_serving(f.reducer, "missing", std::nullopt,
                                  nullptr, nullptr));
-  EXPECT_EQ(srv.stats().rejected_missing, 1);
+  EXPECT_EQ(f.ic("serve_rejected_missing"), 1);
 }
 
 TEST(MapOutputServer, ConnectionLimitEnforced) {
@@ -113,7 +120,7 @@ TEST(MapOutputServer, ConnectionLimitEnforced) {
         nullptr);
     EXPECT_EQ(accepted, i < 2);
   }
-  EXPECT_EQ(srv.stats().rejected_busy, 1);
+  EXPECT_EQ(f.ic("serve_rejected_busy"), 1);
   f.sim.run();
   EXPECT_EQ(ok, 2);
   EXPECT_EQ(srv.active_connections(), 0);
@@ -174,12 +181,12 @@ TEST(PeerFetcher, FetchesFromServingPeer) {
   srv.offer("f", mr::FilePayload::of_content("data"));
   PeerFetcher fetcher(f.sim, f.net, f.reducer, f.registry, nullptr);
   std::string got;
-  fetcher.fetch({f.mapper, 31416}, "f", 4,
+  fetcher.fetch({f.mapper, 31416}, "f",
                 [&](const mr::FilePayload& p) { got = *p.content; },
                 [](const std::string& why) { FAIL() << why; });
   f.sim.run();
   EXPECT_EQ(got, "data");
-  EXPECT_EQ(fetcher.stats().fetches_ok, 1);
+  EXPECT_EQ(f.ic("fetch_ok"), 1);
 }
 
 TEST(PeerFetcher, ExhaustsAttemptsThenFails) {
@@ -189,12 +196,12 @@ TEST(PeerFetcher, ExhaustsAttemptsThenFails) {
   cfg.retry_delay = SimTime::seconds(1);
   PeerFetcher fetcher(f.sim, f.net, f.reducer, f.registry, nullptr, cfg);
   std::string why;
-  fetcher.fetch({f.mapper, 31416}, "gone", 4, nullptr,
+  fetcher.fetch({f.mapper, 31416}, "gone", nullptr,
                 [&](const std::string& w) { why = w; });
   f.sim.run();
   EXPECT_FALSE(why.empty());
-  EXPECT_EQ(fetcher.stats().attempts, 3);
-  EXPECT_EQ(fetcher.stats().fetches_failed, 1);
+  EXPECT_EQ(f.ic("fetch_attempts"), 3);
+  EXPECT_EQ(f.ic("fetch_failures"), 1);
   // The three attempts cost at least two retry delays.
   EXPECT_GE(f.sim.now().as_seconds(), 2.0);
 }
@@ -210,7 +217,7 @@ TEST(PeerFetcher, OfflinePeerRetriesAndFails) {
   cfg.retry_delay = SimTime::seconds(1);
   PeerFetcher fetcher(f.sim, f.net, f.reducer, f.registry, nullptr, cfg);
   bool failed = false;
-  fetcher.fetch({f.mapper, 31416}, "f", 1, nullptr,
+  fetcher.fetch({f.mapper, 31416}, "f", nullptr,
                 [&](const std::string&) { failed = true; });
   f.sim.run();
   EXPECT_TRUE(failed);
@@ -229,12 +236,12 @@ TEST(PeerFetcher, RecoversOnRetryAfterBusy) {
   cfg.retry_delay = SimTime::seconds(2);
   PeerFetcher fetcher(f.sim, f.net, f.reducer, f.registry, nullptr, cfg);
   bool ok = false;
-  fetcher.fetch({f.mapper, 31416}, "big", 500'000,
+  fetcher.fetch({f.mapper, 31416}, "big",
                 [&](const mr::FilePayload&) { ok = true; },
                 [](const std::string& w) { FAIL() << w; });
   f.sim.run();
   EXPECT_TRUE(ok);
-  EXPECT_GE(fetcher.stats().attempts, 2);
+  EXPECT_GE(f.ic("fetch_attempts"), 2);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include "client/client.h"
 #include "mr/apps.h"
+#include "obs/metrics.h"
 #include "store/store.h"
 #include "sim/simulation.h"
 
@@ -18,6 +19,7 @@ namespace vcmr::client {
 namespace {
 
 struct Fixture {
+  obs::ScopedMetricsRegistry metrics;  ///< first: outlives everything below
   sim::Simulation sim{31};
   net::Network net{sim};
   net::HttpService http{net};
@@ -73,6 +75,13 @@ struct Fixture {
                                     registry, nullptr, cfg);
   }
 
+  std::int64_t tasks_completed() const {
+    return metrics.registry().counter_value("client", "tasks_completed");
+  }
+  std::int64_t backoffs() const {
+    return metrics.registry().histogram_count("client", "backoff_seconds");
+  }
+
   /// One map task over a staged input file.
   proto::AssignedTask map_task(std::int64_t id, const std::string& content,
                                int n_reducers = 2) {
@@ -121,8 +130,8 @@ TEST(ClientBehavior, FetchesExecutesUploadsAndReportsOnNextRpc) {
     }
   }
   EXPECT_TRUE(reported);
-  EXPECT_EQ(client->stats().tasks_completed, 1);
-  EXPECT_EQ(client->stats().results_reported, 1);
+  EXPECT_EQ(f.tasks_completed(), 1);
+  EXPECT_EQ(client->tasks_in_hand(), 0u);  // the report was acknowledged
   // Outputs were uploaded to the data server (mirroring on by default).
   EXPECT_TRUE(f.data->has("wu1_0.part0"));
   EXPECT_TRUE(f.data->has("wu1_0.part1"));
@@ -141,7 +150,7 @@ TEST(ClientBehavior, BackoffEscalatesOnEmptyReplies) {
 
   // RPC instants: gaps must grow as 60, 120, 240, 480, 600, 600...
   ASSERT_GE(f.requests.size(), 5u);
-  EXPECT_GE(client->stats().backoffs, 4);
+  EXPECT_GE(f.backoffs(), 4);
   // With a 600 s cap, a 40-minute window fits only a handful of polls.
   EXPECT_LE(f.requests.size(), 9u);
 }
@@ -157,7 +166,7 @@ TEST(ClientBehavior, BackoffResetsWhenWorkArrives) {
   const auto starved_rpcs = f.requests.size();
   f.to_hand_out.push_back(f.map_task(5, "some words here"));
   f.sim.run(SimTime::minutes(60));
-  EXPECT_EQ(client->stats().tasks_completed, 1);
+  EXPECT_EQ(f.tasks_completed(), 1);
   EXPECT_GT(f.requests.size(), starved_rpcs);
 }
 
@@ -177,7 +186,7 @@ TEST(ClientBehavior, UploadPrecedesReportByBackoffWindow) {
     if (!req.reports.empty()) found = true;
   }
   EXPECT_TRUE(found);
-  EXPECT_GE(client->stats().backoffs, 1);
+  EXPECT_GE(f.backoffs(), 1);
 }
 
 TEST(ClientBehavior, ImmediateModeBypassesBackoff) {
@@ -211,7 +220,7 @@ TEST(ClientBehavior, ImmediateModeBypassesBackoff) {
   // Immediate mode reports promptly; the default batches it behind further
   // (backed-off) work-fetch RPCs. Compare how many empty polls preceded it.
   EXPECT_LE(fast_idx, slow_idx);
-  EXPECT_EQ(fast_client->stats().results_reported, 1);
+  EXPECT_EQ(fast_client->tasks_in_hand(), 0u);  // report acknowledged
 }
 
 TEST(ClientBehavior, MultiCoreRunsTasksConcurrently) {
@@ -228,12 +237,12 @@ TEST(ClientBehavior, MultiCoreRunsTasksConcurrently) {
   auto client = f.make_client(cfg, spec);
   client->start();
   const bool done = f.sim.run_until(
-      [&] { return client->stats().tasks_completed == 2; },
+      [&] { return f.tasks_completed() == 2; },
       SimTime::minutes(30));
   ASSERT_TRUE(done);
   // Both compute windows overlap: completion instants are within one task
   // duration of each other (they were started back-to-back).
-  EXPECT_EQ(client->stats().tasks_completed, 2);
+  EXPECT_EQ(f.tasks_completed(), 2);
 }
 
 TEST(ClientBehavior, OfflineSuppressesRpcsAndResumes) {
@@ -263,7 +272,7 @@ TEST(ClientBehavior, CheckpointLosesUncommittedProgress) {
   auto client = f.make_client(cfg, spec);
   client->start();
   // Let it compute ~70 s (one checkpoint at 40 s), then bounce it.
-  f.sim.run_until([&] { return client->stats().tasks_completed == 0 &&
+  f.sim.run_until([&] { return f.tasks_completed() == 0 &&
                                !client->idle(); },
                   SimTime::minutes(5));
   f.sim.run(f.sim.now() + SimTime::seconds(90));
@@ -271,7 +280,7 @@ TEST(ClientBehavior, CheckpointLosesUncommittedProgress) {
   f.sim.run(f.sim.now() + SimTime::seconds(5));
   client->set_online(true);
   const bool done = f.sim.run_until(
-      [&] { return client->stats().tasks_completed == 1; },
+      [&] { return f.tasks_completed() == 1; },
       SimTime::hours(2));
   EXPECT_TRUE(done);  // work since the 40 s checkpoint was redone, not lost
 }
@@ -327,7 +336,7 @@ TEST(ClientBehavior, ConcurrentTransfersRespectLimit) {
   f.sim.after(SimTime::zero(), sample);
   f.sim.run(SimTime::minutes(30));
 
-  EXPECT_EQ(client->stats().tasks_completed, 1);
+  EXPECT_EQ(f.tasks_completed(), 1);
   // At most max_file_xfers download flows (+1 for a possible RPC body).
   EXPECT_LE(peak_flows, 4);
 }
@@ -349,7 +358,7 @@ TEST(ClientBehavior, TasksQueuedReportedTruthfully) {
     if (req.tasks_queued >= 1) saw_queued = true;
   }
   EXPECT_TRUE(saw_queued);
-  EXPECT_EQ(client->stats().tasks_completed, 1);
+  EXPECT_EQ(f.tasks_completed(), 1);
 }
 
 }  // namespace

@@ -92,7 +92,7 @@ TEST(FaultRegression, NoFaultsBitIdenticalBoincMr) {
   EXPECT_EQ(out.scheduler_rpcs, 34);
   EXPECT_EQ(out.backoffs, 26);
   EXPECT_EQ(cluster.simulation().events_executed(), 455);
-  EXPECT_EQ(out.faults.injected(), 0);
+  EXPECT_EQ(fault::injected(cluster.metrics()), 0);
   // Recovery mechanisms default off: nothing reconciled, nothing voided.
   EXPECT_EQ(out.results_lost, 0);
   EXPECT_EQ(out.fetch_failures_reported, 0);
@@ -129,8 +129,8 @@ TEST(FaultRecovery, LinkFaultHeals) {
   const core::RunOutcome out = cluster.run_job();
   ASSERT_TRUE(out.metrics.completed);
   EXPECT_EQ(cluster.collect_output(out.job), oracle(text, 4, 2));
-  EXPECT_EQ(out.faults.links_downed, 1);
-  EXPECT_EQ(out.faults.links_restored, 1);
+  EXPECT_EQ(fault::injections(cluster.metrics(), "link_down"), 1);
+  EXPECT_EQ(fault::injections(cluster.metrics(), "link_up"), 1);
 }
 
 TEST(FaultRecovery, PartitionHeals) {
@@ -145,8 +145,8 @@ TEST(FaultRecovery, PartitionHeals) {
   const core::RunOutcome out = cluster.run_job();
   ASSERT_TRUE(out.metrics.completed);
   EXPECT_EQ(cluster.collect_output(out.job), oracle(text, 4, 2));
-  EXPECT_EQ(out.faults.partitions_started, 1);
-  EXPECT_EQ(out.faults.partitions_healed, 1);
+  EXPECT_EQ(fault::injections(cluster.metrics(), "partition"), 1);
+  EXPECT_EQ(fault::injections(cluster.metrics(), "partition_heal"), 1);
 }
 
 TEST(FaultRecovery, DataServerOutage) {
@@ -160,8 +160,8 @@ TEST(FaultRecovery, DataServerOutage) {
   const core::RunOutcome out = cluster.run_job();
   ASSERT_TRUE(out.metrics.completed);
   EXPECT_EQ(cluster.collect_output(out.job), oracle(text, 4, 2));
-  EXPECT_EQ(out.faults.server_outages, 1);
-  EXPECT_EQ(out.faults.server_restarts, 1);
+  EXPECT_EQ(fault::injections(cluster.metrics(), "server_down"), 1);
+  EXPECT_EQ(fault::injections(cluster.metrics(), "server_up"), 1);
   EXPECT_GT(cluster.project().data_server().rejected_unavailable(), 0);
 }
 
@@ -177,8 +177,8 @@ TEST(FaultRecovery, ClientCrashAndRestart) {
   const core::RunOutcome out = cluster.run_job();
   ASSERT_TRUE(out.metrics.completed);
   EXPECT_EQ(cluster.collect_output(out.job), oracle(text, 4, 2));
-  EXPECT_EQ(out.faults.client_crashes, 1);
-  EXPECT_EQ(out.faults.client_restarts, 1);
+  EXPECT_EQ(fault::injections(cluster.metrics(), "crash"), 1);
+  EXPECT_EQ(fault::injections(cluster.metrics(), "restart"), 1);
 }
 
 TEST(FaultRecovery, ClientCrashWithoutRestart) {
@@ -194,8 +194,8 @@ TEST(FaultRecovery, ClientCrashWithoutRestart) {
   const core::RunOutcome out = cluster.run_job();
   ASSERT_TRUE(out.metrics.completed);
   EXPECT_EQ(cluster.collect_output(out.job), oracle(text, 4, 2));
-  EXPECT_EQ(out.faults.client_crashes, 1);
-  EXPECT_EQ(out.faults.client_restarts, 0);
+  EXPECT_EQ(fault::injections(cluster.metrics(), "crash"), 1);
+  EXPECT_EQ(fault::injections(cluster.metrics(), "restart"), 0);
   EXPECT_TRUE(cluster.client(3).crashed());
 }
 
@@ -209,9 +209,10 @@ TEST(FaultRecovery, UploadCorruptionCaughtByQuorum) {
   const core::RunOutcome out = cluster.run_job();
   ASSERT_TRUE(out.metrics.completed);
   EXPECT_EQ(cluster.collect_output(out.job), oracle(text, 4, 2));
-  EXPECT_GT(out.faults.uploads_corrupted, 0);
+  EXPECT_GT(fault::injections(cluster.metrics(), "corrupt_upload"), 0);
   // Corrupted digests never validate: the quorum threw every one away.
-  EXPECT_GT(cluster.project().validator_stats().results_invalid, 0);
+  EXPECT_GT(cluster.metrics().counter_value("validator", "results_invalid"),
+            0);
 }
 
 TEST(FaultRecovery, RpcMessageLoss) {
@@ -222,7 +223,7 @@ TEST(FaultRecovery, RpcMessageLoss) {
   const core::RunOutcome out = cluster.run_job();
   ASSERT_TRUE(out.metrics.completed);
   EXPECT_EQ(cluster.collect_output(out.job), oracle(text, 4, 2));
-  EXPECT_GT(out.faults.messages_dropped, 0);
+  EXPECT_GT(fault::injections(cluster.metrics(), "rpc_drop"), 0);
   EXPECT_GT(out.backoffs, 0);
 }
 
@@ -238,7 +239,7 @@ TEST(FaultRecovery, LinkFlapStillCompletes) {
   const core::RunOutcome out = cluster.run_job();
   ASSERT_TRUE(out.metrics.completed);
   EXPECT_EQ(cluster.collect_output(out.job), oracle(text, 4, 2));
-  EXPECT_GT(out.faults.links_downed, 0);
+  EXPECT_GT(fault::injections(cluster.metrics(), "link_down"), 0);
 }
 
 TEST(FaultRecovery, CombinedChaosSchedule) {
@@ -274,8 +275,8 @@ TEST(FaultRecovery, CombinedChaosSchedule) {
   const core::RunOutcome out = cluster.run_job();
   ASSERT_TRUE(out.metrics.completed);
   EXPECT_EQ(cluster.collect_output(out.job), oracle(text, 4, 2));
-  EXPECT_GE(out.faults.injected(), 4);
-  EXPECT_GE(out.faults.recovered(), 4);
+  EXPECT_GE(fault::injected(cluster.metrics()), 4);
+  EXPECT_GE(fault::recovered(cluster.metrics()), 4);
 }
 
 TEST(FaultRecovery, CorrelatedGroupFaultHeals) {
@@ -296,9 +297,10 @@ TEST(FaultRecovery, CorrelatedGroupFaultHeals) {
   const core::RunOutcome out = cluster.run_job();
   ASSERT_TRUE(out.metrics.completed);
   EXPECT_EQ(cluster.collect_output(out.job), oracle(text, 4, 2));
-  EXPECT_EQ(out.faults.groups_downed, 1);
-  EXPECT_EQ(out.faults.groups_restored, 1);
-  EXPECT_EQ(out.faults.links_downed, 0);  // member links don't double-count
+  EXPECT_EQ(fault::injections(cluster.metrics(), "group_down"), 1);
+  EXPECT_EQ(fault::injections(cluster.metrics(), "group_up"), 1);
+  // Member links don't double-count.
+  EXPECT_EQ(fault::injections(cluster.metrics(), "link_down"), 0);
 }
 
 TEST(FaultRecovery, DegradedLinksStillComplete) {
@@ -322,8 +324,8 @@ TEST(FaultRecovery, DegradedLinksStillComplete) {
   const core::RunOutcome out = cluster.run_job();
   ASSERT_TRUE(out.metrics.completed);
   EXPECT_EQ(cluster.collect_output(out.job), oracle(text, 4, 2));
-  EXPECT_EQ(out.faults.links_degraded, 2);
-  EXPECT_EQ(out.faults.links_undegraded, 2);
+  EXPECT_EQ(fault::injections(cluster.metrics(), "link_degrade"), 2);
+  EXPECT_EQ(fault::injections(cluster.metrics(), "link_restore_rate"), 2);
 }
 
 TEST(FaultRecovery, TraceDrivenChurnCompletes) {
@@ -343,9 +345,10 @@ TEST(FaultRecovery, TraceDrivenChurnCompletes) {
   const core::RunOutcome out = cluster.run_job();
   ASSERT_TRUE(out.metrics.completed);
   EXPECT_EQ(cluster.collect_output(out.job), oracle(text, 4, 2));
-  EXPECT_EQ(out.faults.trace_links_downed, 2);
-  EXPECT_EQ(out.faults.trace_links_restored, 2);
-  EXPECT_EQ(out.faults.links_downed, 0);  // trace churn counted separately
+  EXPECT_EQ(fault::injections(cluster.metrics(), "trace_down"), 2);
+  EXPECT_EQ(fault::injections(cluster.metrics(), "trace_up"), 2);
+  // Trace churn is counted apart from hand-written link faults.
+  EXPECT_EQ(fault::injections(cluster.metrics(), "link_down"), 0);
 }
 
 TEST(FaultRecovery, TraceFileThroughClusterCompletes) {
@@ -367,8 +370,8 @@ TEST(FaultRecovery, TraceFileThroughClusterCompletes) {
   const core::RunOutcome out = cluster.run_job();
   ASSERT_TRUE(out.metrics.completed);
   EXPECT_EQ(cluster.collect_output(out.job), oracle(text, 4, 2));
-  EXPECT_EQ(out.faults.trace_links_downed, 2);
-  EXPECT_EQ(out.faults.trace_links_restored, 2);
+  EXPECT_EQ(fault::injections(cluster.metrics(), "trace_down"), 2);
+  EXPECT_EQ(fault::injections(cluster.metrics(), "trace_up"), 2);
 }
 
 // --- 3. fast lost-work recovery ---------------------------------------------
@@ -556,22 +559,22 @@ TEST(FaultDeterminism, SameScheduleTwiceIsIdentical) {
   s.project.max_total_results = 20;
   s.record_trace = true;
 
-  auto run = [&](sim::TraceRecorder** trace_out, core::Cluster& cluster) {
-    *trace_out = &cluster.trace();
-    return cluster.run_job();
-  };
+  // Run one cluster to the end, then the other: a newer cluster's registry
+  // is current over the older one's, so they cannot interleave.
   core::Cluster ca(s);
+  const core::RunOutcome a = ca.run_job();
   core::Cluster cb(s);
-  sim::TraceRecorder* ta = nullptr;
-  sim::TraceRecorder* tb = nullptr;
-  const core::RunOutcome a = run(&ta, ca);
-  const core::RunOutcome b = run(&tb, cb);
+  const core::RunOutcome b = cb.run_job();
+  const sim::TraceRecorder* ta = &ca.trace();
+  const sim::TraceRecorder* tb = &cb.trace();
   ASSERT_TRUE(a.metrics.completed);
   EXPECT_EQ(a.metrics.total_seconds, b.metrics.total_seconds);
   EXPECT_EQ(a.server_bytes_sent, b.server_bytes_sent);
   EXPECT_EQ(a.scheduler_rpcs, b.scheduler_rpcs);
-  EXPECT_EQ(a.faults.messages_dropped, b.faults.messages_dropped);
-  EXPECT_EQ(a.faults.uploads_corrupted, b.faults.uploads_corrupted);
+  for (const char* kind : {"rpc_drop", "corrupt_upload"}) {
+    EXPECT_EQ(fault::injections(ca.metrics(), kind),
+              fault::injections(cb.metrics(), kind));
+  }
   EXPECT_EQ(ca.simulation().events_executed(),
             cb.simulation().events_executed());
   // Whole trace streams match, including injected fault points.
@@ -605,9 +608,9 @@ TEST(FaultPins, CorrelatedGroupPinned) {
   core::Cluster cluster(s);
   const core::RunOutcome out = cluster.run_job();
   ASSERT_TRUE(out.metrics.completed);
-  EXPECT_EQ(out.faults.groups_downed, 1);
-  EXPECT_EQ(out.faults.groups_restored, 1);
-  EXPECT_EQ(out.faults.injected(), 1);
+  EXPECT_EQ(fault::injections(cluster.metrics(), "group_down"), 1);
+  EXPECT_EQ(fault::injections(cluster.metrics(), "group_up"), 1);
+  EXPECT_EQ(fault::injected(cluster.metrics()), 1);
   EXPECT_EQ(out.metrics.total_seconds, 204.89070999999998);
   EXPECT_EQ(cluster.simulation().events_executed(), 467);
 }
@@ -623,8 +626,8 @@ TEST(FaultPins, LinkDegradePinned) {
   core::Cluster cluster(s);
   const core::RunOutcome out = cluster.run_job();
   ASSERT_TRUE(out.metrics.completed);
-  EXPECT_EQ(out.faults.links_degraded, 1);
-  EXPECT_EQ(out.faults.links_undegraded, 1);
+  EXPECT_EQ(fault::injections(cluster.metrics(), "link_degrade"), 1);
+  EXPECT_EQ(fault::injections(cluster.metrics(), "link_restore_rate"), 1);
   EXPECT_EQ(out.metrics.total_seconds, 205.092772);
   EXPECT_EQ(cluster.simulation().events_executed(), 457);
 }
@@ -641,9 +644,9 @@ TEST(FaultPins, TraceSchedulePinned) {
   core::Cluster cluster(s);
   const core::RunOutcome out = cluster.run_job();
   ASSERT_TRUE(out.metrics.completed);
-  EXPECT_EQ(out.faults.trace_links_downed, 2);
-  EXPECT_EQ(out.faults.trace_links_restored, 2);
-  EXPECT_EQ(out.faults.links_downed, 0);
+  EXPECT_EQ(fault::injections(cluster.metrics(), "trace_down"), 2);
+  EXPECT_EQ(fault::injections(cluster.metrics(), "trace_up"), 2);
+  EXPECT_EQ(fault::injections(cluster.metrics(), "link_down"), 0);
   EXPECT_EQ(out.metrics.total_seconds, 204.89070999999998);
   EXPECT_EQ(cluster.simulation().events_executed(), 453);
 }
@@ -658,8 +661,8 @@ TEST(FaultPins, ServerCrashRestorePinned) {
   core::Cluster cluster(s);
   const core::RunOutcome out = cluster.run_job();
   ASSERT_TRUE(out.metrics.completed);
-  EXPECT_EQ(out.faults.server_crashes, 1);
-  EXPECT_EQ(out.faults.server_restores, 1);
+  EXPECT_EQ(fault::injections(cluster.metrics(), "server_crash"), 1);
+  EXPECT_EQ(fault::injections(cluster.metrics(), "server_restore"), 1);
   EXPECT_GE(cluster.project().snapshots_taken(), 2);  // at start and t = 60
   EXPECT_EQ(out.metrics.total_seconds, 339.89320400000003);
   EXPECT_EQ(cluster.simulation().events_executed(), 645);
@@ -711,8 +714,8 @@ TEST(FaultProperty, RandomCorrelatedAndDegradedSchedules) {
     const core::RunOutcome out = cluster.run_job();
     ASSERT_TRUE(out.metrics.completed);
     EXPECT_EQ(cluster.collect_output(out.job), expect);
-    EXPECT_EQ(out.faults.groups_downed, 1);
-    EXPECT_EQ(out.faults.links_degraded, n_degrades);
+    EXPECT_EQ(fault::injections(cluster.metrics(), "group_down"), 1);
+    EXPECT_EQ(fault::injections(cluster.metrics(), "link_degrade"), n_degrades);
   }
 }
 

@@ -146,7 +146,8 @@ TEST(Integration2, ByzantineHostsCannotCorruptOutput) {
   ASSERT_TRUE(out.metrics.completed);
   EXPECT_EQ(cluster.collect_output(out.job),
             oracle("word_count", text, 4, 2));
-  EXPECT_GT(cluster.project().validator_stats().results_invalid, 0);
+  EXPECT_GT(cluster.metrics().counter_value("validator", "results_invalid"),
+            0);
 }
 
 TEST(Integration2, CreditClippedForCheaters) {
@@ -285,8 +286,8 @@ TEST(Integration2, NattedFleetCompletesViaTraversal) {
   ASSERT_TRUE(out.metrics.completed);
   EXPECT_EQ(cluster.collect_output(out.job),
             oracle("word_count", text, 4, 2));
-  EXPECT_GT(out.traversal.relayed, 0);
-  EXPECT_EQ(out.traversal.direct, 0);
+  EXPECT_GT(net::connects(cluster.metrics(), net::ConnectTier::kRelay), 0);
+  EXPECT_EQ(net::connects(cluster.metrics(), net::ConnectTier::kDirect), 0);
 }
 
 TEST(Integration2, ServeTimeoutResetKeepsOutputsAvailable) {
@@ -389,7 +390,10 @@ TEST(Integration2, AllByzantineWorkUnitAbandonsAndJobFails) {
   EXPECT_FALSE(out.metrics.completed);
   EXPECT_TRUE(out.metrics.failed);
   EXPECT_FALSE(out.hit_time_limit);  // failed deterministically, not hung
-  EXPECT_GT(cluster.project().transitioner_stats().wus_errored, 0);
+  int wus_errored = 0;
+  cluster.project().database().for_each_workunit(
+      [&](const db::WorkUnitRecord& wu) { wus_errored += wu.error_mass; });
+  EXPECT_GT(wus_errored, 0);
 }
 
 TEST(Integration2, MetricsInvariants) {

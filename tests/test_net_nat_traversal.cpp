@@ -6,6 +6,7 @@
 #include "net/nat.h"
 #include "net/overlay.h"
 #include "net/traversal.h"
+#include "obs/metrics.h"
 #include "sim/simulation.h"
 
 namespace vcmr::net {
@@ -136,6 +137,7 @@ TEST(Traversal, SetupTimeGrowsDownTheLadder) {
 }
 
 TEST(Traversal, EstablishCountsStats) {
+  obs::ScopedMetricsRegistry metrics;
   TravFixture f;
   auto e = f.make();
   int done = 0;
@@ -149,9 +151,10 @@ TEST(Traversal, EstablishCountsStats) {
   });
   f.sim.run();
   EXPECT_EQ(done, 2);
-  EXPECT_EQ(e.stats().attempts, 2);
-  EXPECT_EQ(e.stats().direct, 1);
-  EXPECT_EQ(e.stats().relayed, 1);
+  const obs::MetricsRegistry& reg = metrics.registry();
+  EXPECT_EQ(connects(reg), 2);
+  EXPECT_EQ(connects(reg, ConnectTier::kDirect), 1);
+  EXPECT_EQ(connects(reg, ConnectTier::kRelay), 1);
 }
 
 TEST(Traversal, OfflineTargetFails) {

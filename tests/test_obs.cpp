@@ -11,6 +11,7 @@
 #include <cctype>
 #include <cstddef>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -536,8 +537,8 @@ TEST(ObsIntegration, Fig4StragglerDominatesBackoffHistogram) {
   }
   EXPECT_TRUE(found_straggler_hist);
 
-  // Protocol accounting matches the authoritative scheduler stats, and the
-  // wire-byte counters saw real traffic in both directions.
+  // RunOutcome reads the registry the exporters see, and the wire-byte
+  // counters saw real traffic in both directions.
   EXPECT_EQ(reg.counter_total("scheduler", "rpcs"), out.scheduler_rpcs);
   EXPECT_GT(reg.counter_total("scheduler", "wire_bytes_in"), 0);
   EXPECT_GT(reg.counter_total("scheduler", "wire_bytes_out"), 0);
@@ -581,6 +582,114 @@ TEST(ObsIntegration, MetricsJsonFromRealRunIsValid) {
   EXPECT_TRUE(JsonChecker(json).valid());
   const std::string trace_json = obs::chrome_trace_json(cluster.trace());
   EXPECT_TRUE(JsonChecker(trace_json).valid());
+}
+
+
+// --- ClusterMetrics: each Cluster owns its registry ------------------------
+
+core::Scenario small_mr_scenario() {
+  core::Scenario s;
+  s.seed = 11;
+  s.n_nodes = 8;
+  s.n_maps = 6;
+  s.n_reducers = 2;
+  s.input_size = 60LL * 1000 * 1000;
+  s.boinc_mr = true;
+  return s;
+}
+
+/// Every counter a RunOutcome carries, in declaration order.
+std::vector<std::int64_t> outcome_counters(const core::RunOutcome& o) {
+  return {o.server_bytes_sent,   o.server_bytes_received,
+          o.interclient_bytes,   o.local_read_bytes,
+          o.scheduler_rpcs,      o.backoffs,
+          o.server_fallbacks,    o.peer_fetch_attempts,
+          o.store_bytes,         o.store_fetches,
+          o.store_misses,        o.results_lost,
+          o.fetch_failures_reported, o.maps_invalidated};
+}
+
+TEST(ClusterMetrics, SequentialClustersCountIntoTheirOwnRegistries) {
+  ScopedMetricsRegistry scope;
+  std::vector<std::vector<std::int64_t>> runs;
+  for (int run = 0; run < 2; ++run) {
+    core::Cluster cluster(small_mr_scenario());
+    EXPECT_EQ(&MetricsRegistry::instance(), &cluster.metrics());
+    const core::RunOutcome out = cluster.run_job();
+    ASSERT_TRUE(out.metrics.completed);
+    const MetricsRegistry& reg = cluster.metrics();
+    EXPECT_EQ(out.scheduler_rpcs, reg.counter_value("scheduler", "rpcs"));
+    EXPECT_EQ(out.backoffs, reg.histogram_count("client", "backoff_seconds"));
+    EXPECT_EQ(out.server_fallbacks,
+              reg.counter_value("client", "server_fallbacks"));
+    EXPECT_EQ(out.peer_fetch_attempts,
+              reg.counter_value("interclient", "fetch_attempts"));
+    EXPECT_EQ(out.interclient_bytes,
+              reg.counter_value("interclient", "bytes_fetched"));
+    EXPECT_EQ(out.results_lost, reg.counter_value("scheduler", "results_lost"));
+    EXPECT_GT(out.scheduler_rpcs, 0);
+    EXPECT_GT(out.interclient_bytes, 0);
+    // job_outcome's roll-up gauges land in the cluster's registry too.
+    const obs::Labels job = {{"job", std::to_string(out.job.value())}};
+    EXPECT_EQ(reg.gauges().at({"job", "backoffs", job}).value(),
+              static_cast<double>(out.backoffs));
+    runs.push_back(outcome_counters(out));
+  }
+  EXPECT_EQ(&MetricsRegistry::instance(), &scope.registry());
+  // A shared registry would have doubled the second run's counts.
+  EXPECT_EQ(runs[0], runs[1]);
+  // None of the clusters' counts reached the enclosing registry.
+  EXPECT_TRUE(scope.registry().counters().empty());
+  EXPECT_TRUE(scope.registry().gauges().empty());
+  EXPECT_TRUE(scope.registry().histograms().empty());
+}
+
+TEST(ClusterMetrics, OnlyTheNewestRegistryMayRun) {
+  core::Scenario s = small_mr_scenario();
+  wf::NodeSpec node;
+  node.job.name = "only";
+  node.job.app = "word_count";
+  node.job.n_maps = 2;
+  node.job.n_reducers = 2;
+  node.job.input_text = "some input text";
+  s.workflow.push_back(node);
+
+  core::Cluster a(s);
+  {
+    core::Cluster b(s);
+    EXPECT_THROW(a.run_job(), Error);
+    EXPECT_THROW(a.run_jobs({server::MrJobSpec{}}), Error);
+    EXPECT_THROW(a.run_workflow(), Error);
+    EXPECT_TRUE(b.run_job().metrics.completed);
+  }
+  {
+    // A plain scope opened over a live cluster blocks it the same way.
+    ScopedMetricsRegistry scope;
+    EXPECT_THROW(a.run_job(), Error);
+  }
+  // Once the newer registries are gone the cluster is current again.
+  EXPECT_EQ(&MetricsRegistry::instance(), &a.metrics());
+  EXPECT_TRUE(a.run_workflow().completed);
+}
+
+TEST(ClusterMetricsDeathTest, OutOfOrderTeardownAborts) {
+  const core::Scenario s = small_mr_scenario();
+  // Freeing the older of two live clusters would leave the thread's
+  // registry pointer aimed at freed memory once the newer one goes.
+  EXPECT_DEATH(
+      {
+        auto a = std::make_unique<core::Cluster>(s);
+        auto b = std::make_unique<core::Cluster>(s);
+        a.reset();
+      },
+      "out of LIFO order");
+  EXPECT_DEATH(
+      {
+        auto outer = std::make_unique<ScopedMetricsRegistry>();
+        ScopedMetricsRegistry inner;
+        outer.reset();
+      },
+      "out of LIFO order");
 }
 
 }  // namespace

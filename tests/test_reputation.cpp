@@ -58,8 +58,7 @@ TEST(ReputationStore, TrustRequiresStreakAndErrorBound) {
   EXPECT_EQ(db.host(h).consecutive_valid, 3);
   EXPECT_FALSE(store.is_trusted(h));
   store.record_valid(h);
-  EXPECT_TRUE(store.is_trusted(h));
-  EXPECT_EQ(store.stats().promotions, 1);
+  EXPECT_TRUE(store.is_trusted(h));  // the promotion
   EXPECT_EQ(store.trusted_count(), 1);
   EXPECT_EQ(db.host(h).results_valid, 4);
 }
@@ -78,7 +77,6 @@ TEST(ReputationStore, InvalidDemotesImmediately) {
   EXPECT_EQ(db.host(h).consecutive_valid, 0);
   EXPECT_GT(db.host(h).error_rate, before);  // estimate moved toward 1
   EXPECT_EQ(db.host(h).results_invalid, 1);
-  EXPECT_EQ(store.stats().demotions, 1);
 }
 
 TEST(ReputationStore, RuntimeErrorBreaksStreakWithoutMovingEstimate) {
@@ -278,8 +276,12 @@ TEST(ReputationIntegration, InconclusiveWorkUnitsGetEscalationReplicas) {
   const auto out = cluster.run_job();
   ASSERT_TRUE(out.metrics.completed);
 
-  EXPECT_GT(cluster.project().validator_stats().inconclusive_checks, 0);
   const db::Database& db = cluster.project().database();
+  std::int64_t inconclusive = 0;  // per-host tally of tie-broken replicas
+  db.for_each_host([&](const db::HostRecord& h) {
+    inconclusive += h.results_inconclusive;
+  });
+  EXPECT_GT(inconclusive, 0);
   int escalated = 0;
   db.for_each_workunit([&](const db::WorkUnitRecord& w) {
     if (static_cast<int>(db.results_of(w.id).size()) > s.project.target_nresults)

@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -114,26 +115,28 @@ TEST(SeedPool, ThrowingSeedFailsSweepNamingLowestIndex) {
   EXPECT_EQ(completed.load(), 8);
 }
 
-// --- map_metered(): per-task registries -----------------------------------
+// --- per-task registries ---------------------------------------------------
 
-TEST(SeedPool, MapMeteredCapturesTaskPrivateRegistries) {
+TEST(SeedPool, TasksCountIntoPrivateRegistries) {
   obs::MetricsRegistry& root = obs::MetricsRegistry::instance();
   const std::int64_t root_before = root.counter_total("pool_test", "ticks");
   SeedPool pool(4);
-  const auto out = pool.map_metered(8, [](int i) {
+  // Each task returns a copy of the registry it counted into, as a bench
+  // task returns its cluster's.
+  const auto out = pool.map(8, [](int i) {
     obs::MetricsRegistry::instance()
         .counter("pool_test", "ticks")
         .add(i + 1);
-    return i;
+    return std::make_pair(i, obs::MetricsRegistry::instance());
   });
   ASSERT_EQ(out.size(), 8u);
   obs::MetricsRegistry merged;
   for (int i = 0; i < 8; ++i) {
-    const auto& m = out[static_cast<std::size_t>(i)];
-    EXPECT_EQ(m.value, i);
+    const auto& [value, metrics] = out[static_cast<std::size_t>(i)];
+    EXPECT_EQ(value, i);
     // Each task saw only its own increments.
-    EXPECT_EQ(m.metrics.counter_total("pool_test", "ticks"), i + 1);
-    merged.merge_from(m.metrics);
+    EXPECT_EQ(metrics.counter_total("pool_test", "ticks"), i + 1);
+    merged.merge_from(metrics);
   }
   EXPECT_EQ(merged.counter_total("pool_test", "ticks"), 36);  // 1+2+...+8
   // Worker scopes never leaked into the calling thread's registry.
@@ -187,10 +190,10 @@ TEST(SeedPoolDeathTest, ParseJobsFlagRejectsMalformedValues) {
 // --- serial/parallel equivalence on a real miniature sweep ----------------
 //
 // The same shape the bench binaries use: a (config, seed) grid of real
-// Cluster simulations, one registry per point, rows rendered from the
-// seed-ordered outcomes plus the merged registry. The serial reference is
-// a plain loop on the calling thread; the pooled run must reproduce its
-// rendered rows byte-for-byte at every --jobs value.
+// Cluster simulations, each returning its cluster's registry, rows rendered
+// from the seed-ordered outcomes plus the merged registries. The serial
+// reference is a plain loop on the calling thread; the pooled run must
+// reproduce its rendered rows byte-for-byte at every --jobs value.
 
 core::Scenario mini_scenario(int n_maps, std::uint64_t seed) {
   core::Scenario s;
@@ -205,12 +208,13 @@ core::Scenario mini_scenario(int n_maps, std::uint64_t seed) {
 struct MiniSeed {
   bool completed = false;
   double total_seconds = 0;
+  obs::MetricsRegistry metrics;  ///< the cluster's registry
 };
 
 MiniSeed run_mini_seed(int n_maps, int i) {
   core::Cluster cluster(mini_scenario(n_maps, 1 + static_cast<std::uint64_t>(i)));
   const core::RunOutcome out = cluster.run_job();
-  return {out.metrics.completed, out.metrics.total_seconds};
+  return {out.metrics.completed, out.metrics.total_seconds, cluster.metrics()};
 }
 
 std::string render_mini_row(int n_maps, const std::vector<MiniSeed>& seeds,
@@ -234,10 +238,13 @@ std::vector<std::string> mini_sweep_serial(const std::vector<int>& configs,
                                            int n_seeds) {
   std::vector<std::string> rows;
   for (const int n_maps : configs) {
-    obs::ScopedMetricsRegistry metrics;
+    obs::MetricsRegistry merged;
     std::vector<MiniSeed> seeds;
-    for (int i = 0; i < n_seeds; ++i) seeds.push_back(run_mini_seed(n_maps, i));
-    rows.push_back(render_mini_row(n_maps, seeds, metrics.registry()));
+    for (int i = 0; i < n_seeds; ++i) {
+      seeds.push_back(run_mini_seed(n_maps, i));
+      merged.merge_from(seeds.back().metrics);
+    }
+    rows.push_back(render_mini_row(n_maps, seeds, merged));
   }
   return rows;
 }
@@ -246,7 +253,7 @@ std::vector<std::string> mini_sweep_pooled(const std::vector<int>& configs,
                                            int n_seeds, int jobs) {
   SeedPool pool(jobs);
   const int n_configs = static_cast<int>(configs.size());
-  const auto results = pool.map_metered(n_configs * n_seeds, [&](int task) {
+  const auto results = pool.map(n_configs * n_seeds, [&](int task) {
     return run_mini_seed(configs[static_cast<std::size_t>(task / n_seeds)],
                          task % n_seeds);
   });
@@ -255,9 +262,9 @@ std::vector<std::string> mini_sweep_pooled(const std::vector<int>& configs,
     obs::MetricsRegistry merged;
     std::vector<MiniSeed> seeds;
     for (int i = 0; i < n_seeds; ++i) {
-      const auto& m = results[static_cast<std::size_t>(c * n_seeds + i)];
-      merged.merge_from(m.metrics);
-      seeds.push_back(m.value);
+      const MiniSeed& r = results[static_cast<std::size_t>(c * n_seeds + i)];
+      merged.merge_from(r.metrics);
+      seeds.push_back(r);
     }
     rows.push_back(render_mini_row(configs[static_cast<std::size_t>(c)],
                                    seeds, merged));

@@ -174,15 +174,14 @@ struct DaemonFixture {
 TEST(Transitioner, CreatesReplicas) {
   DaemonFixture f;
   Transitioner tr(f.db, f.cfg);
-  tr.pass(SimTime::zero());
+  EXPECT_EQ(tr.pass(SimTime::zero()), 2);  // rows touched: two created
   EXPECT_EQ(f.db.results_of(f.wu).size(), 2u);  // target_nresults
-  EXPECT_EQ(tr.stats().results_created, 2);
   for (auto* r : f.results()) {
     EXPECT_EQ(r->server_state, db::ServerState::kUnsent);
   }
   // Idempotent when nothing changed.
   f.db.flag_transition(f.wu);
-  tr.pass(SimTime::zero());
+  EXPECT_EQ(tr.pass(SimTime::zero()), 0);
   EXPECT_EQ(f.db.results_of(f.wu).size(), 2u);
 }
 
@@ -192,9 +191,9 @@ TEST(Transitioner, TimesOutOverdueResults) {
   tr.pass(SimTime::zero());
   auto rs = f.results();
   f.send(*rs[0], HostId{1}, SimTime::seconds(100));
-  tr.pass(SimTime::seconds(101));
+  // Rows touched: the timed-out result and its replacement.
+  EXPECT_EQ(tr.pass(SimTime::seconds(101)), 2);
   EXPECT_EQ(rs[0]->outcome, db::Outcome::kNoReply);
-  EXPECT_EQ(tr.stats().results_timed_out, 1);
   // A replacement result was created to keep 2 usable instances.
   EXPECT_EQ(f.db.results_of(f.wu).size(), 3u);
 }
@@ -274,7 +273,7 @@ TEST(Validator, QuorumOfTwoValidates) {
   Validator v(f.db, f.cfg);
   WorkUnitId validated = WorkUnitId::invalid();
   v.set_validated_listener([&](WorkUnitId w) { validated = w; });
-  v.pass(SimTime::seconds(1));
+  EXPECT_EQ(v.pass(), 2);  // both replicas judged
 
   const db::WorkUnitRecord& wu = f.db.workunit(f.wu);
   EXPECT_TRUE(wu.canonical_found);
@@ -283,7 +282,6 @@ TEST(Validator, QuorumOfTwoValidates) {
   EXPECT_EQ(validated, f.wu);
   EXPECT_EQ(rs[0]->validate_state, db::ValidateState::kValid);
   EXPECT_EQ(rs[1]->validate_state, db::ValidateState::kValid);
-  EXPECT_EQ(v.stats().wus_validated, 1);
 }
 
 TEST(Validator, DisagreementSpawnsTieBreaker) {
@@ -295,9 +293,8 @@ TEST(Validator, DisagreementSpawnsTieBreaker) {
   f.report(*rs[1], HostId{2}, common::Hasher::of("corrupt"));
 
   Validator v(f.db, f.cfg);
-  v.pass(SimTime::seconds(1));
+  EXPECT_EQ(v.pass(), 1);  // one inconclusive check
   EXPECT_FALSE(f.db.workunit(f.wu).canonical_found);
-  EXPECT_EQ(v.stats().inconclusive_checks, 1);
 
   // The transitioner then creates a tie-breaking third replica.
   tr.pass(SimTime::seconds(2));
@@ -306,7 +303,7 @@ TEST(Validator, DisagreementSpawnsTieBreaker) {
   // Third honest result resolves the quorum; the corrupt one is invalid.
   auto rs2 = f.results();
   f.report(*rs2[2], HostId{3}, common::Hasher::of("honest"));
-  v.pass(SimTime::seconds(3));
+  v.pass();
   EXPECT_TRUE(f.db.workunit(f.wu).canonical_found);
   EXPECT_EQ(rs2[1]->validate_state, db::ValidateState::kInvalid);
   EXPECT_EQ(rs2[1]->outcome, db::Outcome::kValidateError);
@@ -326,7 +323,7 @@ TEST(Validator, CreditGrantIsQuorumMinimum) {
   rs[1]->claimed_credit = 50.0;
 
   Validator v(f.db, f.cfg);
-  v.pass(SimTime::zero());
+  v.pass();
   EXPECT_DOUBLE_EQ(rs[0]->granted_credit, 5.0);
   EXPECT_DOUBLE_EQ(rs[1]->granted_credit, 5.0);
   EXPECT_DOUBLE_EQ(f.db.host(HostId{1}).total_credit, 5.0);
@@ -344,13 +341,13 @@ TEST(Validator, InvalidResultsEarnNothing) {
   rs[1]->claimed_credit = 3.0;
   tr.pass(SimTime::seconds(1));
   Validator v(f.db, f.cfg);
-  v.pass(SimTime::seconds(1));
+  v.pass();
   tr.pass(SimTime::seconds(2));
   auto rs2 = f.results();
   ASSERT_EQ(rs2.size(), 3u);
   f.report(*rs2[2], HostId{3}, common::Hasher::of("honest"));
   rs2[2]->claimed_credit = 3.0;
-  v.pass(SimTime::seconds(3));
+  v.pass();
   EXPECT_DOUBLE_EQ(f.db.host(HostId{1}).total_credit, 3.0);
   EXPECT_DOUBLE_EQ(f.db.host(HostId{2}).total_credit, 0.0);  // invalid replica
   EXPECT_DOUBLE_EQ(f.db.host(HostId{3}).total_credit, 3.0);
@@ -365,7 +362,7 @@ TEST(Validator, CanonicalIsLowestAgreeingId) {
   f.report(*rs[0], HostId{1}, digest);
   f.report(*rs[1], HostId{2}, digest);
   Validator v(f.db, f.cfg);
-  v.pass(SimTime::zero());
+  v.pass();
   EXPECT_EQ(f.db.workunit(f.wu).canonical_result, rs[0]->id);
 }
 
@@ -456,20 +453,11 @@ int cached_for_job(const db::Database& db, const Feeder& feeder, MrJobId job) {
 }  // namespace
 
 // Regression for the cross-job starvation bug: with the cache smaller than
-// job A's backlog, historical id-order feeding never caches a single job-B
-// result until A drains completely.
-TEST(Feeder, IdOrderStarvesSecondJob) {
-  db::Database db = two_job_db();
-  Feeder feeder(db, 4, /*fair_share=*/false);
-  feeder.refill();
-  ASSERT_EQ(feeder.cache().size(), 4u);
-  EXPECT_EQ(cached_for_job(db, feeder, MrJobId{1}), 4);
-  EXPECT_EQ(cached_for_job(db, feeder, MrJobId{2}), 0);
-}
-
+// job A's backlog, global id-order feeding never cached a single job-B
+// result until A drained completely.
 TEST(Feeder, FairShareInterleavesJobs) {
   db::Database db = two_job_db();
-  Feeder feeder(db, 4, /*fair_share=*/true);
+  Feeder feeder(db, 4);
 
   // Every pass gives both jobs cache slots until B's backlog drains; the
   // scheduler scans the cache in order, so B makes progress every drain.
@@ -489,7 +477,7 @@ TEST(Feeder, FairShareInterleavesJobs) {
 }
 
 // With a single job in the system fair-share must degenerate to exactly the
-// historical global id order (golden traces depend on it).
+// global id order of the ready queue (golden traces depend on it).
 TEST(Feeder, FairShareSingleJobKeepsIdOrder) {
   db::Database db;
   const db::AppRecord& app = db.create_app("a");
@@ -504,11 +492,11 @@ TEST(Feeder, FairShareSingleJobKeepsIdOrder) {
     rp.server_state = db::ServerState::kUnsent;
     db.create_result(rp);
   }
-  Feeder fair(db, 6, /*fair_share=*/true);
-  Feeder id_order(db, 6, /*fair_share=*/false);
+  Feeder fair(db, 6);
   fair.refill();
-  id_order.refill();
-  EXPECT_EQ(fair.cache(), id_order.cache());
+  const std::vector<ResultId> id_order(db.unsent_bulk().begin(),
+                                       db.unsent_bulk().end());
+  EXPECT_EQ(fair.cache(), id_order);
 }
 
 namespace {
@@ -518,8 +506,8 @@ namespace {
 /// and touched count on every pass of any schedule.
 class ReferenceFeeder {
  public:
-  ReferenceFeeder(db::Database& db, int cache_size, bool fair_share)
-      : db_(db), cache_size_(cache_size), fair_share_(fair_share) {}
+  ReferenceFeeder(db::Database& db, int cache_size)
+      : db_(db), cache_size_(cache_size) {}
 
   int refill() {
     const std::size_t before = cache_.size();
@@ -538,16 +526,14 @@ class ReferenceFeeder {
       });
       const auto bulk =
           std::stable_partition(unsent.begin(), unsent.end(), audit);
-      if (fair_share_) {
-        std::map<MrJobId, std::vector<ResultId>> by_job;
-        for (auto it = bulk; it != unsent.end(); ++it) {
-          by_job[db_.workunit(db_.result(*it).wu).mr_job].push_back(*it);
-        }
-        auto out = bulk;
-        for (std::size_t round = 0; out != unsent.end(); ++round) {
-          for (const auto& [job, ids] : by_job) {
-            if (round < ids.size()) *out++ = ids[round];
-          }
+      std::map<MrJobId, std::vector<ResultId>> by_job;
+      for (auto it = bulk; it != unsent.end(); ++it) {
+        by_job[db_.workunit(db_.result(*it).wu).mr_job].push_back(*it);
+      }
+      auto out = bulk;
+      for (std::size_t round = 0; out != unsent.end(); ++round) {
+        for (const auto& [job, ids] : by_job) {
+          if (round < ids.size()) *out++ = ids[round];
         }
       }
       for (const ResultId id : unsent) {
@@ -571,7 +557,6 @@ class ReferenceFeeder {
  private:
   db::Database& db_;
   int cache_size_;
-  bool fair_share_;
   std::vector<ResultId> cache_;
 };
 
@@ -579,7 +564,7 @@ class ReferenceFeeder {
 /// randomized schedule of state transitions, audit flips, new results, and
 /// scheduler takes, asserting identical cache vectors and touched counts
 /// after every pass.
-void run_feeder_equivalence(std::uint64_t seed, bool fair_share) {
+void run_feeder_equivalence(std::uint64_t seed) {
   common::Rng rng(seed);
   db::Database db;
   const db::AppRecord& app = db.create_app("a");
@@ -602,8 +587,8 @@ void run_feeder_equivalence(std::uint64_t seed, bool fair_share) {
     add_result(MrJobId{rng.uniform_int(1, 3)}, rng.chance(0.2));
   }
 
-  Feeder feeder(db, 8, fair_share);
-  ReferenceFeeder ref(db, 8, fair_share);
+  Feeder feeder(db, 8);
+  ReferenceFeeder ref(db, 8);
   for (int round = 0; round < 12; ++round) {
     // Mutate: some results change state, some audits flip, some arrive.
     for (const ResultId id : all) {
@@ -649,15 +634,7 @@ void run_feeder_equivalence(std::uint64_t seed, bool fair_share) {
 }  // namespace
 
 TEST(Feeder, IndexedRefillMatchesFullScanReferenceFairShare) {
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    run_feeder_equivalence(seed, /*fair_share=*/true);
-  }
-}
-
-TEST(Feeder, IndexedRefillMatchesFullScanReferenceIdOrder) {
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    run_feeder_equivalence(seed, /*fair_share=*/false);
-  }
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) run_feeder_equivalence(seed);
 }
 
 // Audit results jump both the top-up order and the cache scan order, even
@@ -675,7 +652,7 @@ TEST(Feeder, AuditResultsJumpTheLine) {
   ASSERT_EQ(audit_wus.size(), 1u);
   db.set_workunit_audit(audit_wus[0], true);
 
-  Feeder feeder(db, 4, /*fair_share=*/true);
+  Feeder feeder(db, 4);
   feeder.refill();
   ASSERT_EQ(feeder.cache().size(), 4u);
   EXPECT_EQ(db.result(feeder.cache()[0]).wu, audit_wus[0]);

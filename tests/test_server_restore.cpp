@@ -70,8 +70,8 @@ TEST(ServerRestore, MidJobCrashRecoversWithoutDeadlineWait) {
 
   ASSERT_TRUE(out.metrics.completed);
   EXPECT_EQ(cluster.collect_output(out.job), oracle(text, 4, 2));
-  EXPECT_EQ(out.faults.server_crashes, 1);
-  EXPECT_EQ(out.faults.server_restores, 1);
+  EXPECT_EQ(fault::injections(cluster.metrics(), "server_crash"), 1);
+  EXPECT_EQ(fault::injections(cluster.metrics(), "server_restore"), 1);
   EXPECT_FALSE(cluster.project().crashed());
   // Snapshots kept coming: at start, on the 15 s cadence before the crash,
   // and again after the restore.
@@ -132,8 +132,8 @@ TEST(ServerRestore, CrashWithoutRestoreHitsTimeLimit) {
   const core::RunOutcome out = cluster.run_job();
   EXPECT_FALSE(out.metrics.completed);
   EXPECT_TRUE(out.hit_time_limit);
-  EXPECT_EQ(out.faults.server_crashes, 1);
-  EXPECT_EQ(out.faults.server_restores, 0);
+  EXPECT_EQ(fault::injections(cluster.metrics(), "server_crash"), 1);
+  EXPECT_EQ(fault::injections(cluster.metrics(), "server_restore"), 0);
   EXPECT_TRUE(cluster.project().crashed());
 }
 

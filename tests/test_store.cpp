@@ -257,7 +257,6 @@ TEST(ReplicaDirectory, TtlEvictsStaleAdverts) {
 // Bloom geometry): disabled-store config must be inert — no extra events,
 // RNG draws, or wire bytes.
 TEST(StoreRegression, DisabledStoreBitIdenticalToSeed) {
-  obs::ScopedMetricsRegistry metrics;
   core::Scenario s;
   s.seed = 11;
   s.n_nodes = 8;
@@ -283,7 +282,7 @@ TEST(StoreRegression, DisabledStoreBitIdenticalToSeed) {
   EXPECT_EQ(out.store_fetches, 0);
   EXPECT_EQ(out.store_misses, 0);
   EXPECT_EQ(out.store_bytes, 0);
-  const obs::MetricsRegistry& reg = metrics.registry();
+  const obs::MetricsRegistry& reg = cluster.metrics();
   EXPECT_EQ(reg.counter_total("scheduler", "store_adverts"), 0);
   EXPECT_EQ(reg.counter_total("scheduler", "store_peers_attached"), 0);
   EXPECT_EQ(reg.counter_total("scheduler", "store_gate_skips"), 0);
@@ -323,7 +322,6 @@ core::Scenario store_scenario(const std::string& text) {
 }
 
 TEST(StoreEndToEnd, ShardedTierMatchesOracle) {
-  obs::ScopedMetricsRegistry metrics;
   const std::string text = corpus(200 * 1024, 41);
   core::Scenario s = store_scenario(text);
   s.data_servers.n_shards = 3;
@@ -334,7 +332,7 @@ TEST(StoreEndToEnd, ShardedTierMatchesOracle) {
   EXPECT_EQ(cluster.collect_output(out.job), oracle(text, 6, 2));
   // The tier actually spread load: more than one shard served bytes.
   int shards_serving = 0;
-  for (const auto& [key, c] : metrics.registry().counters()) {
+  for (const auto& [key, c] : cluster.metrics().counters()) {
     if (key.component == "store" && key.name == "egress_bytes" &&
         c.value() > 0) {
       ++shards_serving;
@@ -356,8 +354,9 @@ TEST(StoreEndToEnd, ShardOutageHealsAndMatchesOracle) {
   const core::RunOutcome out = cluster.run_job();
   ASSERT_TRUE(out.metrics.completed);
   EXPECT_EQ(cluster.collect_output(out.job), oracle(text, 6, 2));
-  EXPECT_EQ(out.faults.server_outages, 1);
-  EXPECT_EQ(out.faults.server_restarts, 1);
+  const obs::MetricsRegistry& reg = cluster.metrics();
+  EXPECT_EQ(fault::injections(reg, "server_down"), 1);
+  EXPECT_EQ(fault::injections(reg, "server_up"), 1);
 }
 
 // Shared-input job (every map reads the same staged file) with the
@@ -408,11 +407,10 @@ TEST(StoreEndToEnd, VolunteerStoreMatchesSingleServerOracle) {
   const std::string text = corpus(200 * 1024, 43);
   core::Scenario s = volunteer_store_scenario(text);
   const server::MrJobSpec spec = shared_spec("shared", text);
-  obs::ScopedMetricsRegistry metrics;
   core::Cluster cluster(s);
   const core::RunOutcome out = cluster.run_job(spec);
   ASSERT_TRUE(out.metrics.completed);
-  EXPECT_GT(metrics.registry().counter_total("scheduler", "store_adverts"), 0);
+  EXPECT_GT(cluster.metrics().counter_total("scheduler", "store_adverts"), 0);
   EXPECT_EQ(cluster.collect_output(out.job), single_server_output(s, spec));
   // Egress convergence: 12 map results run, but only the handful of hosts
   // that were released server-sourced ever hit the project tier — everyone
@@ -440,11 +438,10 @@ TEST(StoreEndToEnd, VolunteerStoreServesChunkOffTheProjectTier) {
   s.project.volunteer_store.dispatch_max_skips = 50;
   server::MrJobSpec spec = shared_spec("shared-trusted", text);
   spec.n_maps = 18;
-  obs::ScopedMetricsRegistry metrics;
   core::Cluster cluster(s);
   const core::RunOutcome out = cluster.run_job(spec);
   ASSERT_TRUE(out.metrics.completed);
-  const obs::MetricsRegistry& reg = metrics.registry();
+  const obs::MetricsRegistry& reg = cluster.metrics();
   EXPECT_GT(reg.counter_total("scheduler", "store_adverts"), 0);
   EXPECT_GT(reg.counter_total("scheduler", "store_peers_attached"), 0);
   EXPECT_EQ(cluster.collect_output(out.job), single_server_output(s, spec));
@@ -485,11 +482,10 @@ TEST(StoreEndToEnd, DispatchGateReleasesWithoutReplicas) {
   // store_sources stays empty and every gated dispatch must be released by
   // the skip bound.
   const server::MrJobSpec spec = shared_spec("gated", text);
-  obs::ScopedMetricsRegistry metrics;
   core::Cluster cluster(s);
   const core::RunOutcome out = cluster.run_job(spec);
   ASSERT_TRUE(out.metrics.completed);
-  const obs::MetricsRegistry& reg = metrics.registry();
+  const obs::MetricsRegistry& reg = cluster.metrics();
   EXPECT_GT(reg.counter_total("scheduler", "store_gate_skips"), 0);
   EXPECT_EQ(reg.counter_total("scheduler", "store_peers_attached"), 0);
   EXPECT_EQ(cluster.collect_output(out.job), single_server_output(s, spec));
@@ -503,7 +499,6 @@ TEST(StoreEndToEnd, DispatchGateReleasesWithoutReplicas) {
 // reason keeps its own bound and counter, so the per-reason totals, the
 // event count and the makespan all pin the gate's behaviour.
 TEST(DeferralGate, AllThreeReasonsInOneRun) {
-  obs::ScopedMetricsRegistry metrics;
   core::Scenario s;
   s.seed = 29;
   s.n_nodes = 8;
@@ -528,7 +523,7 @@ TEST(DeferralGate, AllThreeReasonsInOneRun) {
   core::Cluster cluster(s);
   const core::RunOutcome out = cluster.run_job(spec);
   ASSERT_TRUE(out.metrics.completed);
-  const obs::MetricsRegistry& reg = metrics.registry();
+  const obs::MetricsRegistry& reg = cluster.metrics();
   EXPECT_EQ(reg.counter_total("scheduler", "trust_skips"), 27);
   EXPECT_EQ(reg.counter_total("scheduler", "store_gate_skips"), 211);
   EXPECT_EQ(reg.counter_total("scheduler", "locality_skips"), 5);
@@ -542,6 +537,7 @@ TEST(DeferralGate, AllThreeReasonsInOneRun) {
 // synchronously; fetch_store reports a miss after at most a handshake RTT
 // and burns no retry budget.
 TEST(StoreFalsePositive, FetchStoreMissesCheaply) {
+  obs::ScopedMetricsRegistry scope;
   sim::Simulation sim{5};
   net::Network net{sim};
   net::NodeConfig c;
@@ -570,15 +566,18 @@ TEST(StoreFalsePositive, FetchStoreMissesCheaply) {
                       [](const std::string& why) { FAIL() << why; });
   sim.run();
   EXPECT_TRUE(missed);
-  EXPECT_EQ(fetcher.stats().store_misses, 1);
-  EXPECT_EQ(fetcher.stats().fetches_failed, 0);  // miss != exhausted retries
-  EXPECT_EQ(fetcher.stats().fetches_ok, 1);
+  const obs::MetricsRegistry& reg = scope.registry();
+  EXPECT_EQ(reg.counter_value("interclient", "store_misses"), 1);
+  // A miss is not exhausted retries.
+  EXPECT_EQ(reg.counter_value("interclient", "fetch_failures"), 0);
+  EXPECT_EQ(reg.counter_value("interclient", "fetch_ok"), 1);
   EXPECT_EQ(got, "not what you want");
   // One probe, one handshake: the redirect decision lands within ~1 RTT.
   EXPECT_LE(missed_at, SimTime::millis(100));
 }
 
 TEST(StoreFalsePositive, OfflinePeerIsAMissNotAFailure) {
+  obs::ScopedMetricsRegistry scope;
   sim::Simulation sim{5};
   net::Network net{sim};
   const NodeId server_node = net.add_node(net::NodeConfig{});
@@ -596,7 +595,7 @@ TEST(StoreFalsePositive, OfflinePeerIsAMissNotAFailure) {
                       [&](const std::string&) { missed = true; });
   sim.run();
   EXPECT_TRUE(missed);
-  EXPECT_EQ(fetcher.stats().store_misses, 1);
+  EXPECT_EQ(scope.registry().counter_value("interclient", "store_misses"), 1);
 }
 
 }  // namespace

@@ -323,7 +323,6 @@ TEST(ScenarioIo, WorkflowRoundTrips) {
   rank.iterate.threshold = 0.25;
   rank.job.shared_input = true;
   s.workflow.push_back(rank);
-  s.project.feeder_fair_share = false;  // non-default must survive the trip
 
   const core::Scenario back = core::scenario_from_xml(core::scenario_to_xml(s));
   ASSERT_EQ(back.workflow.size(), 3u);
@@ -333,7 +332,6 @@ TEST(ScenarioIo, WorkflowRoundTrips) {
   EXPECT_EQ(back.workflow[1].deps, (std::vector<std::string>{"split"}));
   EXPECT_EQ(back.workflow[2].iterate, rank.iterate);
   EXPECT_TRUE(back.workflow[2].job.shared_input);
-  EXPECT_EQ(back.project.feeder_fair_share, s.project.feeder_fair_share);
 }
 
 TEST(ScenarioIo, WorkflowErrorsCarryLineNumbers) {

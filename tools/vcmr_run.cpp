@@ -98,7 +98,8 @@ int help() {
   return 0;
 }
 
-void report(const vcmr::core::RunOutcome& out) {
+void report(const vcmr::core::RunOutcome& out,
+            const vcmr::obs::MetricsRegistry& reg) {
   const vcmr::core::JobMetrics& m = out.metrics;
   std::printf("status        : %s\n",
               m.completed ? "completed"
@@ -132,32 +133,36 @@ void report(const vcmr::core::RunOutcome& out) {
                 static_cast<long long>(out.fetch_failures_reported),
                 static_cast<long long>(out.maps_invalidated));
   }
-  if (out.traversal.attempts > 0) {
+  const long long attempts = vcmr::net::connects(reg);
+  if (attempts > 0) {
+    const auto connects = [&reg](vcmr::net::ConnectTier tier) {
+      return static_cast<long long>(vcmr::net::connects(reg, tier));
+    };
+    using vcmr::net::ConnectTier;
     std::printf("traversal     : %lld attempts (%lld direct, %lld reversal, "
                 "%lld punched, %lld relayed, %lld failed)\n",
-                static_cast<long long>(out.traversal.attempts),
-                static_cast<long long>(out.traversal.direct),
-                static_cast<long long>(out.traversal.reversal),
-                static_cast<long long>(out.traversal.hole_punch),
-                static_cast<long long>(out.traversal.relayed),
-                static_cast<long long>(out.traversal.failed));
+                attempts, connects(ConnectTier::kDirect),
+                connects(ConnectTier::kReversal),
+                connects(ConnectTier::kHolePunch),
+                connects(ConnectTier::kRelay),
+                connects(ConnectTier::kFailed));
   }
-  if (out.faults.injected() > 0) {
+  const long long injected = vcmr::fault::injected(reg);
+  if (injected > 0) {
+    const auto faults = [&reg](const char* kind) {
+      return static_cast<long long>(vcmr::fault::injections(reg, kind));
+    };
     std::printf("faults        : %lld injected, %lld recovered "
                 "(%lld link, %lld partition, %lld outage, %lld crash, "
                 "%lld corrupt, %lld rpc drops)\n",
-                static_cast<long long>(out.faults.injected()),
-                static_cast<long long>(out.faults.recovered()),
-                static_cast<long long>(out.faults.links_downed),
-                static_cast<long long>(out.faults.partitions_started),
-                static_cast<long long>(out.faults.server_outages),
-                static_cast<long long>(out.faults.client_crashes),
-                static_cast<long long>(out.faults.uploads_corrupted),
-                static_cast<long long>(out.faults.messages_dropped));
-    const long long correlated = out.faults.groups_downed;
-    const long long degraded = out.faults.links_degraded;
-    const long long traced = out.faults.trace_links_downed;
-    const long long crashes = out.faults.server_crashes;
+                injected, static_cast<long long>(vcmr::fault::recovered(reg)),
+                faults("link_down"), faults("partition"),
+                faults("server_down"), faults("crash"),
+                faults("corrupt_upload"), faults("rpc_drop"));
+    const long long correlated = faults("group_down");
+    const long long degraded = faults("link_degrade");
+    const long long traced = faults("trace_down");
+    const long long crashes = faults("server_crash");
     if (correlated + degraded + traced + crashes > 0) {
       std::printf("                (%lld group, %lld degrade, %lld trace, "
                   "%lld server crash)\n",
@@ -202,7 +207,8 @@ void report_workflow(const vcmr::core::WorkflowRunResult& res) {
 }
 
 std::string workflow_metrics_json(const std::string& scenario_path,
-                                  const vcmr::core::WorkflowRunResult& res) {
+                                  const vcmr::core::WorkflowRunResult& res,
+                                  const vcmr::obs::MetricsRegistry& reg) {
   using vcmr::common::JsonWriter;
   std::string nodes = "[";
   for (std::size_t i = 0; i < res.nodes.size(); ++i) {
@@ -235,14 +241,13 @@ std::string workflow_metrics_json(const std::string& scenario_path,
   JsonWriter top;
   top.field("scenario", scenario_path)
       .field_json("workflow", wfj.str())
-      .field_json("registry",
-                  vcmr::obs::metrics_json(
-                      vcmr::obs::MetricsRegistry::instance()));
+      .field_json("registry", vcmr::obs::metrics_json(reg));
   return top.str() + "\n";
 }
 
 std::string run_metrics_json(const std::string& scenario_path,
-                             const vcmr::core::RunOutcome& out) {
+                             const vcmr::core::RunOutcome& out,
+                             const vcmr::obs::MetricsRegistry& reg) {
   using vcmr::common::JsonWriter;
   JsonWriter job;
   job.field("completed", out.metrics.completed)
@@ -260,9 +265,7 @@ std::string run_metrics_json(const std::string& scenario_path,
   JsonWriter top;
   top.field("scenario", scenario_path)
       .field_json("outcome", job.str())
-      .field_json("registry",
-                  vcmr::obs::metrics_json(
-                      vcmr::obs::MetricsRegistry::instance()));
+      .field_json("registry", vcmr::obs::metrics_json(reg));
   return top.str() + "\n";
 }
 
@@ -382,16 +385,17 @@ int main(int argc, char** argv) {
       report_workflow(res);
       ok = res.completed;
       if (!metrics_path.empty()) {
-        write_file(metrics_path, workflow_metrics_json(arg, res));
+        write_file(metrics_path,
+                   workflow_metrics_json(arg, res, cluster.metrics()));
         std::printf("metrics json  : %s\n", metrics_path.c_str());
       }
     } else {
       const core::RunOutcome out = cluster.run_job();
       if (streamer) streamer->finish();
-      report(out);
+      report(out, cluster.metrics());
       ok = out.metrics.completed;
       if (!metrics_path.empty()) {
-        write_file(metrics_path, run_metrics_json(arg, out));
+        write_file(metrics_path, run_metrics_json(arg, out, cluster.metrics()));
         std::printf("metrics json  : %s\n", metrics_path.c_str());
       }
     }

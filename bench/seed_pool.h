@@ -21,8 +21,10 @@
 //     callers reduce them in task (= seed) order: integer counter merges
 //     are order-independent and the floating-point reductions run in seed
 //     order whatever the completion order;
-//   - worker threads have a silent thread-local EventBus and their own
-//     log time-provider slot, so no cross-thread observer state exists.
+//   - a traced Cluster records its timeline into its own recorder,
+//     reached through its own simulation, and each worker thread has its
+//     own log time-provider slot, so no cross-thread observer state
+//     exists.
 //
 // The pool is the benches' only runner: `--jobs 1` is a one-worker pool.
 // tests/test_seed_pool.cpp keeps a plain serial loop as the reference the

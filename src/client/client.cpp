@@ -8,9 +8,9 @@
 #include "common/logging.h"
 #include "common/strings.h"
 #include "mr/task.h"
-#include "obs/event.h"
 #include "obs/metrics.h"
 #include "server/jobtracker.h"
+#include "sim/trace.h"
 
 namespace vcmr::client {
 
@@ -22,7 +22,7 @@ Client::Client(sim::Simulation& sim, net::Network& net, net::HttpService& http,
                store::StorageTier& data, net::Endpoint scheduler_ep,
                const db::HostRecord& host_rec, const HostSpec& spec,
                PeerRegistry& registry, net::ConnectionEstablisher* establisher,
-               ClientConfig cfg, sim::TraceRecorder* trace)
+               ClientConfig cfg)
     : sim_(sim),
       net_(net),
       http_(http),
@@ -32,7 +32,6 @@ Client::Client(sim::Simulation& sim, net::Network& net, net::HttpService& http,
       node_(host_rec.node),
       spec_(spec),
       cfg_(cfg),
-      trace_(trace),
       actor_(host_rec.name),
       serve_(sim, net, host_rec.node, host_rec.mr_endpoint, registry,
              cfg.serve),
@@ -66,14 +65,22 @@ void Client::start() {
 // --- trace helpers --------------------------------------------------------
 
 void Client::trace_point(const std::string& label, const std::string& detail) {
-  if (trace_) trace_->point(sim_.now(), actor_, label, detail);
+  if (auto* trace = sim_.trace()) {
+    trace->point(sim_.now(), "client", actor_, label, detail);
+  }
 }
 std::size_t Client::trace_begin(const std::string& label,
                                 const std::string& detail) {
-  return trace_ ? trace_->begin_span(sim_.now(), actor_, label, detail) : 0;
+  auto* trace = sim_.trace();
+  return trace ? trace->begin_span(sim_.now(), actor_, label, detail) : 0;
 }
 void Client::trace_end(std::size_t token) {
-  if (trace_) trace_->end_span(token, sim_.now());
+  if (auto* trace = sim_.trace()) trace->end_span(token, sim_.now());
+}
+void Client::trace_end(std::optional<std::size_t>& span) {
+  if (!span) return;
+  trace_end(*span);
+  span.reset();
 }
 
 void Client::note_backoff(SimTime delay, const char* why) {
@@ -81,9 +88,10 @@ void Client::note_backoff(SimTime delay, const char* why) {
       .histogram("client", "backoff_seconds", backoff_histogram_bounds(),
                  {{"host", actor_}})
       .observe(delay.as_seconds());
-  if (obs::EventBus::instance().active()) {
-    obs::publish(sim_.now(), "client", "backoff", actor_,
-                 common::strprintf("%s %.3f", why, delay.as_seconds()));
+  if (auto* trace = sim_.trace()) {
+    backoff_span_ = trace->begin_span(
+        sim_.now(), actor_, "backoff",
+        common::strprintf("%s %.3f", why, delay.as_seconds()));
   }
 }
 
@@ -146,10 +154,7 @@ void Client::consider_rpc() {
 
 void Client::do_rpc() {
   if (!online_ || rpc_in_flight_) return;
-  if (backoff_span_) {
-    trace_end(*backoff_span_);
-    backoff_span_.reset();
-  }
+  trace_end(backoff_span_);
 
   proto::SchedulerRequest req;
   req.host_id = host_id_.value();
@@ -309,7 +314,6 @@ void Client::on_reply(const proto::SchedulerReply& reply, bool requested_work,
       const SimTime delay = backoff_.next();
       backoff_until_ = sim_.now() + delay;
       note_backoff(delay, "empty_reply");
-      backoff_span_ = trace_begin("backoff", "");
     } else {
       backoff_.reset();
       backoff_until_ = SimTime::zero();
@@ -861,7 +865,7 @@ void Client::fail_task(Task& task, const std::string& why) {
   }
   log_.warn(actor_, ": task ", task.assign.result_name, " failed: ", why);
   obs::MetricsRegistry::instance().counter("client", "tasks_failed").add();
-  obs::publish(sim_.now(), "client", "task_failed", actor_, why);
+  trace_point("task_failed", why);
   task.report_success = false;
   task.outputs.clear();
   task.pending_uploads.clear();
@@ -938,8 +942,11 @@ void Client::crash() {
   rpc_event_ = sim::EventHandle{};
   for (auto& [id, t] : tasks_) {
     sim_.cancel(t.run_event);
-    if (t.state == TaskState::kRunning) trace_end(t.compute_span);
+    // Only a span still open: going offline already closed a suspended
+    // task's compute span.
+    trace_end(t.compute_span);
   }
+  trace_end(backoff_span_);
   // Everything on disk and in memory is gone. In-flight transfer callbacks
   // find no task and fizzle; downloads_active_ drains through them, so it
   // is deliberately not reset here.
@@ -959,7 +966,6 @@ void Client::crash() {
   }
   log_.info(actor_, ": crashed at t=", sim_.now().str());
   obs::MetricsRegistry::instance().counter("client", "crashes").add();
-  obs::publish(sim_.now(), "client", "crash", actor_);
   trace_point("crash", "");
 }
 
@@ -970,7 +976,6 @@ void Client::restart() {
   net_.set_online(node_, true);
   next_allowed_rpc_ = sim_.now();
   log_.info(actor_, ": restarted at t=", sim_.now().str());
-  obs::publish(sim_.now(), "client", "restart", actor_);
   trace_point("restart", "");
   consider_rpc();
 }

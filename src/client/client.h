@@ -125,7 +125,7 @@ class Client {
          store::StorageTier& data, net::Endpoint scheduler_ep,
          const db::HostRecord& host_rec, const HostSpec& spec,
          PeerRegistry& registry, net::ConnectionEstablisher* establisher,
-         ClientConfig cfg = {}, sim::TraceRecorder* trace = nullptr);
+         ClientConfig cfg = {});
   ~Client();
 
   Client(const Client&) = delete;
@@ -192,7 +192,7 @@ class Client {
     SimTime run_started;
     SimTime run_remaining;  ///< for checkpoint/resume under churn
     sim::EventHandle run_event;
-    std::size_t compute_span = 0;
+    std::optional<std::size_t> compute_span;  ///< open while computing
     bool report_success = true;
     double flops_actual = 0;  ///< real work done; basis of the credit claim
     common::Digest128 digest;
@@ -245,9 +245,13 @@ class Client {
   void trace_point(const std::string& label, const std::string& detail);
   std::size_t trace_begin(const std::string& label, const std::string& detail);
   void trace_end(std::size_t token);
+  /// Closes `span` if it is open and marks it closed; a span several paths
+  /// may close (compute, backoff) is closed exactly once.
+  void trace_end(std::optional<std::size_t>& span);
 
-  /// Telemetry for a freshly drawn backoff delay: per-host histogram plus a
-  /// "backoff" event when an exporter is listening.
+  /// Telemetry for a freshly drawn backoff delay: per-host histogram, and
+  /// on a traced run a "backoff" span whose detail is the draw
+  /// ("<why> <seconds>"), open until the next RPC or a crash.
   void note_backoff(SimTime delay, const char* why);
 
   sim::Simulation& sim_;
@@ -259,7 +263,6 @@ class Client {
   NodeId node_;
   HostSpec spec_;
   ClientConfig cfg_;
-  sim::TraceRecorder* trace_;
   std::string actor_;
 
   MapOutputServer serve_;

@@ -4,7 +4,6 @@
 
 #include "common/error.h"
 #include "common/logging.h"
-#include "obs/event.h"
 #include "obs/metrics.h"
 
 namespace vcmr::core {
@@ -21,6 +20,7 @@ Cluster::Cluster(Scenario scenario) : scenario_(std::move(scenario)) {
           "Scenario: need at least one data server shard");
 
   sim_ = std::make_unique<sim::Simulation>(scenario_.seed);
+  if (scenario_.record_trace) sim_->set_trace(&trace_);
   net_ = std::make_unique<net::Network>(*sim_);
   http_ = std::make_unique<net::HttpService>(*net_);
 
@@ -122,8 +122,7 @@ Cluster::Cluster(Scenario scenario) : scenario_(std::move(scenario)) {
     clients_.push_back(std::make_unique<client::Client>(
         *sim_, *net_, *http_, project_->storage(),
         project_->scheduler_endpoint(), hrec, spec, registry_,
-        establisher_.get(), ccfg,
-        scenario_.record_trace ? &trace_ : nullptr));
+        establisher_.get(), ccfg));
   }
 
   // Extra storage shards: project infrastructure on the server's link
@@ -138,8 +137,6 @@ Cluster::Cluster(Scenario scenario) : scenario_(std::move(scenario)) {
     shard_nodes_.push_back(net_->add_node(scfg));
     project_->storage().add_shard(shard_nodes_.back());
   }
-
-  if (scenario_.record_trace) project_->scheduler().set_trace(&trace_);
 
   if (scenario_.flow_failure_rate > 0) {
     net_->set_flow_failure_rate(scenario_.flow_failure_rate);
@@ -188,8 +185,7 @@ Cluster::Cluster(Scenario scenario) : scenario_(std::move(scenario)) {
     hooks.crash_server = [this] { project_->crash_server(); };
     hooks.restore_server = [this] { project_->restore_server(); };
     injector_ = std::make_unique<fault::Injector>(
-        *sim_, std::move(plan), std::move(hooks), scenario_.n_nodes,
-        scenario_.record_trace ? &trace_ : nullptr);
+        *sim_, std::move(plan), std::move(hooks), scenario_.n_nodes);
     if (injector_->wants_message_loss()) {
       net_->set_message_drop_hook(
           [this] { return injector_->drop_message_draw(); });
@@ -312,11 +308,13 @@ RunOutcome Cluster::job_outcome(MrJobId job, bool finished) {
       .set(static_cast<double>(out.server_bytes_received));
   reg.gauge("job", "backoffs", job_label)
       .set(static_cast<double>(out.backoffs));
-  obs::publish(sim_->now(), "cluster",
-               out.metrics.completed
-                   ? "job_completed"
-                   : (out.metrics.failed ? "job_failed" : "job_timeout"),
-               "cluster", "job" + std::to_string(job.value()));
+  if (scenario_.record_trace) {
+    trace_.point(sim_->now(), "cluster", "cluster",
+                 out.metrics.completed
+                     ? "job_completed"
+                     : (out.metrics.failed ? "job_failed" : "job_timeout"),
+                 "job" + std::to_string(job.value()));
+  }
 
   return out;
 }
@@ -329,8 +327,7 @@ WorkflowRunResult Cluster::run_workflow() {
 
 WorkflowRunResult Cluster::run_workflow(const wf::WorkflowGraph& graph) {
   require_current("run_workflow");
-  wf::WorkflowCoordinator coordinator(
-      *sim_, *project_, graph, scenario_.record_trace ? &trace_ : nullptr);
+  wf::WorkflowCoordinator coordinator(*sim_, *project_, graph);
   const double t0 = sim_->now().as_seconds();
   // Same order as run_jobs: submission first (it schedules no events of its
   // own), then the fleet — so a single-node workflow replays a plain
@@ -353,11 +350,12 @@ WorkflowRunResult Cluster::run_workflow(const wf::WorkflowGraph& graph) {
             (res.hit_time_limit ? "timed out" : "FAILED"),
             " (", graph.nodes().size(), " nodes, depth ", graph.depth(),
             ") at t=", sim_->now().str());
-  obs::publish(sim_->now(), "wf",
-               res.completed ? "workflow_completed"
-                             : (res.hit_time_limit ? "workflow_timeout"
-                                                   : "workflow_failed"),
-               "workflow", "");
+  if (scenario_.record_trace) {
+    trace_.point(sim_->now(), "wf", "workflow",
+                 res.completed ? "workflow_completed"
+                               : (res.hit_time_limit ? "workflow_timeout"
+                                                     : "workflow_failed"));
+  }
   return res;
 }
 

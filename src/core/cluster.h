@@ -200,6 +200,10 @@ class Cluster {
   /// First member: current while every other member is built and torn down.
   obs::ScopedMetricsRegistry metrics_;
   Scenario scenario_;
+  /// The run's one timeline: attached to the simulation when the scenario
+  /// records a trace, and declared before the simulation so it outlives
+  /// every component that records into it.
+  sim::TraceRecorder trace_;
   std::unique_ptr<sim::Simulation> sim_;
   std::unique_ptr<net::Network> net_;
   std::unique_ptr<net::HttpService> http_;
@@ -212,7 +216,6 @@ class Cluster {
   std::vector<std::unique_ptr<client::Client>> clients_;
   std::unique_ptr<volunteer::AvailabilityModel> churn_;
   std::unique_ptr<fault::Injector> injector_;
-  sim::TraceRecorder trace_;
   bool started_ = false;
 };
 

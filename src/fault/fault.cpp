@@ -9,8 +9,8 @@
 #include "common/error.h"
 #include "common/logging.h"
 #include "common/strings.h"
-#include "obs/event.h"
 #include "obs/metrics.h"
+#include "sim/trace.h"
 
 namespace vcmr::fault {
 
@@ -93,12 +93,11 @@ std::vector<LinkFault> load_availability_trace_file(const std::string& path,
 }
 
 Injector::Injector(sim::Simulation& sim, FaultPlan plan, Hooks hooks,
-                   int n_hosts, sim::TraceRecorder* trace)
+                   int n_hosts)
     : sim_(sim),
       plan_(std::move(plan)),
       hooks_(std::move(hooks)),
       n_hosts_(n_hosts),
-      trace_(trace),
       corrupt_rng_(sim.rng_stream("fault.corrupt")),
       drop_rng_(sim.rng_stream("fault.rpcloss")) {
   const auto check_host = [this](int host, const char* what) {
@@ -207,8 +206,9 @@ void Injector::record(const std::string& label, const std::string& detail) {
   obs::MetricsRegistry::instance()
       .counter("fault", "injections", {{"kind", label}})
       .add();
-  obs::publish(sim_.now(), "fault", label, "fault", detail);
-  if (trace_) trace_->point(sim_.now(), "fault", label, detail);
+  if (auto* trace = sim_.trace()) {
+    trace->point(sim_.now(), "fault", "fault", label, detail);
+  }
 }
 
 void Injector::arm() {

@@ -25,7 +25,6 @@
 #include "common/types.h"
 #include "obs/metrics.h"
 #include "sim/simulation.h"
-#include "sim/trace.h"
 
 namespace vcmr::fault {
 
@@ -197,9 +196,8 @@ struct Hooks {
 class Injector {
  public:
   /// Validates the plan against `n_hosts` (throws vcmr::Error on bad host
-  /// indices or non-monotonic times). `trace` may be null.
-  Injector(sim::Simulation& sim, FaultPlan plan, Hooks hooks, int n_hosts,
-           sim::TraceRecorder* trace = nullptr);
+  /// indices or non-monotonic times).
+  Injector(sim::Simulation& sim, FaultPlan plan, Hooks hooks, int n_hosts);
 
   /// Schedules every timed fault and starts link flapping. Call once.
   void arm();
@@ -228,7 +226,6 @@ class Injector {
   FaultPlan plan_;
   Hooks hooks_;
   int n_hosts_;
-  sim::TraceRecorder* trace_;
   common::Rng corrupt_rng_;
   common::Rng drop_rng_;
   std::vector<common::Rng> flap_rngs_;

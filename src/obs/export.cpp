@@ -124,7 +124,6 @@ std::int64_t actor_tid(std::map<std::string, std::int64_t>& tids,
 }  // namespace
 
 std::string chrome_trace_json(const sim::TraceRecorder& trace,
-                              const std::vector<Event>& events,
                               const std::vector<CounterSample>& counters) {
   std::map<std::string, std::int64_t> tids;
   std::vector<std::string> order;
@@ -150,6 +149,10 @@ std::string chrome_trace_json(const sim::TraceRecorder& trace,
   for (const auto& point : trace.points()) {
     const std::int64_t tid = actor_tid(tids, order, point.actor);
     const std::int64_t ts = point.at.as_micros();
+    std::string args =
+        "{\"component\": " + JsonWriter::quoted(point.component);
+    if (!point.detail.empty())
+      args += ", \"detail\": " + JsonWriter::quoted(point.detail);
     JsonWriter w;
     w.field("name", point.label)
         .field("cat", "point")
@@ -157,27 +160,8 @@ std::string chrome_trace_json(const sim::TraceRecorder& trace,
         .field("s", "t")
         .field("ts", ts)
         .field("pid", 0)
-        .field("tid", tid);
-    if (!point.detail.empty())
-      w.field_json("args",
-                   "{\"detail\": " + JsonWriter::quoted(point.detail) + "}");
-    items.push_back({ts, w.str()});
-  }
-
-  for (const auto& ev : events) {
-    const std::int64_t tid = actor_tid(tids, order, ev.actor);
-    const std::int64_t ts = ev.at.as_micros();
-    JsonWriter w;
-    w.field("name", ev.name)
-        .field("cat", "obs")
-        .field("ph", "i")
-        .field("s", "t")
-        .field("ts", ts)
-        .field("pid", 0)
         .field("tid", tid)
-        .field_json("args", "{\"component\": " + JsonWriter::quoted(ev.component) +
-                                ", \"detail\": " + JsonWriter::quoted(ev.detail) +
-                                "}");
+        .field_json("args", args + "}");
     items.push_back({ts, w.str()});
   }
 

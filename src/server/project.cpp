@@ -3,15 +3,16 @@
 #include <string>
 
 #include "common/error.h"
-#include "obs/event.h"
 #include "obs/metrics.h"
+#include "sim/trace.h"
 
 namespace vcmr::server {
 
 namespace {
 
 /// Telemetry for one daemon wakeup: pass count, rows-touched counter and
-/// per-pass distribution, plus an event when the pass did real work.
+/// per-pass distribution, plus a "server" point when a traced pass did real
+/// work.
 void note_daemon_pass(sim::Simulation& sim, const char* daemon,
                       std::int64_t rows) {
   auto& reg = obs::MetricsRegistry::instance();
@@ -24,8 +25,9 @@ void note_daemon_pass(sim::Simulation& sim, const char* daemon,
                 {0, 1, 2, 4, 8, 16, 32, 64, 256, 1024, 4096},
                 {{"daemon", daemon}})
       .observe(static_cast<double>(rows));
-  if (rows > 0) {
-    obs::publish(sim.now(), "daemon", daemon, "server",
+  auto* trace = sim.trace();
+  if (trace != nullptr && rows > 0) {
+    trace->point(sim.now(), "daemon", "server", daemon,
                  "rows=" + std::to_string(rows));
   }
 }
@@ -106,8 +108,10 @@ void Project::crash_server() {
   crashed_ = true;
   stop();
   scheduler_.crash();
-  obs::publish(sim_.now(), "project", "server_crash", "server",
-               "daemons down, scheduler 503");
+  if (auto* trace = sim_.trace()) {
+    trace->point(sim_.now(), "project", "server", "server_crash",
+                 "daemons down, scheduler 503");
+  }
 }
 
 void Project::restore_server() {
@@ -121,8 +125,10 @@ void Project::restore_server() {
   crashed_ = false;
   scheduler_.restore();
   start();  // daemons resume on their cadences, snapshots included
-  obs::publish(sim_.now(), "project", "server_restore", "server",
-               "DB snapshot restored, daemons restarted");
+  if (auto* trace = sim_.trace()) {
+    trace->point(sim_.now(), "project", "server", "server_restore",
+                 "DB snapshot restored, daemons restarted");
+  }
 }
 
 }  // namespace vcmr::server

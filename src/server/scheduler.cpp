@@ -5,8 +5,8 @@
 #include "common/bloom.h"
 #include "common/error.h"
 #include "common/logging.h"
-#include "obs/event.h"
 #include "obs/metrics.h"
+#include "sim/trace.h"
 
 namespace vcmr::server {
 
@@ -15,6 +15,14 @@ common::Logger log_("scheduler");
 
 obs::Counter& sched_counter(const char* name) {
   return obs::MetricsRegistry::instance().counter("scheduler", name);
+}
+
+/// A point on the "scheduler" track, when the run records a trace.
+void trace_point(const sim::Simulation& sim, const char* label,
+                 const std::string& detail) {
+  if (auto* trace = sim.trace()) {
+    trace->point(sim.now(), "scheduler", "scheduler", label, detail);
+  }
 }
 
 /// Registry counter per Deferral reason, in enum order.
@@ -242,10 +250,9 @@ void Scheduler::reconcile_known_results(
     db_.set_server_state(rid, db::ServerState::kOver);
     r.outcome = db::Outcome::kLost;
     sched_counter("results_lost").add();
-    obs::publish(sim_.now(), "scheduler", "resend_lost", "scheduler", r.name);
     if (policy_) policy_->store().record_error(host);
     db_.flag_transition(r.wu);
-    if (trace_) trace_->point(sim_.now(), "scheduler", "resend_lost", r.name);
+    trace_point(sim_, "resend_lost", r.name);
     log_.info("host ", host.value(), " lost ", r.name,
               "; re-issuing ahead of its deadline");
   }
@@ -258,14 +265,11 @@ void Scheduler::handle_fetch_failure(HostId reporter,
       MrJobId{ff.job_id}, ff.map_index, HostId{ff.holder_host});
   if (action == JobTracker::FetchFailureAction::kInvalidated) {
     sched_counter("maps_invalidated").add();
-    obs::publish(sim_.now(), "scheduler", "map_invalidated", "scheduler",
-                 "job" + std::to_string(ff.job_id) + "/map" +
-                     std::to_string(ff.map_index));
-    if (trace_) {
-      trace_->point(sim_.now(), "scheduler", "map_invalidated",
-                    "job" + std::to_string(ff.job_id) + "/map" +
-                        std::to_string(ff.map_index) + " holder" +
-                        std::to_string(ff.holder_host));
+    if (sim_.trace() != nullptr) {
+      trace_point(sim_, "map_invalidated",
+                  "job" + std::to_string(ff.job_id) + "/map" +
+                      std::to_string(ff.map_index) + " holder" +
+                      std::to_string(ff.holder_host));
     }
     log_.info("host ", reporter.value(), " could not fetch map ",
               ff.map_index, " outputs from host ", ff.holder_host,
@@ -436,9 +440,7 @@ bool Scheduler::apply_trust_policy(const db::ResultRecord& r,
     }
     escalate();
     sched_counter("trust_escalations").add();
-    if (trace_) {
-      trace_->point(sim_.now(), "scheduler", "trust_escalate", r.name);
-    }
+    trace_point(sim_, "trust_escalate", r.name);
     return true;
   }
 
@@ -449,13 +451,11 @@ bool Scheduler::apply_trust_policy(const db::ResultRecord& r,
       // unsent results into the audit-first ready queue).
       db_.set_workunit_audit(wu.id, true);
       sched_counter("spot_checks").add();
-      if (trace_) trace_->point(sim_.now(), "scheduler", "spot_check", r.name);
+      trace_point(sim_, "spot_check", r.name);
       break;
     case rep::AssignmentDecision::kSingle:
       sched_counter("trusted_singles").add();
-      if (trace_) {
-        trace_->point(sim_.now(), "scheduler", "trust_single", r.name);
-      }
+      trace_point(sim_, "trust_single", r.name);
       break;
     case rep::AssignmentDecision::kEscalate:
       // Unreachable: trust was checked above, but keep the conservative

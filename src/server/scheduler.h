@@ -21,7 +21,6 @@
 #include "server/feeder.h"
 #include "server/jobtracker.h"
 #include "sim/simulation.h"
-#include "sim/trace.h"
 #include "store/store.h"
 
 namespace vcmr::server {
@@ -41,9 +40,6 @@ class Scheduler {
   Scheduler& operator=(const Scheduler&) = delete;
 
   net::Endpoint endpoint() const { return ep_; }
-
-  /// Optional trace sink; trust decisions are emitted as scheduler points.
-  void set_trace(sim::TraceRecorder* trace) { trace_ = trace; }
 
   /// Server crash-fault: while down the endpoint answers every RPC with 503
   /// (clients back off and retry as for any failed RPC), and the CGI's soft
@@ -103,7 +99,6 @@ class Scheduler {
   net::HttpService& http_;
   net::Endpoint ep_;
   rep::AdaptiveReplicationPolicy* policy_;
-  sim::TraceRecorder* trace_ = nullptr;
   bool down_ = false;
   /// Deferrals so far per awaiting result, indexed by Deferral. Erased once
   /// the result is assigned or its WU completes, so the map stays bounded

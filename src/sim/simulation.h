@@ -15,6 +15,8 @@
 
 namespace vcmr::sim {
 
+class TraceRecorder;
+
 class Simulation {
  public:
   /// root_seed drives every RNG stream in the simulation.
@@ -47,6 +49,13 @@ class Simulation {
   std::size_t events_executed() const { return events_executed_; }
   bool idle() const { return queue_.empty(); }
 
+  /// The run's timeline, or null when the run records none. Components
+  /// record through it and build detail strings only when it is set.
+  TraceRecorder* trace() const { return trace_; }
+  /// Attaches the run's recorder, owned by the caller, which must outlive
+  /// every component that records into it.
+  void set_trace(TraceRecorder* trace) { trace_ = trace; }
+
   const common::RngStreamFactory& rng_factory() const { return rng_; }
   common::Rng rng_stream(std::string_view name, std::uint64_t index = 0) const {
     return rng_.stream(name, index);
@@ -56,6 +65,7 @@ class Simulation {
   SimTime now_;
   EventQueue queue_;
   common::RngStreamFactory rng_;
+  TraceRecorder* trace_ = nullptr;
   bool stop_requested_ = false;
   std::size_t events_executed_ = 0;
 };

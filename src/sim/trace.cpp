@@ -14,10 +14,12 @@ void TraceRecorder::note_actor(const std::string& actor) {
   }
 }
 
-void TraceRecorder::point(SimTime at, std::string actor, std::string label,
+void TraceRecorder::point(SimTime at, std::string component,
+                          std::string actor, std::string label,
                           std::string detail) {
   note_actor(actor);
-  points_.push_back({at, std::move(actor), std::move(label), std::move(detail)});
+  points_.push_back({at, std::move(component), std::move(actor),
+                     std::move(label), std::move(detail)});
 }
 
 std::size_t TraceRecorder::begin_span(SimTime at, std::string actor,
@@ -59,8 +61,6 @@ std::vector<TraceSpan> TraceRecorder::spans_for(const std::string& actor) const 
   return out;
 }
 
-std::vector<std::string> TraceRecorder::actors() const { return actor_order_; }
-
 std::string TraceRecorder::ascii_gantt(SimTime t0, SimTime t1,
                                        std::size_t width) const {
   require(t1 > t0, "ascii_gantt: empty window");
@@ -101,13 +101,6 @@ std::string TraceRecorder::ascii_gantt(SimTime t0, SimTime t1,
     out += common::strprintf("%-12s |%s|\n", actor.c_str(), row.c_str());
   }
   return out;
-}
-
-void TraceRecorder::clear() {
-  points_.clear();
-  spans_.clear();
-  actor_order_.clear();
-  actor_index_.clear();
 }
 
 }  // namespace vcmr::sim

@@ -1,9 +1,12 @@
 #pragma once
 // Timeline trace recorder.
 //
-// Components emit typed spans and point events keyed by (actor, label);
-// the Fig. 4 reproduction renders these as per-node task timelines, and
-// tests assert ordering properties over them.
+// A run's one timeline: components emit typed spans and point events keyed
+// by (actor, label), each point tagged with the subsystem that recorded
+// it. The Fig. 4 reproduction renders these as per-node task timelines,
+// `vcmr_run --trace-out` exports them, and tests assert ordering
+// properties over them. Components reach the recorder through
+// Simulation::trace(), which is null unless the run records a trace.
 
 #include <map>
 #include <optional>
@@ -17,9 +20,10 @@ namespace vcmr::sim {
 /// A point event on some actor's timeline.
 struct TracePoint {
   SimTime at;
-  std::string actor;   ///< e.g. "host3"
-  std::string label;   ///< e.g. "report"
-  std::string detail;  ///< free-form, e.g. the result name
+  std::string component;  ///< recording subsystem, e.g. "scheduler"
+  std::string actor;      ///< e.g. "host3"
+  std::string label;      ///< e.g. "report"
+  std::string detail;     ///< free-form, e.g. the result name
 };
 
 /// A closed interval on some actor's timeline.
@@ -33,8 +37,8 @@ struct TraceSpan {
 
 class TraceRecorder {
  public:
-  void point(SimTime at, std::string actor, std::string label,
-             std::string detail = "");
+  void point(SimTime at, std::string component, std::string actor,
+             std::string label, std::string detail = "");
 
   /// Opens a span; returns a token to close it with.
   std::size_t begin_span(SimTime at, std::string actor, std::string label,
@@ -48,15 +52,10 @@ class TraceRecorder {
   std::vector<TracePoint> points_for(const std::string& actor) const;
   std::vector<TraceSpan> spans_for(const std::string& actor) const;
 
-  /// All distinct actors seen, in first-seen order.
-  std::vector<std::string> actors() const;
-
   /// Gantt-style ASCII rendering, one row per actor, for report binaries.
   /// `t0`/`t1` bound the rendered window; seconds per character cell is
   /// derived from `width`.
   std::string ascii_gantt(SimTime t0, SimTime t1, std::size_t width = 100) const;
-
-  void clear();
 
  private:
   struct OpenSpan {

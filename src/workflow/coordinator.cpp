@@ -7,8 +7,8 @@
 
 #include "common/error.h"
 #include "common/logging.h"
-#include "obs/event.h"
 #include "obs/metrics.h"
+#include "sim/trace.h"
 
 namespace vcmr::wf {
 
@@ -27,9 +27,8 @@ double leading_double(const std::string& v) {
 
 WorkflowCoordinator::WorkflowCoordinator(sim::Simulation& sim,
                                          server::Project& project,
-                                         WorkflowGraph graph,
-                                         sim::TraceRecorder* trace)
-    : sim_(sim), project_(project), graph_(std::move(graph)), trace_(trace) {
+                                         WorkflowGraph graph)
+    : sim_(sim), project_(project), graph_(std::move(graph)) {
   const std::size_t n = graph_.nodes().size();
   outcomes_.resize(n);
   span_.assign(n, 0);
@@ -135,12 +134,10 @@ void WorkflowCoordinator::submit_iteration(int node,
   out.runs.push_back(run);
   backoff_base_[i] = obs::MetricsRegistry::instance().histogram_count(
       "client", "backoff_seconds");
-  if (trace_ != nullptr) {
-    span_[i] = trace_->begin_span(sim_.now(), "workflow", out.name,
-                                  "iter" + std::to_string(iter));
+  if (auto* trace = sim_.trace()) {
+    span_[i] = trace->begin_span(sim_.now(), "workflow", out.name,
+                                 "iter" + std::to_string(iter));
   }
-  obs::publish(sim_.now(), "wf", "node_submitted", "workflow",
-               out.name + " iter" + std::to_string(iter));
   log_.info("node ", out.name, " iteration ", iter, " submitted as job ",
             job.value(), " at t=", sim_.now().str());
 }
@@ -162,7 +159,7 @@ void WorkflowCoordinator::on_job_finished(MrJobId job) {
   run.backoffs = obs::MetricsRegistry::instance().histogram_count(
                      "client", "backoff_seconds") -
                  backoff_base_[i];
-  if (trace_ != nullptr) trace_->end_span(span_[i], now);
+  if (auto* trace = sim_.trace()) trace->end_span(span_[i], now);
 
   if (project_.jobtracker().job_failed(job)) {
     fail_node(node, now, NodeOutcome::State::kFailed);
@@ -179,9 +176,11 @@ void WorkflowCoordinator::on_job_finished(MrJobId job) {
         materialised_[i] != 0) {
       const double delta = max_delta(prev_output_[i], out.output);
       out.converged = delta < iterate.threshold;
-      obs::publish(now, "wf", "node_iteration", "workflow",
-                   out.name + " iter" + std::to_string(out.iterations - 1) +
-                       " delta=" + std::to_string(delta));
+      if (auto* trace = sim_.trace()) {
+        trace->point(now, "wf", "workflow", "node_iteration",
+                     out.name + " iter" + std::to_string(out.iterations - 1) +
+                         " delta=" + std::to_string(delta));
+      }
     }
     if (!out.converged) {
       server::MrJobSpec next = graph_.nodes()[i].job;
@@ -227,7 +226,9 @@ void WorkflowCoordinator::finish_node(int node, SimTime now) {
       .set(static_cast<double>(backoffs));
   reg.gauge("wf", "node_iterations", label)
       .set(static_cast<double>(out.iterations));
-  obs::publish(now, "wf", "node_finished", "workflow", out.name);
+  if (auto* trace = sim_.trace()) {
+    trace->point(now, "wf", "workflow", "node_finished", out.name);
+  }
   log_.info("node ", out.name, " done after ", out.iterations,
             " iteration(s) at t=", now.str());
 
@@ -254,19 +255,19 @@ void WorkflowCoordinator::fail_node(int node, SimTime now,
   NodeOutcome& out = outcomes_[i];
   out.state = state;
   out.finished_at = now;
-  obs::publish(now, "wf",
-               state == NodeOutcome::State::kFailed ? "node_failed"
-                                                    : "node_skipped",
-               "workflow", out.name);
+  auto* trace = sim_.trace();
   if (state == NodeOutcome::State::kFailed) {
+    if (trace != nullptr) {
+      trace->point(now, "wf", "workflow", "node_failed", out.name);
+    }
     log_.info("node ", out.name, " FAILED at t=", now.str());
   }
   // Nothing downstream can ever run; skip the whole reachable set.
   for (const int d : graph_.downstream()[i]) {
     NodeOutcome& dn = outcomes_[static_cast<std::size_t>(d)];
     if (dn.state == NodeOutcome::State::kWaiting) {
-      if (trace_ != nullptr) {
-        trace_->point(now, "workflow", "skipped", dn.name);
+      if (trace != nullptr) {
+        trace->point(now, "wf", "workflow", "skipped", dn.name);
       }
       fail_node(d, now, NodeOutcome::State::kSkipped);
     }

@@ -12,10 +12,10 @@
 // per-key delta below the threshold) holds or max_iterations runs out.
 //
 // Telemetry: per-node makespan / dispatch-wait / backoff / iteration
-// roll-up gauges in vcmr::obs (component "wf"), "wf" events on the bus, and
-// — when a TraceRecorder is attached — one stage span per iteration on a
-// "workflow" track, so --trace-out renders the DAG schedule above the
-// per-host timelines.
+// roll-up gauges in vcmr::obs (component "wf"), and — when the simulation
+// records a trace — one stage span per iteration plus "wf" points (node
+// finished / failed / skipped, iteration deltas) on a "workflow" track, so
+// --trace-out renders the DAG schedule above the per-host timelines.
 
 #include <cstddef>
 #include <map>
@@ -25,7 +25,6 @@
 #include "mr/keyvalue.h"
 #include "server/project.h"
 #include "sim/simulation.h"
-#include "sim/trace.h"
 #include "workflow/workflow.h"
 
 namespace vcmr::wf {
@@ -66,8 +65,7 @@ struct NodeOutcome {
 class WorkflowCoordinator {
  public:
   WorkflowCoordinator(sim::Simulation& sim, server::Project& project,
-                      WorkflowGraph graph,
-                      sim::TraceRecorder* trace = nullptr);
+                      WorkflowGraph graph);
   ~WorkflowCoordinator();
 
   WorkflowCoordinator(const WorkflowCoordinator&) = delete;
@@ -107,7 +105,6 @@ class WorkflowCoordinator {
   sim::Simulation& sim_;
   server::Project& project_;
   WorkflowGraph graph_;
-  sim::TraceRecorder* trace_;
   std::vector<NodeOutcome> outcomes_;
   std::map<MrJobId, int> job_to_node_;
   std::vector<std::size_t> span_;           ///< open trace span per node

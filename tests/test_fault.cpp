@@ -565,8 +565,8 @@ TEST(FaultDeterminism, SameScheduleTwiceIsIdentical) {
   const core::RunOutcome a = ca.run_job();
   core::Cluster cb(s);
   const core::RunOutcome b = cb.run_job();
-  const sim::TraceRecorder* ta = &ca.trace();
-  const sim::TraceRecorder* tb = &cb.trace();
+  const sim::TraceRecorder& ta = ca.trace();
+  const sim::TraceRecorder& tb = cb.trace();
   ASSERT_TRUE(a.metrics.completed);
   EXPECT_EQ(a.metrics.total_seconds, b.metrics.total_seconds);
   EXPECT_EQ(a.server_bytes_sent, b.server_bytes_sent);
@@ -578,14 +578,15 @@ TEST(FaultDeterminism, SameScheduleTwiceIsIdentical) {
   EXPECT_EQ(ca.simulation().events_executed(),
             cb.simulation().events_executed());
   // Whole trace streams match, including injected fault points.
-  ASSERT_EQ(ta->points().size(), tb->points().size());
-  for (std::size_t i = 0; i < ta->points().size(); ++i) {
-    EXPECT_EQ(ta->points()[i].at, tb->points()[i].at);
-    EXPECT_EQ(ta->points()[i].actor, tb->points()[i].actor);
-    EXPECT_EQ(ta->points()[i].label, tb->points()[i].label);
+  ASSERT_EQ(ta.points().size(), tb.points().size());
+  for (std::size_t i = 0; i < ta.points().size(); ++i) {
+    EXPECT_EQ(ta.points()[i].at, tb.points()[i].at);
+    EXPECT_EQ(ta.points()[i].component, tb.points()[i].component);
+    EXPECT_EQ(ta.points()[i].actor, tb.points()[i].actor);
+    EXPECT_EQ(ta.points()[i].label, tb.points()[i].label);
   }
   // Fault events made it into the trace under the "fault" actor.
-  EXPECT_FALSE(ta->points_for("fault").empty());
+  EXPECT_FALSE(ta.points_for("fault").empty());
 }
 
 // --- 5. fixed-seed pins for the new fault families ---------------------------
@@ -783,7 +784,7 @@ TEST(FaultPlanValidation, RejectsBadNewFamilySchedules) {
   sim::Simulation sim(1);
   fault::FaultPlan plan;
   plan.trace_file = "whatever.csv";
-  EXPECT_THROW(fault::Injector(sim, plan, {}, 6, nullptr), Error);
+  EXPECT_THROW(fault::Injector(sim, plan, {}, 6), Error);
 }
 
 TEST(FaultPlanXml, RoundTripsThroughScenarioIo) {

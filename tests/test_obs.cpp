@@ -1,8 +1,8 @@
 // Tests for the vcmr::obs telemetry subsystem: the shared JSON writer, the
-// metrics registry, the event bus, both exporters, and the end-to-end
-// guarantees the subsystem makes — per-host backoff accounting that exposes
-// the Fig. 4 straggler, and zero perturbation of simulation outcomes when
-// telemetry is merely collected.
+// metrics registry, both exporters, the per-cluster timeline, and the
+// end-to-end guarantees the subsystem makes — per-host backoff accounting
+// that exposes the Fig. 4 straggler, and zero perturbation of simulation
+// outcomes when telemetry is merely collected.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,16 +22,15 @@
 #include "common/json.h"
 #include "core/cluster.h"
 #include "json_checker.h"
-#include "obs/event.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
+#include "seed_pool.h"
 #include "sim/trace.h"
 
 namespace vcmr {
 namespace {
 
 using common::JsonWriter;
-using obs::EventLog;
 using obs::MetricsRegistry;
 using obs::ScopedMetricsRegistry;
 
@@ -242,72 +242,6 @@ TEST(Metrics, MergeFromRejectsMismatchedHistogramBounds) {
   EXPECT_THROW(a.merge_from(b), Error);
 }
 
-// --- EventBus --------------------------------------------------------------
-
-TEST(Events, InactiveBusIsSilentAndCheap) {
-  EXPECT_FALSE(obs::EventBus::instance().active());
-  // No subscriber: the helper early-outs; nothing observable happens.
-  obs::publish(SimTime::seconds(1), "c", "n", "a");
-}
-
-TEST(Events, EventLogBuffersPublishedEvents) {
-  EventLog log;
-  EXPECT_TRUE(obs::EventBus::instance().active());
-  obs::publish(SimTime::seconds(1), "scheduler", "resend_lost", "scheduler",
-               "wu0_r1");
-  obs::publish(SimTime::seconds(2), "client", "backoff", "host3");
-  ASSERT_EQ(log.events().size(), 2u);
-  EXPECT_EQ(log.events()[0].name, "resend_lost");
-  EXPECT_EQ(log.events()[1].actor, "host3");
-  EXPECT_EQ(log.events()[1].detail, "");
-}
-
-TEST(Events, SubscriptionEndsWithScope) {
-  {
-    EventLog log;
-    EXPECT_TRUE(obs::EventBus::instance().active());
-  }
-  EXPECT_FALSE(obs::EventBus::instance().active());
-}
-
-TEST(Events, MultipleSubscribersEachReceive) {
-  EventLog a;
-  EventLog b;
-  obs::publish(SimTime::zero(), "c", "n", "x");
-  EXPECT_EQ(a.events().size(), 1u);
-  EXPECT_EQ(b.events().size(), 1u);
-}
-
-// Regression for the unsynchronized-singleton race: instance() is now one
-// bus per thread, so a subscription on this thread neither receives events
-// published by a worker thread nor perturbs the worker's own bus — the
-// exact shape of a SeedPool sweep running under a main-thread EventLog.
-TEST(Events, BusIsThreadLocal) {
-  EventLog main_log;
-  obs::EventBus* main_bus = &obs::EventBus::instance();
-  obs::EventBus* worker_bus = nullptr;
-  bool worker_bus_active = true;
-  std::size_t worker_log_events = 0;
-  std::thread([&] {
-    worker_bus = &obs::EventBus::instance();
-    worker_bus_active = obs::EventBus::instance().active();
-    // Worker publishes with no subscriber of its own: silent, and
-    // invisible to the main thread's log.
-    obs::publish(SimTime::seconds(1), "worker", "ev", "w");
-    // A worker-side subscription sees only worker-side events.
-    EventLog worker_log;
-    obs::publish(SimTime::seconds(2), "worker", "ev2", "w");
-    worker_log_events = worker_log.events().size();
-  }).join();
-  EXPECT_NE(worker_bus, main_bus);
-  EXPECT_FALSE(worker_bus_active);  // main-thread EventLog doesn't leak in
-  EXPECT_EQ(worker_log_events, 1u);
-  EXPECT_EQ(main_log.events().size(), 0u);
-  // The main-thread bus still works after the worker exits.
-  obs::publish(SimTime::seconds(3), "main", "ev3", "m");
-  EXPECT_EQ(main_log.events().size(), 1u);
-}
-
 // --- exporters -------------------------------------------------------------
 
 TEST(Export, MetricsJsonIsValidAndComplete) {
@@ -396,18 +330,16 @@ TEST(Export, HistogramPercentileFormatPin) {
       << json;
 }
 
-TEST(Export, ChromeTraceRendersSpansPointsAndEvents) {
+TEST(Export, ChromeTraceRendersSpansAndPoints) {
   sim::TraceRecorder tr;
   const std::size_t tok =
       tr.begin_span(SimTime::seconds(1), "host1", "compute", "r0");
   tr.end_span(tok, SimTime::seconds(3));
-  tr.point(SimTime::seconds(2), "host2", "report");
+  tr.point(SimTime::seconds(2), "client", "host2", "report");
+  tr.point(SimTime::seconds(4), "scheduler", "scheduler", "resend_lost",
+           "wu0_r1");
 
-  std::vector<obs::Event> events;
-  events.push_back({SimTime::seconds(4), "scheduler", "resend_lost",
-                    "scheduler", "wu0_r1"});
-
-  const std::string json = obs::chrome_trace_json(tr, events);
+  const std::string json = obs::chrome_trace_json(tr);
   EXPECT_TRUE(JsonChecker(json).valid()) << json;
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   // Complete span: ph X with micro ts/dur.
@@ -416,11 +348,16 @@ TEST(Export, ChromeTraceRendersSpansPointsAndEvents) {
   // Instants carry the scope flag chrome://tracing requires.
   EXPECT_NE(json.find("\"ph\": \"i\", \"s\": \"t\""), std::string::npos);
   // Per-actor thread naming, first-seen order: host1=0, host2=1, then the
-  // event-only actor "scheduler" gets the next tid.
+  // point-only actor "scheduler" gets the next tid.
   EXPECT_NE(json.find("\"thread_name\""), std::string::npos);
   EXPECT_NE(json.find("{\"name\": \"host1\"}"), std::string::npos);
   EXPECT_NE(json.find("\"name\": \"resend_lost\""), std::string::npos);
-  EXPECT_NE(json.find("\"component\": \"scheduler\""), std::string::npos);
+  // Every instant names its component; the detail rides along when set.
+  EXPECT_NE(json.find("\"args\": {\"component\": \"client\"}"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"args\": {\"component\": \"scheduler\", "
+                      "\"detail\": \"wu0_r1\"}"),
+            std::string::npos);
 }
 
 TEST(Export, ChromeTraceDropsUnclosedSpans) {
@@ -433,8 +370,8 @@ TEST(Export, ChromeTraceDropsUnclosedSpans) {
 
 TEST(Export, ChromeTraceEventsSortedByTimestamp) {
   sim::TraceRecorder tr;
-  tr.point(SimTime::seconds(9), "a", "late");
-  tr.point(SimTime::seconds(1), "b", "early");
+  tr.point(SimTime::seconds(9), "c", "a", "late");
+  tr.point(SimTime::seconds(1), "c", "b", "early");
   const std::string json = obs::chrome_trace_json(tr);
   EXPECT_LT(json.find("\"early\""), json.find("\"late\""));
 }
@@ -458,7 +395,6 @@ core::Scenario fig4_scenario(std::uint64_t seed = 3) {
 
 TEST(ObsIntegration, Fig4StragglerDominatesBackoffHistogram) {
   ScopedMetricsRegistry scope;
-  EventLog log;
   // Seed 36 is a stark instance of the pathology: the straggler's report is
   // held back ~236 s by a single backoff draw, roughly double the worst
   // report delay of any other host.
@@ -495,17 +431,16 @@ TEST(ObsIntegration, Fig4StragglerDominatesBackoffHistogram) {
 
   // The telemetry exposes the cause, not just the symptom: the straggler's
   // result sat finished while a backoff drawn *before* the upload completed
-  // kept the client away from the scheduler.  Backoff events carry
-  // "<why> <seconds>" details, so we can find the draw whose window
-  // [t, t + delay] covers the whole upload→report gap.
+  // kept the client away from the scheduler.  Each backoff span opens at
+  // its draw and carries it as "<why> <seconds>", so we can find the draw
+  // whose window [t, t + delay] covers the whole upload→report gap.
   double covering_draw = 0;
-  for (const auto& ev : log.events()) {
-    if (ev.component != "client" || ev.name != "backoff") continue;
-    if (ev.actor != straggler) continue;
-    const std::size_t sp = ev.detail.rfind(' ');
-    ASSERT_NE(sp, std::string::npos) << ev.detail;
-    const double t = ev.at.as_seconds();
-    const double d = std::stod(ev.detail.substr(sp + 1));
+  for (const auto& span : cluster.trace().spans_for(straggler)) {
+    if (span.label != "backoff") continue;
+    const std::size_t sp = span.detail.rfind(' ');
+    ASSERT_NE(sp, std::string::npos) << span.detail;
+    const double t = span.begin.as_seconds();
+    const double d = std::stod(span.detail.substr(sp + 1));
     if (t <= straggler_upload && t + d >= straggler_report - 0.5) {
       covering_draw = std::max(covering_draw, d);
     }
@@ -560,15 +495,15 @@ TEST(ObsIntegration, CollectingTelemetryDoesNotPerturbTheRun) {
     base_rpcs = out.scheduler_rpcs;
   }
   {
-    // Same scenario with an event subscriber attached: identical outcome.
+    // Same scenario recording its timeline: identical outcome.
     ScopedMetricsRegistry scope;
-    EventLog log;
+    s.record_trace = true;
     core::Cluster cluster(s);
     const core::RunOutcome out = cluster.run_job();
     EXPECT_EQ(out.metrics.total_seconds, base_total);
     EXPECT_EQ(out.server_bytes_sent, base_sent);
     EXPECT_EQ(out.scheduler_rpcs, base_rpcs);
-    EXPECT_FALSE(log.events().empty());
+    EXPECT_FALSE(cluster.trace().points().empty());
   }
 }
 
@@ -690,6 +625,168 @@ TEST(ClusterMetricsDeathTest, OutOfOrderTeardownAborts) {
         outer.reset();
       },
       "out of LIFO order");
+}
+
+// --- Timeline: one recorder per Cluster -------------------------------------
+
+/// Every point and closed span of a timeline, one line each, in record order.
+std::vector<std::string> timeline_rows(const sim::TraceRecorder& trace) {
+  std::vector<std::string> rows;
+  for (const sim::TracePoint& p : trace.points()) {
+    rows.push_back(p.at.str() + " " + p.component + " " + p.actor + " " +
+                   p.label + " " + p.detail);
+  }
+  for (const sim::TraceSpan& sp : trace.spans()) {
+    rows.push_back(sp.begin.str() + ".." + sp.end.str() + " " + sp.actor +
+                   " " + sp.label + " " + sp.detail);
+  }
+  return rows;
+}
+
+/// small_mr_scenario, traced, with a crash/restart and lossy RPCs so client,
+/// scheduler, daemon, fault and cluster points all land on the timeline.
+core::Scenario traced_fault_scenario(std::uint64_t seed) {
+  core::Scenario s = small_mr_scenario();
+  s.seed = seed;
+  s.record_trace = true;
+  fault::ClientCrash c;
+  c.host = 1;
+  c.at = SimTime::seconds(20);
+  c.restart_at = SimTime::seconds(60);
+  s.faults.crashes.push_back(c);
+  s.faults.rpc_loss_rate = 0.1;
+  return s;
+}
+
+TEST(Timeline, PoolWorkersRecordTheSerialTimeline) {
+  // Each cluster records into its own recorder, reached through its own
+  // simulation: clusters run concurrently on pool workers record exactly
+  // what the same clusters record one after another on this thread.
+  constexpr int kTasks = 4;
+  const auto run = [](int i) {
+    core::Cluster cluster(traced_fault_scenario(100 + i));
+    const bool completed = cluster.run_job().metrics.completed;
+    std::vector<std::string> rows = timeline_rows(cluster.trace());
+    rows.push_back(completed ? "completed" : "not completed");
+    return rows;
+  };
+  std::vector<std::vector<std::string>> serial;
+  for (int i = 0; i < kTasks; ++i) serial.push_back(run(i));
+  const auto pooled = bench::SeedPool(kTasks).map(kTasks, run);
+  ASSERT_EQ(pooled.size(), serial.size());
+  for (int i = 0; i < kTasks; ++i) {
+    const auto& rows = serial[static_cast<std::size_t>(i)];
+    EXPECT_EQ(rows.back(), "completed") << "task " << i;
+    const auto has = [&rows](const std::string& what) {
+      return std::any_of(rows.begin(), rows.end(), [&](const std::string& r) {
+        return r.find(what) != std::string::npos;
+      });
+    };
+    EXPECT_TRUE(has(" fault fault crash ")) << "task " << i;
+    EXPECT_TRUE(has(" daemon server ")) << "task " << i;
+    EXPECT_TRUE(has(" cluster cluster job_completed ")) << "task " << i;
+    EXPECT_EQ(pooled[static_cast<std::size_t>(i)], rows) << "task " << i;
+  }
+}
+
+/// Host name of client `i` (its timeline's actor).
+std::string host_name(core::Cluster& cluster, std::size_t i) {
+  return cluster.project()
+      .database()
+      .host(cluster.client(i).host_id())
+      .name;
+}
+
+TEST(Timeline, CrashWhileOfflineClosesTheComputeSpanOnce) {
+  core::Scenario s = small_mr_scenario();
+  s.record_trace = true;
+  // An undisturbed run shows when client 0 first computes.
+  std::string host;
+  std::optional<sim::TraceSpan> compute;
+  {
+    core::Cluster probe(s);
+    ASSERT_TRUE(probe.run_job().metrics.completed);
+    host = host_name(probe, 0);
+    for (const sim::TraceSpan& sp : probe.trace().spans_for(host)) {
+      if (sp.label == "compute") {
+        compute = sp;
+        break;
+      }
+    }
+  }
+  ASSERT_TRUE(compute.has_value());
+  const SimTime mid = compute->begin + (compute->end - compute->begin) * 0.5;
+  ASSERT_GT(mid, compute->begin);
+
+  // Churn suspends the task (closing its compute span), then the client
+  // crashes while still offline: the crash must not close that span again.
+  core::Cluster cluster(s);
+  client::Client& c = cluster.client(0);
+  cluster.simulation().at(mid, [&c] { c.set_online(false); });
+  cluster.simulation().at(mid + SimTime::seconds(1), [&c] { c.crash(); });
+  cluster.simulation().at(mid + SimTime::seconds(30), [&c] { c.restart(); });
+  const core::RunOutcome out = cluster.run_job();
+  EXPECT_TRUE(out.metrics.completed);
+
+  bool suspended = false;
+  for (const sim::TraceSpan& sp : cluster.trace().spans_for(host)) {
+    if (sp.label == "compute" && sp.begin == compute->begin) {
+      EXPECT_EQ(sp.end.as_seconds(), mid.as_seconds());
+      suspended = true;
+    }
+  }
+  EXPECT_TRUE(suspended);
+}
+
+TEST(Timeline, CrashClosesTheBackoffSpanAtTheCrash) {
+  core::Scenario s = small_mr_scenario();
+  s.record_trace = true;
+  // An undisturbed run shows a long backoff some client sits in.
+  std::size_t victim = 0;
+  std::optional<sim::TraceSpan> backoff;
+  {
+    core::Cluster probe(s);
+    ASSERT_TRUE(probe.run_job().metrics.completed);
+    for (std::size_t i = 0; i < probe.n_clients() && !backoff; ++i) {
+      for (const sim::TraceSpan& sp :
+           probe.trace().spans_for(host_name(probe, i))) {
+        if (sp.label == "backoff" &&
+            sp.end - sp.begin > SimTime::seconds(10)) {
+          victim = i;
+          backoff = sp;
+          break;
+        }
+      }
+    }
+  }
+  ASSERT_TRUE(backoff.has_value());
+  const SimTime mid = backoff->begin + (backoff->end - backoff->begin) * 0.5;
+
+  // The client crashes inside that backoff and restarts well after it
+  // would have ended: the span ends at the crash, not at the first RPC
+  // after the restart.
+  core::Cluster cluster(s);
+  client::Client& c = cluster.client(victim);
+  cluster.simulation().at(mid, [&c] { c.crash(); });
+  cluster.simulation().at(backoff->end + SimTime::seconds(30),
+                          [&c] { c.restart(); });
+  ASSERT_TRUE(cluster.run_job().metrics.completed);
+
+  const std::string host = host_name(cluster, victim);
+  bool closed_at_crash = false;
+  for (const sim::TraceSpan& sp : cluster.trace().spans_for(host)) {
+    if (sp.label == "backoff" && sp.begin == backoff->begin) {
+      EXPECT_EQ(sp.end.as_seconds(), mid.as_seconds()) << sp.detail;
+      EXPECT_EQ(sp.detail, backoff->detail);
+      closed_at_crash = true;
+    }
+  }
+  EXPECT_TRUE(closed_at_crash);
+  bool crash_point = false;
+  for (const sim::TracePoint& p : cluster.trace().points_for(host)) {
+    crash_point = crash_point || (p.label == "crash" && p.at == mid);
+  }
+  EXPECT_TRUE(crash_point);
 }
 
 }  // namespace

@@ -260,10 +260,14 @@ TEST(Simulation, RngStreamsStableAcrossInstances) {
 
 TEST(Trace, PointsAndSpans) {
   TraceRecorder tr;
-  tr.point(SimTime::seconds(1), "host1", "assign", "r0");
+  tr.point(SimTime::seconds(1), "client", "host1", "assign", "r0");
   const std::size_t tok = tr.begin_span(SimTime::seconds(2), "host1", "compute");
   tr.end_span(tok, SimTime::seconds(5));
   ASSERT_EQ(tr.points().size(), 1u);
+  EXPECT_EQ(tr.points()[0].component, "client");
+  EXPECT_EQ(tr.points()[0].actor, "host1");
+  EXPECT_EQ(tr.points()[0].label, "assign");
+  EXPECT_EQ(tr.points()[0].detail, "r0");
   const auto spans = tr.spans();
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(spans[0].begin, SimTime::seconds(2));
@@ -289,18 +293,10 @@ TEST(Trace, DoubleCloseThrows) {
   EXPECT_THROW(tr.end_span(tok, SimTime::seconds(3)), Error);
 }
 
-TEST(Trace, ActorsInFirstSeenOrder) {
-  TraceRecorder tr;
-  tr.point(SimTime::zero(), "b", "x");
-  tr.point(SimTime::zero(), "a", "x");
-  tr.point(SimTime::zero(), "b", "y");
-  EXPECT_EQ(tr.actors(), (std::vector<std::string>{"b", "a"}));
-}
-
 TEST(Trace, PerActorFilters) {
   TraceRecorder tr;
-  tr.point(SimTime::zero(), "a", "x");
-  tr.point(SimTime::zero(), "b", "y");
+  tr.point(SimTime::zero(), "c", "a", "x");
+  tr.point(SimTime::zero(), "c", "b", "y");
   const std::size_t t1 = tr.begin_span(SimTime::zero(), "a", "s");
   tr.end_span(t1, SimTime::seconds(1));
   EXPECT_EQ(tr.points_for("a").size(), 1u);
@@ -312,7 +308,7 @@ TEST(Trace, GanttRendersRowsPerActor) {
   TraceRecorder tr;
   const std::size_t t = tr.begin_span(SimTime::seconds(0), "host1", "compute");
   tr.end_span(t, SimTime::seconds(10));
-  tr.point(SimTime::seconds(5), "host2", "report");
+  tr.point(SimTime::seconds(5), "c", "host2", "report");
   const std::string art = tr.ascii_gantt(SimTime::zero(), SimTime::seconds(10), 20);
   EXPECT_NE(art.find("host1"), std::string::npos);
   EXPECT_NE(art.find("host2"), std::string::npos);
@@ -327,7 +323,8 @@ TEST(Trace, GanttClipsSpansToWindow) {
   const std::size_t t =
       tr.begin_span(SimTime::seconds(-5), "host1", "compute");
   tr.end_span(t, SimTime::seconds(100));
-  tr.point(SimTime::seconds(999), "host1", "report");  // clamps to last cell
+  // Far past the window: clamps to the last cell.
+  tr.point(SimTime::seconds(999), "c", "host1", "report");
   const std::string art =
       tr.ascii_gantt(SimTime::zero(), SimTime::seconds(10), 10);
   const std::size_t bar = art.find("|");
@@ -350,8 +347,8 @@ TEST(Trace, GanttOmitsUnclosedSpans) {
 
 TEST(Trace, GanttRowsFollowFirstSeenActorOrder) {
   TraceRecorder tr;
-  tr.point(SimTime::seconds(1), "zeta", "x");
-  tr.point(SimTime::seconds(2), "alpha", "x");
+  tr.point(SimTime::seconds(1), "c", "zeta", "x");
+  tr.point(SimTime::seconds(2), "c", "alpha", "x");
   const std::string art =
       tr.ascii_gantt(SimTime::zero(), SimTime::seconds(10), 10);
   EXPECT_LT(art.find("zeta"), art.find("alpha"));
@@ -361,14 +358,6 @@ TEST(Trace, GanttEmptyWindowThrows) {
   TraceRecorder tr;
   EXPECT_THROW(
       tr.ascii_gantt(SimTime::seconds(5), SimTime::seconds(5), 10), Error);
-}
-
-TEST(Trace, ClearResets) {
-  TraceRecorder tr;
-  tr.point(SimTime::zero(), "a", "x");
-  tr.clear();
-  EXPECT_TRUE(tr.points().empty());
-  EXPECT_TRUE(tr.actors().empty());
 }
 
 }  // namespace

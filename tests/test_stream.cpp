@@ -272,12 +272,12 @@ TEST(Streamer, GoldenRunOutcomesAreBitIdenticalWithStreaming) {
 
 TEST(Export, ChromeTraceRendersCounterTracks) {
   sim::TraceRecorder tr;
-  tr.point(SimTime::seconds(1), "host1", "report");
+  tr.point(SimTime::seconds(1), "client", "host1", "report");
   std::vector<obs::CounterSample> counters;
   counters.push_back({SimTime::seconds(2), "scheduler/wire_bytes_out", 42});
   counters.push_back({SimTime::seconds(3), "db/ready_results", 2.5});
 
-  const std::string json = obs::chrome_trace_json(tr, {}, counters);
+  const std::string json = obs::chrome_trace_json(tr, counters);
   EXPECT_TRUE(JsonChecker(json).valid()) << json;
   // Counter events carry no tid: Chrome keys "ph":"C" tracks by (pid, name).
   EXPECT_NE(json.find("{\"name\": \"scheduler/wire_bytes_out\", "

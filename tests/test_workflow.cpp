@@ -21,7 +21,6 @@
 #include "mr/dataset.h"
 #include "mr/keyvalue.h"
 #include "mr/local_runtime.h"
-#include "obs/event.h"
 #include "workflow/coordinator.h"
 #include "workflow/workflow.h"
 
@@ -401,10 +400,10 @@ core::Scenario load_scenario_file(const std::string& name) {
 }
 
 TEST(ScenarioFiles, DiamondDagRunsWithEventDrivenOrdering) {
-  const core::Scenario s = load_scenario_file("workflow_dag.xml");
+  core::Scenario s = load_scenario_file("workflow_dag.xml");
   ASSERT_EQ(s.workflow.size(), 4u);
+  s.record_trace = true;
 
-  obs::EventLog log;
   core::Cluster cluster(s);
   const core::WorkflowRunResult r = cluster.run_workflow();
   ASSERT_TRUE(r.completed);
@@ -430,22 +429,22 @@ TEST(ScenarioFiles, DiamondDagRunsWithEventDrivenOrdering) {
       join.submitted_at.as_seconds(),
       std::max(ranges.finished_at, lengths.finished_at).as_seconds());
 
-  // The obs bus saw the same story in order: both middle nodes finish
-  // before the join is submitted.
-  const auto pos = [&](const std::string& name, const std::string& prefix) {
-    const auto& evs = log.events();
-    for (std::size_t i = 0; i < evs.size(); ++i) {
-      if (evs[i].component == "wf" && evs[i].name == name &&
-          evs[i].detail.rfind(prefix, 0) == 0) {
-        return i;
-      }
+  // The workflow track tells the same story: the join's iteration span
+  // opens at the instant the later of the two middle nodes' node_finished
+  // points lands.
+  std::map<std::string, SimTime> finished;
+  for (const sim::TracePoint& p : cluster.trace().points_for("workflow")) {
+    if (p.component == "wf" && p.label == "node_finished") {
+      finished[p.detail] = p.at;
     }
-    return evs.size();
-  };
-  const std::size_t join_submit = pos("node_submitted", "join");
-  ASSERT_LT(join_submit, log.events().size());
-  EXPECT_LT(pos("node_finished", "ranges"), join_submit);
-  EXPECT_LT(pos("node_finished", "lengths"), join_submit);
+  }
+  SimTime join_submit = SimTime::infinity();
+  for (const sim::TraceSpan& sp : cluster.trace().spans_for("workflow")) {
+    if (sp.label == "join") join_submit = std::min(join_submit, sp.begin);
+  }
+  ASSERT_TRUE(finished.count("ranges") && finished.count("lengths"));
+  EXPECT_EQ(join_submit,
+            std::max(finished.at("ranges"), finished.at("lengths")));
 
   // The join's input is the merged, key-sorted output of both branches.
   std::vector<mr::KeyValue> merged = ranges.output;

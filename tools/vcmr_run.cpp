@@ -33,7 +33,6 @@
 #include "core/scenario_io.h"
 #include "db/database.h"
 #include "db/schema.h"
-#include "obs/event.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/stream.h"
@@ -76,7 +75,8 @@ int help() {
       "\n"
       "  --snapshot <db.xml>       write the post-run project database (XML)\n"
       "  --metrics-json <out>      write the run's telemetry registry as JSON\n"
-      "                            (counters, gauges, histograms + job summary)\n"
+      "                            (counters, gauges, histograms + job summary\n"
+      "                            and the simulation's executed-event count)\n"
       "  --trace-out <out>         write a Chrome trace-event JSON timeline\n"
       "                            (chrome://tracing / Perfetto); implies\n"
       "                            record_trace for this run\n"
@@ -208,6 +208,7 @@ void report_workflow(const vcmr::core::WorkflowRunResult& res) {
 
 std::string workflow_metrics_json(const std::string& scenario_path,
                                   const vcmr::core::WorkflowRunResult& res,
+                                  std::size_t events_executed,
                                   const vcmr::obs::MetricsRegistry& reg) {
   using vcmr::common::JsonWriter;
   std::string nodes = "[";
@@ -240,6 +241,7 @@ std::string workflow_metrics_json(const std::string& scenario_path,
 
   JsonWriter top;
   top.field("scenario", scenario_path)
+      .field("events_executed", static_cast<std::int64_t>(events_executed))
       .field_json("workflow", wfj.str())
       .field_json("registry", vcmr::obs::metrics_json(reg));
   return top.str() + "\n";
@@ -247,6 +249,7 @@ std::string workflow_metrics_json(const std::string& scenario_path,
 
 std::string run_metrics_json(const std::string& scenario_path,
                              const vcmr::core::RunOutcome& out,
+                             std::size_t events_executed,
                              const vcmr::obs::MetricsRegistry& reg) {
   using vcmr::common::JsonWriter;
   JsonWriter job;
@@ -264,6 +267,7 @@ std::string run_metrics_json(const std::string& scenario_path,
 
   JsonWriter top;
   top.field("scenario", scenario_path)
+      .field("events_executed", static_cast<std::int64_t>(events_executed))
       .field_json("outcome", job.str())
       .field_json("registry", vcmr::obs::metrics_json(reg));
   return top.str() + "\n";
@@ -344,11 +348,6 @@ int main(int argc, char** argv) {
                 s.boinc_mr ? "BOINC-MR" : "plain BOINC",
                 static_cast<unsigned long long>(s.seed));
 
-    // Subscribe before the cluster exists so arming-time events (e.g. the
-    // fault plan validating) are not missed.
-    std::unique_ptr<obs::EventLog> event_log;
-    if (!trace_path.empty()) event_log = std::make_unique<obs::EventLog>();
-
     core::Cluster cluster(s);
 
     std::unique_ptr<obs::MetricsStreamer> streamer;
@@ -386,7 +385,9 @@ int main(int argc, char** argv) {
       ok = res.completed;
       if (!metrics_path.empty()) {
         write_file(metrics_path,
-                   workflow_metrics_json(arg, res, cluster.metrics()));
+                   workflow_metrics_json(
+                       arg, res, cluster.simulation().events_executed(),
+                       cluster.metrics()));
         std::printf("metrics json  : %s\n", metrics_path.c_str());
       }
     } else {
@@ -395,7 +396,10 @@ int main(int argc, char** argv) {
       report(out, cluster.metrics());
       ok = out.metrics.completed;
       if (!metrics_path.empty()) {
-        write_file(metrics_path, run_metrics_json(arg, out, cluster.metrics()));
+        write_file(metrics_path,
+                   run_metrics_json(arg, out,
+                                    cluster.simulation().events_executed(),
+                                    cluster.metrics()));
         std::printf("metrics json  : %s\n", metrics_path.c_str());
       }
     }
@@ -413,7 +417,7 @@ int main(int argc, char** argv) {
     if (!trace_path.empty()) {
       write_file(trace_path,
                  obs::chrome_trace_json(
-                     cluster.trace(), event_log->events(),
+                     cluster.trace(),
                      streamer ? streamer->counter_samples()
                               : std::vector<obs::CounterSample>{}) +
                      "\n");

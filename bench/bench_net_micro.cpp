@@ -45,7 +45,8 @@ void BM_FairShareReallocation(benchmark::State& state) {
 }
 BENCHMARK(BM_FairShareReallocation)->Arg(10)->Arg(40)->Arg(100);
 
-void BM_SchedulerRpcXmlRoundTrip(benchmark::State& state) {
+/// A reduce assignment carrying 20 mapper locations.
+proto::SchedulerReply reduce_reply() {
   proto::SchedulerReply reply;
   proto::AssignedTask t;
   t.phase = proto::TaskPhase::kReduce;
@@ -61,7 +62,11 @@ void BM_SchedulerRpcXmlRoundTrip(benchmark::State& state) {
     t.inputs.push_back(in);
   }
   reply.tasks.push_back(t);
-  const std::string xml = proto::to_xml(reply);
+  return reply;
+}
+
+void BM_SchedulerRpcXmlRoundTrip(benchmark::State& state) {
+  const std::string xml = proto::to_xml(reduce_reply());
   for (auto _ : state) {
     benchmark::DoNotOptimize(proto::reply_from_xml(xml));
   }
@@ -69,6 +74,18 @@ void BM_SchedulerRpcXmlRoundTrip(benchmark::State& state) {
                           static_cast<std::int64_t>(xml.size()));
 }
 BENCHMARK(BM_SchedulerRpcXmlRoundTrip);
+
+// What the simulator pays per reply instead: counting the same bytes.
+void BM_SchedulerRpcWireSize(benchmark::State& state) {
+  const proto::SchedulerReply reply = reduce_reply();
+  Bytes size = 0;
+  for (auto _ : state) {
+    size = proto::wire_size(reply);
+    benchmark::DoNotOptimize(size);
+  }
+  state.SetBytesProcessed(state.iterations() * size);
+}
+BENCHMARK(BM_SchedulerRpcWireSize);
 
 void BM_XmlParse(benchmark::State& state) {
   common::XmlNode root("doc");

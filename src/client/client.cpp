@@ -232,8 +232,8 @@ void Client::do_rpc() {
   net::HttpRequest hreq;
   hreq.method = "POST";
   hreq.path = "/scheduler";
-  hreq.body = proto::to_xml(req);
-  hreq.body_size = static_cast<Bytes>(hreq.body.size());
+  hreq.body_size = proto::wire_size(req);
+  hreq.body = std::move(req);
   const std::int64_t epoch = rpc_epoch_;
   http_.request(
       node_, scheduler_ep_, std::move(hreq),
@@ -244,7 +244,10 @@ void Client::do_rpc() {
           on_rpc_fail(reported_ids, sent_fetch_failures);
           return;
         }
-        on_reply(proto::reply_from_xml(resp.body), requesting, reported_ids);
+        const auto* reply = std::any_cast<proto::SchedulerReply>(&resp.body);
+        require(reply != nullptr,
+                "Client: scheduler reply carries no SchedulerReply payload");
+        on_reply(*reply, requesting, reported_ids);
       },
       [this, reported_ids, sent_fetch_failures, epoch](net::NetError) {
         if (epoch != rpc_epoch_) return;

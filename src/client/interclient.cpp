@@ -49,25 +49,26 @@ void MapOutputServer::offer(const std::string& name, mr::FilePayload payload) {
     registered_ = true;
   }
   Entry& e = files_[name];
-  sim_.cancel(e.timeout);
   e.payload = std::move(payload);
-  arm_timeout(name, SimTime::zero());
+  arm_timeout(name, e, SimTime::zero());
 }
 
-void MapOutputServer::arm_timeout(const std::string& name, SimTime horizon) {
-  Entry& e = files_.at(name);
-  const SimTime window = std::max(cfg_.serve_timeout, horizon);
-  e.timeout = sim_.after(window, [this, name] {
+void MapOutputServer::arm_timeout(const std::string& name, Entry& e,
+                                  SimTime horizon) {
+  const SimTime at = sim_.now() + std::max(cfg_.serve_timeout, horizon);
+  if (e.timeout.valid()) {
+    // Pending until it fires, and firing withdraws the entry.
+    e.timeout = sim_.reschedule(e.timeout, at);
+    return;
+  }
+  e.timeout = sim_.at(at, [this, name] {
     log_.debug("serve timeout for ", name, "; withdrawing");
     withdraw(name);
   });
 }
 
 void MapOutputServer::reset_timeouts(SimTime horizon) {
-  for (auto& [name, e] : files_) {
-    sim_.cancel(e.timeout);
-    arm_timeout(name, horizon);
-  }
+  for (auto& [name, e] : files_) arm_timeout(name, e, horizon);
 }
 
 void MapOutputServer::withdraw(const std::string& name) {
@@ -108,8 +109,7 @@ bool MapOutputServer::start_serving(
   }
   ++active_;
   // Activity resets the file's timeout.
-  sim_.cancel(it->second.timeout);
-  arm_timeout(name, SimTime::zero());
+  arm_timeout(name, it->second, SimTime::zero());
 
   const mr::FilePayload payload = it->second.payload;
   net::FlowSpec fs;

@@ -92,7 +92,13 @@ class MapOutputServer {
                      std::function<void(net::NetError)> on_fail);
 
  private:
-  void arm_timeout(const std::string& name, SimTime horizon);
+  struct Entry {
+    mr::FilePayload payload;
+    sim::EventHandle timeout;  ///< pending while the entry exists
+  };
+  /// (Re)arms the file's timeout at now + max(serve_timeout, horizon). A
+  /// pending timeout moves in place (Simulation::reschedule).
+  void arm_timeout(const std::string& name, Entry& e, SimTime horizon);
 
   sim::Simulation& sim_;
   net::Network& net_;
@@ -100,10 +106,6 @@ class MapOutputServer {
   net::Endpoint ep_;
   PeerRegistry& registry_;
   MapOutputServerConfig cfg_;
-  struct Entry {
-    mr::FilePayload payload;
-    sim::EventHandle timeout;
-  };
   std::map<std::string, Entry> files_;
   int active_ = 0;
   bool registered_ = false;

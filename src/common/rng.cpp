@@ -48,7 +48,9 @@ double Rng::uniform(double lo, double hi) {
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   require(lo <= hi, "Rng::uniform_int: lo > hi");
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
+  // Unsigned arithmetic: hi - lo overflows int64 on spans past 2^63.
+  const std::uint64_t span =
+      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
   if (span == 0) return static_cast<std::int64_t>(next_u64());  // full range
   // Lemire rejection-free-ish multiply-shift with rejection for exactness.
   std::uint64_t x = next_u64();
@@ -62,7 +64,8 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
       l = static_cast<std::uint64_t>(m);
     }
   }
-  return lo + static_cast<std::int64_t>(m >> 64);
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) +
+                                   static_cast<std::uint64_t>(m >> 64));
 }
 
 double Rng::exponential(double mean) {

@@ -73,13 +73,11 @@ std::string xml_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
   for (const char c : s) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      case '\'': out += "&apos;"; break;
-      default: out += c;
+    const std::string_view entity = xml_entity(c);
+    if (entity.empty()) {
+      out += c;
+    } else {
+      out += entity;
     }
   }
   return out;

@@ -71,6 +71,19 @@ class XmlNode {
 /// Returns the root element.
 std::unique_ptr<XmlNode> xml_parse(std::string_view input);
 
+/// The entity that stands for `c` in text and attribute values, or an
+/// empty view when `c` is written as is.
+constexpr std::string_view xml_entity(char c) {
+  switch (c) {
+    case '&': return "&amp;";
+    case '<': return "&lt;";
+    case '>': return "&gt;";
+    case '"': return "&quot;";
+    case '\'': return "&apos;";
+    default: return {};
+  }
+}
+
 /// Escapes &, <, >, ", ' for text/attribute contexts.
 std::string xml_escape(std::string_view s);
 

@@ -18,7 +18,7 @@ std::int64_t HttpService::requests_served(Endpoint ep) const {
 }
 
 void HttpService::request(NodeId client, Endpoint server, HttpRequest req,
-                          std::function<void(const HttpResponse&)> on_done,
+                          std::function<void(HttpResponse)> on_done,
                           std::function<void(NetError)> on_fail,
                           FlowPriority priority, std::optional<NodeId> relay) {
   req.from = client;
@@ -58,8 +58,8 @@ void HttpService::request(NodeId client, Endpoint server, HttpRequest req,
           }
           ++served_[server];
           // Stage 3: the handler responds when its processing is done.
-          it->second(r, [this, client, server, on_done, on_fail, priority,
-                         relay](HttpResponse resp) {
+          it->second(std::move(r), [this, client, server, on_done, on_fail,
+                                    priority, relay](HttpResponse resp) {
             deliver_response(client, server, std::move(resp), on_done,
                              on_fail, priority, relay);
           });
@@ -91,7 +91,7 @@ void HttpService::request(NodeId client, Endpoint server, HttpRequest req,
 
 void HttpService::deliver_response(
     NodeId client, Endpoint server, HttpResponse resp,
-    std::function<void(const HttpResponse&)> on_done,
+    std::function<void(HttpResponse)> on_done,
     std::function<void(NetError)> on_fail, FlowPriority priority,
     std::optional<NodeId> relay) {
   obs::MetricsRegistry::instance()
@@ -107,16 +107,17 @@ void HttpService::deliver_response(
     fs.on_fail = [on_fail](NetError err) {
       if (on_fail) on_fail(err);
     };
-    fs.on_complete = [resp = std::move(resp), on_done = std::move(on_done)] {
-      if (on_done) on_done(resp);
+    fs.on_complete = [resp = std::move(resp),
+                      on_done = std::move(on_done)]() mutable {
+      if (on_done) on_done(std::move(resp));
     };
     net_.start_flow(std::move(fs));
   } else {
     // Response headers only: latency-bound.
     net_.send_message(
         server.node, client, kHeaderBytes,
-        [resp = std::move(resp), on_done = std::move(on_done)] {
-          if (on_done) on_done(resp);
+        [resp = std::move(resp), on_done = std::move(on_done)]() mutable {
+          if (on_done) on_done(std::move(resp));
         },
         [on_fail](NetError err) {
           if (on_fail) on_fail(err);

@@ -8,7 +8,12 @@
 // connection RTT plus a body flow each way, with handler-controlled
 // processing delay at the server in between. Large bodies contend for
 // bandwidth like any other flow; headers ride the latency-only message path.
+//
+// A body is modelled, not serialized: `body_size` is what the network
+// charges, and `body` carries the payload to the other side untouched as a
+// typed value (a scheduler RPC's proto struct, sized by proto::wire_size).
 
+#include <any>
 #include <functional>
 #include <map>
 #include <memory>
@@ -24,14 +29,14 @@ struct HttpRequest {
   std::string method = "GET";
   std::string path;
   Bytes body_size = 0;   ///< modelled payload size (contends for bandwidth)
-  std::string body;      ///< optional real payload (XML RPC bodies)
+  std::any body;         ///< optional typed payload, handed over as is
   NodeId from;           ///< filled in by HttpService
 };
 
 struct HttpResponse {
   int status = 200;
   Bytes body_size = 0;
-  std::string body;
+  std::any body;
 
   bool ok() const { return status >= 200 && status < 300; }
   static HttpResponse not_found() { return HttpResponse{404, 0, {}}; }
@@ -39,8 +44,10 @@ struct HttpResponse {
 
 /// Handlers respond asynchronously: call `respond` exactly once, now or at
 /// any later simulated time (lets a scheduler model per-RPC service time).
+/// Handler and response callback receive their message by value, so they
+/// may move its payload out.
 using HttpRespondFn = std::function<void(HttpResponse)>;
-using HttpHandler = std::function<void(const HttpRequest&, HttpRespondFn)>;
+using HttpHandler = std::function<void(HttpRequest, HttpRespondFn)>;
 
 class HttpService {
  public:
@@ -57,7 +64,7 @@ class HttpService {
   /// when nothing listens at the endpoint. Body flows use `priority`, and
   /// traverse `relay` when set (TURN-style relaying of HTTP uploads).
   void request(NodeId client, Endpoint server, HttpRequest req,
-               std::function<void(const HttpResponse&)> on_done,
+               std::function<void(HttpResponse)> on_done,
                std::function<void(NetError)> on_fail = nullptr,
                FlowPriority priority = FlowPriority::kForeground,
                std::optional<NodeId> relay = std::nullopt);
@@ -71,7 +78,7 @@ class HttpService {
   static constexpr Bytes kHeaderBytes = 256;
 
   void deliver_response(NodeId client, Endpoint server, HttpResponse resp,
-                        std::function<void(const HttpResponse&)> on_done,
+                        std::function<void(HttpResponse)> on_done,
                         std::function<void(NetError)> on_fail,
                         FlowPriority priority, std::optional<NodeId> relay);
 

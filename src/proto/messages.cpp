@@ -1,5 +1,10 @@
 #include "proto/messages.h"
 
+#include <charconv>
+#include <cstdio>
+#include <cstdlib>
+#include <string_view>
+
 #include "common/error.h"
 #include "common/strings.h"
 #include "common/xml.h"
@@ -10,17 +15,257 @@ using common::XmlNode;
 
 namespace {
 
-void put_i64(XmlNode& n, const char* key, std::int64_t v) {
-  n.add_child_text(key, std::to_string(v));
+// --- the one emitter ---------------------------------------------------------
+//
+// Prints the dialect XmlNode::to_string() writes for a tree: two spaces of
+// indent per level, one element per line, leaf text trimmed and escaped,
+// `<name/>` for an element with neither text nor children. The sink decides
+// whether the bytes are kept (to_xml) or only counted (wire_size).
+
+struct StringSink {
+  std::string out;
+  void put(std::string_view s) { out.append(s); }
+};
+
+struct CountingSink {
+  Bytes n = 0;
+  void put(std::string_view s) { n += static_cast<Bytes>(s.size()); }
+};
+
+template <class Sink>
+class Emitter {
+ public:
+  Sink& sink() { return sink_; }
+
+  /// Starts an element. Its start tag is finished by the first child, or
+  /// turned into `<name/>` by close() when none comes.
+  void open(std::string_view name) {
+    start_line();
+    sink_.put("<");
+    sink_.put(name);
+    open_ = true;
+    ++depth_;
+  }
+  void close(std::string_view name) {
+    --depth_;
+    if (open_) {
+      sink_.put("/>\n");
+      open_ = false;
+      return;
+    }
+    pad();
+    sink_.put("</");
+    sink_.put(name);
+    sink_.put(">\n");
+  }
+
+  /// A leaf element holding `value`.
+  void text(std::string_view name, std::string_view value) {
+    start_line();
+    sink_.put("<");
+    sink_.put(name);
+    value = common::trim(value);
+    if (value.empty()) {
+      sink_.put("/>\n");
+      return;
+    }
+    sink_.put(">");
+    put_escaped(value);
+    sink_.put("</");
+    sink_.put(name);
+    sink_.put(">\n");
+  }
+  void i64(std::string_view name, std::int64_t v) {
+    char buf[24];
+    const auto r = std::to_chars(buf, buf + sizeof buf, v);
+    text(name, std::string_view(buf, static_cast<std::size_t>(r.ptr - buf)));
+  }
+  void flag(std::string_view name, bool v) { text(name, v ? "1" : "0"); }
+  /// `%.17g`, which round-trips every double. (std::to_chars is faster,
+  /// but its precision tables add about 70 KB to a job's peak RSS.)
+  void real(std::string_view name, double v) {
+    char buf[32];
+    const int n = std::snprintf(buf, sizeof buf, "%.17g", v);
+    text(name, std::string_view(buf, static_cast<std::size_t>(n)));
+  }
+
+ private:
+  /// Finishes a pending start tag and indents the next line.
+  void start_line() {
+    if (open_) {
+      sink_.put(">\n");
+      open_ = false;
+    }
+    pad();
+  }
+  void pad() {
+    for (int i = 0; i < depth_; ++i) sink_.put("  ");
+  }
+  void put_escaped(std::string_view s) {
+    std::size_t run = 0;  // start of the pending unescaped run
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      const std::string_view entity = common::xml_entity(s[i]);
+      if (entity.empty()) continue;
+      sink_.put(s.substr(run, i - run));
+      sink_.put(entity);
+      run = i + 1;
+    }
+    sink_.put(s.substr(run));
+  }
+
+  Sink sink_;
+  int depth_ = 0;
+  bool open_ = false;
+};
+
+template <class W>
+void put_digest(W& w, std::string_view key, const common::Digest128& d) {
+  w.open(key);
+  w.i64("hi", static_cast<std::int64_t>(d.hi));
+  w.i64("lo", static_cast<std::int64_t>(d.lo));
+  w.close(key);
 }
-void put_double(XmlNode& n, const char* key, double v) {
-  n.add_child_text(key, common::strprintf("%.17g", v));
+
+template <class W>
+void put_endpoint(W& w, std::string_view key, const net::Endpoint& ep) {
+  w.open(key);
+  w.i64("node", ep.node.value());
+  w.i64("port", ep.port);
+  w.close(key);
 }
-void put_digest(XmlNode& n, const char* key, const common::Digest128& d) {
-  XmlNode& c = n.add_child(key);
-  put_i64(c, "hi", static_cast<std::int64_t>(d.hi));
-  put_i64(c, "lo", static_cast<std::int64_t>(d.lo));
+
+template <class W>
+void put_peer(W& w, const PeerLocation& p) {
+  w.open("peer");
+  w.i64("map_index", p.map_index);
+  w.text("file_name", p.file_name);
+  w.i64("size", p.size);
+  w.i64("holder_host", p.holder_host);
+  put_endpoint(w, "endpoint", p.endpoint);
+  w.flag("on_server", p.on_server);
+  if (p.from_store) w.flag("from_store", true);
+  w.close("peer");
 }
+
+template <class W>
+void emit(W& w, const SchedulerRequest& req) {
+  w.open("scheduler_request");
+  w.i64("host_id", req.host_id);
+  w.i64("tasks_queued", req.tasks_queued);
+  w.real("remaining_work_seconds", req.remaining_work_seconds);
+  w.real("work_request_seconds", req.work_request_seconds);
+  w.flag("mr_capable", req.mr_capable);
+  put_endpoint(w, "serving_endpoint", req.serving_endpoint);
+  for (const auto& f : req.cached_files) w.text("cached_file", f);
+  if (req.knows_results) {
+    // Distinct marker so a client holding zero results still differs from
+    // one that does not report its result list at all.
+    w.open("known_results");
+    for (const std::int64_t id : req.known_results) w.i64("id", id);
+    w.close("known_results");
+  }
+  if (!req.store_filter.empty()) w.text("store_filter", req.store_filter);
+  for (const auto& ff : req.failed_fetches) {
+    w.open("failed_fetch");
+    w.i64("job_id", ff.job_id);
+    w.i64("map_index", ff.map_index);
+    w.i64("holder_host", ff.holder_host);
+    w.close("failed_fetch");
+  }
+  for (const auto& r : req.reports) {
+    w.open("result");
+    w.i64("result_id", r.result_id);
+    w.text("name", r.name);
+    w.flag("success", r.success);
+    put_digest(w, "digest", r.digest);
+    w.i64("output_bytes", r.output_bytes);
+    w.real("claimed_credit", r.claimed_credit);
+    for (const auto& f : r.outputs) {
+      w.open("output_file");
+      w.text("name", f.name);
+      w.i64("size", f.size);
+      put_digest(w, "digest", f.digest);
+      w.flag("uploaded", f.uploaded);
+      w.i64("reduce_partition", f.reduce_partition);
+      w.close("output_file");
+    }
+    w.close("result");
+  }
+  w.close("scheduler_request");
+}
+
+template <class W>
+void emit(W& w, const SchedulerReply& reply) {
+  w.open("scheduler_reply");
+  w.i64("request_delay_us", reply.request_delay.as_micros());
+  w.flag("had_work", reply.had_work);
+  w.flag("report_map_results_immediately",
+         reply.report_map_results_immediately);
+  w.flag("keep_serving", reply.keep_serving);
+  for (const auto& t : reply.tasks) {
+    w.open("task");
+    w.i64("result_id", t.result_id);
+    w.text("result_name", t.result_name);
+    w.text("wu_name", t.wu_name);
+    w.text("app", t.app);
+    w.i64("phase", static_cast<int>(t.phase));
+    w.i64("job_id", t.job_id);
+    w.i64("mr_index", t.mr_index);
+    w.i64("n_maps", t.n_maps);
+    w.i64("n_reducers", t.n_reducers);
+    w.real("flops_estimate", t.flops_estimate);
+    w.i64("report_deadline_us", t.report_deadline.as_micros());
+    w.flag("inputs_complete", t.inputs_complete);
+    for (const auto& in : t.inputs) {
+      w.open("input_file");
+      w.text("name", in.name);
+      w.i64("size", in.size);
+      w.flag("on_server", in.on_server);
+      for (const auto& p : in.peers) put_peer(w, p);
+      w.close("input_file");
+    }
+    w.close("task");
+  }
+  for (const auto& u : reply.location_updates) {
+    w.open("location_update");
+    w.i64("result_id", u.result_id);
+    w.flag("complete", u.complete);
+    for (const auto& p : u.peers) put_peer(w, p);
+    w.close("location_update");
+  }
+  w.close("scheduler_reply");
+}
+
+template <class Msg>
+std::string print(const Msg& m) {
+  Emitter<StringSink> w;
+  emit(w, m);
+  return std::move(w.sink().out);
+}
+
+/// VCMR_PROTO_CHECK, read once per process.
+bool proto_check() {
+  static const bool on = std::getenv("VCMR_PROTO_CHECK") != nullptr;
+  return on;
+}
+
+template <class Msg, class Parse>
+Bytes counted(const Msg& m, Parse parse) {
+  Emitter<CountingSink> w;
+  emit(w, m);
+  const Bytes n = w.sink().n;
+  if (proto_check()) {
+    const std::string xml = print(m);
+    require(static_cast<Bytes>(xml.size()) == n,
+            "VCMR_PROTO_CHECK: wire_size differs from the size of to_xml");
+    require(parse(xml) == m,
+            "VCMR_PROTO_CHECK: message changed in the XML round trip");
+  }
+  return n;
+}
+
+// --- the parser's helpers ----------------------------------------------------
+
 common::Digest128 get_digest(const XmlNode& n, const char* key) {
   common::Digest128 d;
   if (const XmlNode* c = n.child(key)) {
@@ -29,11 +274,6 @@ common::Digest128 get_digest(const XmlNode& n, const char* key) {
   }
   return d;
 }
-void put_endpoint(XmlNode& n, const char* key, const net::Endpoint& ep) {
-  XmlNode& c = n.add_child(key);
-  put_i64(c, "node", ep.node.value());
-  put_i64(c, "port", ep.port);
-}
 net::Endpoint get_endpoint(const XmlNode& n, const char* key) {
   net::Endpoint ep;
   if (const XmlNode* c = n.child(key)) {
@@ -41,17 +281,6 @@ net::Endpoint get_endpoint(const XmlNode& n, const char* key) {
     ep.port = static_cast<int>(c->child_i64("port"));
   }
   return ep;
-}
-
-void put_peer(XmlNode& parent, const PeerLocation& p) {
-  XmlNode& n = parent.add_child("peer");
-  put_i64(n, "map_index", p.map_index);
-  n.add_child_text("file_name", p.file_name);
-  put_i64(n, "size", p.size);
-  put_i64(n, "holder_host", p.holder_host);
-  put_endpoint(n, "endpoint", p.endpoint);
-  put_i64(n, "on_server", p.on_server ? 1 : 0);
-  if (p.from_store) put_i64(n, "from_store", 1);
 }
 PeerLocation get_peer(const XmlNode& n) {
   PeerLocation p;
@@ -67,52 +296,14 @@ PeerLocation get_peer(const XmlNode& n) {
 
 }  // namespace
 
-std::string to_xml(const SchedulerRequest& req) {
-  XmlNode root("scheduler_request");
-  put_i64(root, "host_id", req.host_id);
-  put_i64(root, "tasks_queued", req.tasks_queued);
-  put_double(root, "remaining_work_seconds", req.remaining_work_seconds);
-  put_double(root, "work_request_seconds", req.work_request_seconds);
-  put_i64(root, "mr_capable", req.mr_capable ? 1 : 0);
-  put_endpoint(root, "serving_endpoint", req.serving_endpoint);
-  for (const auto& f : req.cached_files) {
-    root.add_child_text("cached_file", f);
-  }
-  if (req.knows_results) {
-    // Distinct marker so a client holding zero results still differs from
-    // one that does not report its result list at all.
-    XmlNode& kn = root.add_child("known_results");
-    for (const std::int64_t id : req.known_results) {
-      put_i64(kn, "id", id);
-    }
-  }
-  if (!req.store_filter.empty()) {
-    root.add_child_text("store_filter", req.store_filter);
-  }
-  for (const auto& ff : req.failed_fetches) {
-    XmlNode& n = root.add_child("failed_fetch");
-    put_i64(n, "job_id", ff.job_id);
-    put_i64(n, "map_index", ff.map_index);
-    put_i64(n, "holder_host", ff.holder_host);
-  }
-  for (const auto& r : req.reports) {
-    XmlNode& n = root.add_child("result");
-    put_i64(n, "result_id", r.result_id);
-    n.add_child_text("name", r.name);
-    put_i64(n, "success", r.success ? 1 : 0);
-    put_digest(n, "digest", r.digest);
-    put_i64(n, "output_bytes", r.output_bytes);
-    put_double(n, "claimed_credit", r.claimed_credit);
-    for (const auto& f : r.outputs) {
-      XmlNode& fo = n.add_child("output_file");
-      fo.add_child_text("name", f.name);
-      put_i64(fo, "size", f.size);
-      put_digest(fo, "digest", f.digest);
-      put_i64(fo, "uploaded", f.uploaded ? 1 : 0);
-      put_i64(fo, "reduce_partition", f.reduce_partition);
-    }
-  }
-  return root.to_string();
+std::string to_xml(const SchedulerRequest& req) { return print(req); }
+std::string to_xml(const SchedulerReply& reply) { return print(reply); }
+
+Bytes wire_size(const SchedulerRequest& req) {
+  return counted(req, request_from_xml);
+}
+Bytes wire_size(const SchedulerReply& reply) {
+  return counted(reply, reply_from_xml);
 }
 
 SchedulerRequest request_from_xml(const std::string& xml) {
@@ -165,44 +356,6 @@ SchedulerRequest request_from_xml(const std::string& xml) {
     req.reports.push_back(std::move(r));
   }
   return req;
-}
-
-std::string to_xml(const SchedulerReply& reply) {
-  XmlNode root("scheduler_reply");
-  put_i64(root, "request_delay_us", reply.request_delay.as_micros());
-  put_i64(root, "had_work", reply.had_work ? 1 : 0);
-  put_i64(root, "report_map_results_immediately",
-          reply.report_map_results_immediately ? 1 : 0);
-  put_i64(root, "keep_serving", reply.keep_serving ? 1 : 0);
-  for (const auto& t : reply.tasks) {
-    XmlNode& n = root.add_child("task");
-    put_i64(n, "result_id", t.result_id);
-    n.add_child_text("result_name", t.result_name);
-    n.add_child_text("wu_name", t.wu_name);
-    n.add_child_text("app", t.app);
-    put_i64(n, "phase", static_cast<int>(t.phase));
-    put_i64(n, "job_id", t.job_id);
-    put_i64(n, "mr_index", t.mr_index);
-    put_i64(n, "n_maps", t.n_maps);
-    put_i64(n, "n_reducers", t.n_reducers);
-    put_double(n, "flops_estimate", t.flops_estimate);
-    put_i64(n, "report_deadline_us", t.report_deadline.as_micros());
-    put_i64(n, "inputs_complete", t.inputs_complete ? 1 : 0);
-    for (const auto& in : t.inputs) {
-      XmlNode& fi = n.add_child("input_file");
-      fi.add_child_text("name", in.name);
-      put_i64(fi, "size", in.size);
-      put_i64(fi, "on_server", in.on_server ? 1 : 0);
-      for (const auto& p : in.peers) put_peer(fi, p);
-    }
-  }
-  for (const auto& u : reply.location_updates) {
-    XmlNode& n = root.add_child("location_update");
-    put_i64(n, "result_id", u.result_id);
-    put_i64(n, "complete", u.complete ? 1 : 0);
-    for (const auto& p : u.peers) put_peer(n, p);
-  }
-  return root.to_string();
 }
 
 SchedulerReply reply_from_xml(const std::string& xml) {

@@ -5,9 +5,15 @@
 // results and asks for work; the reply carries assigned results and backoff
 // directives. BOINC-MR extends the reply with mapper locations for reduce
 // tasks (§III.B: "the scheduler appends to each reduce result the address
-// (IP and port) of mappers holding output for the same job"). These structs
-// round-trip through the XML wire format, and their serialized size is what
-// the simulated network charges for the RPC.
+// (IP and port) of mappers holding output for the same job").
+//
+// The simulator needs each message's values and its size on the wire, not
+// its text. Client and scheduler hand these structs across net::HttpService
+// as typed payloads, and the network charges wire_size(msg): the exact byte
+// count of to_xml(msg), counted by the same emitter that prints it. The
+// text itself (to_xml / *_from_xml) serves the tests, the wire-parser fuzz
+// target and the VCMR_PROTO_CHECK=1 mode, which round-trips every charged
+// message and requires it back unchanged.
 
 #include <string>
 #include <vector>
@@ -29,6 +35,9 @@ struct OutputFileInfo {
   common::Digest128 digest;
   bool uploaded = false;  ///< physically uploaded to the data server
   int reduce_partition = -1;  ///< for map outputs: which reducer wants it
+
+  friend bool operator==(const OutputFileInfo&,
+                         const OutputFileInfo&) = default;
 };
 
 /// A finished result being reported.
@@ -40,6 +49,9 @@ struct ReportedResult {
   Bytes output_bytes = 0;
   double claimed_credit = 0;  ///< client's credit claim (validator clips it)
   std::vector<OutputFileInfo> outputs;
+
+  friend bool operator==(const ReportedResult&,
+                         const ReportedResult&) = default;
 };
 
 /// A failed inter-client map-output fetch, reported so the jobtracker can
@@ -49,11 +61,8 @@ struct FetchFailureReport {
   int map_index = -1;
   std::int64_t holder_host = -1;
 
-  friend bool operator==(const FetchFailureReport& a,
-                         const FetchFailureReport& b) {
-    return a.job_id == b.job_id && a.map_index == b.map_index &&
-           a.holder_host == b.holder_host;
-  }
+  friend bool operator==(const FetchFailureReport&,
+                         const FetchFailureReport&) = default;
 };
 
 struct SchedulerRequest {
@@ -82,6 +91,9 @@ struct SchedulerRequest {
   /// serialized when non-empty, so clients without the store enabled send
   /// unchanged request bytes.
   std::string store_filter;
+
+  friend bool operator==(const SchedulerRequest&,
+                         const SchedulerRequest&) = default;
 };
 
 /// Where a reduce input can be fetched from.
@@ -97,6 +109,8 @@ struct PeerLocation {
   /// misses redirect to the next source instead of counting as holder
   /// failures. Only serialized when true.
   bool from_store = false;
+
+  friend bool operator==(const PeerLocation&, const PeerLocation&) = default;
 };
 
 struct InputFileSpec {
@@ -104,6 +118,8 @@ struct InputFileSpec {
   Bytes size = 0;
   bool on_server = true;            ///< fetchable from the data server
   std::vector<PeerLocation> peers;  ///< BOINC-MR alternatives
+
+  friend bool operator==(const InputFileSpec&, const InputFileSpec&) = default;
 };
 
 struct AssignedTask {
@@ -122,6 +138,8 @@ struct AssignedTask {
   /// Pipelined-reduce mode: assignment may precede some map validations;
   /// the client polls for the remaining locations in later RPCs.
   bool inputs_complete = true;
+
+  friend bool operator==(const AssignedTask&, const AssignedTask&) = default;
 };
 
 /// Late-arriving peer locations for a previously assigned reduce task.
@@ -129,6 +147,9 @@ struct LocationUpdate {
   std::int64_t result_id = -1;
   std::vector<PeerLocation> peers;
   bool complete = false;  ///< all map inputs are now known
+
+  friend bool operator==(const LocationUpdate&,
+                         const LocationUpdate&) = default;
 };
 
 struct SchedulerReply {
@@ -147,6 +168,9 @@ struct SchedulerReply {
   /// timeouts ("the map outputs' timeout is reset ... and the file becomes
   /// available for upload").
   bool keep_serving = false;
+
+  friend bool operator==(const SchedulerReply&,
+                         const SchedulerReply&) = default;
 };
 
 // --- XML wire format ---------------------------------------------------------
@@ -154,5 +178,13 @@ std::string to_xml(const SchedulerRequest& req);
 std::string to_xml(const SchedulerReply& reply);
 SchedulerRequest request_from_xml(const std::string& xml);
 SchedulerReply reply_from_xml(const std::string& xml);
+
+/// Exact size of to_xml(msg) in bytes, counted without building the text:
+/// what the simulated network charges for the message. With the
+/// environment variable VCMR_PROTO_CHECK set (read once per process), each
+/// call also prints and parses the message and throws vcmr::Error unless
+/// the parse equals `msg` and the text is the counted size.
+Bytes wire_size(const SchedulerRequest& req);
+Bytes wire_size(const SchedulerReply& reply);
 
 }  // namespace vcmr::proto

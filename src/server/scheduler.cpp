@@ -42,7 +42,7 @@ Scheduler::Scheduler(sim::Simulation& sim, db::Database& db, Feeder& feeder,
       http_(http),
       ep_(ep),
       policy_(policy) {
-  http_.listen(ep_, [this](const net::HttpRequest& req,
+  http_.listen(ep_, [this](net::HttpRequest req,
                            net::HttpRespondFn respond) {
     if (down_) {
       // Crashed server: the web tier answers but no CGI runs. Clients see
@@ -50,22 +50,24 @@ Scheduler::Scheduler(sim::Simulation& sim, db::Database& db, Feeder& feeder,
       respond(net::HttpResponse{503, 0, {}});
       return;
     }
-    // Parse off the wire, then model the CGI's processing time before the
-    // reply is produced.
-    sched_counter("wire_bytes_in").add(static_cast<std::int64_t>(req.body.size()));
-    proto::SchedulerRequest parsed = proto::request_from_xml(req.body);
+    auto* payload = std::any_cast<proto::SchedulerRequest>(&req.body);
+    require(payload != nullptr,
+            "Scheduler: request carries no SchedulerRequest payload");
+    // Take the request off the wire, then model the CGI's processing time
+    // before the reply is produced.
+    sched_counter("wire_bytes_in").add(req.body_size);
     sim_.after(cfg_.rpc_service_time,
-               [this, parsed = std::move(parsed),
+               [this, request = std::move(*payload),
                 respond = std::move(respond)] {
                  if (down_) {
                    // Crashed mid-service: the request dies with the CGI.
                    respond(net::HttpResponse{503, 0, {}});
                    return;
                  }
-                 const proto::SchedulerReply reply = process(parsed);
+                 proto::SchedulerReply reply = process(request);
                  net::HttpResponse resp;
-                 resp.body = proto::to_xml(reply);
-                 resp.body_size = static_cast<Bytes>(resp.body.size());
+                 resp.body_size = proto::wire_size(reply);
+                 resp.body = std::move(reply);
                  sched_counter("wire_bytes_out").add(resp.body_size);
                  respond(std::move(resp));
                });

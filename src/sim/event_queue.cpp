@@ -34,15 +34,18 @@ void EventQueue::sift_down(std::size_t i, Key k) {
   place(i, k);
 }
 
+void EventQueue::fill(std::size_t i, Key k) {
+  if (i > 0 && before(k, heap_[(i - 1) / 2])) {
+    sift_up(i, k);
+  } else {
+    sift_down(i, k);
+  }
+}
+
 void EventQueue::remove_at(std::size_t i) {
   const Key last = heap_.back();
   heap_.pop_back();
-  if (i == heap_.size()) return;
-  if (i > 0 && before(last, heap_[(i - 1) / 2])) {
-    sift_up(i, last);
-  } else {
-    sift_down(i, last);
-  }
+  if (i < heap_.size()) fill(i, last);
 }
 
 EventFn EventQueue::release(std::uint32_t slot) {
@@ -77,6 +80,19 @@ void EventQueue::cancel(EventHandle h) {
   // The returned callback dies only once the queue is consistent again, so
   // captured state may schedule or cancel from its destructor.
   release(h.slot_);
+}
+
+EventHandle EventQueue::reschedule(EventHandle h, SimTime at) {
+  require(h.valid() && h.slot_ < slots_.size() &&
+              slots_[h.slot_].seq == h.seq_,
+          "EventQueue::reschedule: the event already fired or was cancelled");
+  Slot& s = slots_[h.slot_];
+  // cancel() would free the slot and schedule() take it straight back, so
+  // the event keeps its slot and only draws the next sequence number.
+  const Key k{at, next_seq_++, h.slot_};
+  s.seq = k.seq;
+  fill(s.pos, k);
+  return EventHandle(k.slot, k.seq);
 }
 
 SimTime EventQueue::pop_and_run() {

@@ -11,7 +11,8 @@
 // the heap holds exactly the live events, never a dead one. A slot is
 // recycled as soon as its event fires or is cancelled; handles carry
 // (slot, seq), and the sequence check keeps a stale handle from touching
-// the slot's next occupant.
+// the slot's next occupant. reschedule() moves a pending entry in place and
+// keeps its callback.
 
 #include <cstdint>
 #include <functional>
@@ -30,6 +31,8 @@ class EventHandle {
   EventHandle() = default;
   bool valid() const { return seq_ != 0; }
 
+  friend bool operator==(const EventHandle&, const EventHandle&) = default;
+
  private:
   friend class EventQueue;
   EventHandle(std::uint32_t slot, std::uint64_t seq) : slot_(slot), seq_(seq) {}
@@ -44,6 +47,12 @@ class EventQueue {
 
   /// Cancels a pending event; harmless if it already fired or was cancelled.
   void cancel(EventHandle h);
+
+  /// Moves a pending event to time `at`, keeping its callback. The event
+  /// takes the slot and sequence number cancel-then-schedule would give
+  /// it, so firing order and handles are the same as that pair's; only the
+  /// callback is not rebuilt. Throws vcmr::Error when `h` is not pending.
+  EventHandle reschedule(EventHandle h, SimTime at);
 
   bool empty() const { return heap_.empty(); }
   std::size_t size() const { return heap_.size(); }
@@ -77,6 +86,8 @@ class EventQueue {
   /// Moves k from the hole at i towards the root / the leaves.
   void sift_up(std::size_t i, Key k);
   void sift_down(std::size_t i, Key k);
+  /// Puts k into the hole at i, sifting whichever way restores the heap.
+  void fill(std::size_t i, Key k);
   /// Removes heap_[i], refilling the hole with the last entry.
   void remove_at(std::size_t i);
   /// Frees the slot and hands back its callback for the caller to run or

@@ -22,6 +22,11 @@ EventHandle Simulation::after(SimTime delay, EventFn fn) {
   return queue_.schedule(now_ + delay, std::move(fn));
 }
 
+EventHandle Simulation::reschedule(EventHandle h, SimTime when) {
+  require(when >= now_, "Simulation::reschedule: cannot move into the past");
+  return queue_.reschedule(h, when);
+}
+
 SimTime Simulation::run(SimTime until) {
   stop_requested_ = false;
   while (!queue_.empty() && !stop_requested_) {

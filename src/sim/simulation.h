@@ -33,6 +33,9 @@ class Simulation {
   /// Schedule after a relative delay (must be >= 0).
   EventHandle after(SimTime delay, EventFn fn);
   void cancel(EventHandle h) { queue_.cancel(h); }
+  /// Moves a pending event to absolute time `when` (must be >= now),
+  /// keeping its callback; see EventQueue::reschedule.
+  EventHandle reschedule(EventHandle h, SimTime when);
 
   /// Runs until the queue drains or `until` is reached, whichever is first.
   /// Returns the final clock value.

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "client/backoff.h"
 #include "client/interclient.h"
 #include "obs/metrics.h"
@@ -161,6 +165,42 @@ TEST(MapOutputServer, ExplicitResetTimeouts) {
   srv.reset_timeouts();  // §III.C: reset when the server reschedules a reduce
   f.sim.run(SimTime::seconds(150));
   EXPECT_TRUE(srv.serving());
+}
+
+// reset_timeouts(h) moves every pending timeout to now + max(serve_timeout,
+// h): all files then expire together, in name order.
+TEST(MapOutputServer, ResetTimeoutsExpireTogetherInNameOrder) {
+  for (const double horizon_s : {0.0, 50.0, 250.0}) {
+    IcFixture f;
+    MapOutputServer srv(f.sim, f.net, f.mapper, {f.mapper, 31416},
+                        f.registry, f.serve_cfg(4, 100));
+    srv.offer("c", mr::FilePayload::of_content("3"));
+    f.sim.run(SimTime::seconds(10));
+    srv.offer("a", mr::FilePayload::of_content("1"));
+    f.sim.run(SimTime::seconds(20));
+    srv.offer("b", mr::FilePayload::of_content("2"));
+    f.sim.run(SimTime::seconds(30));
+    srv.reset_timeouts(SimTime::seconds(horizon_s));
+
+    std::vector<std::pair<std::string, SimTime>> expired;
+    std::vector<std::string> left = srv.served_names();
+    f.sim.run_until([&] {
+      const std::vector<std::string> now = srv.served_names();
+      for (const std::string& name : left) {
+        if (std::find(now.begin(), now.end(), name) == now.end()) {
+          expired.emplace_back(name, f.sim.now());
+        }
+      }
+      left = now;
+      return !srv.serving();
+    });
+    const SimTime at =
+        SimTime::seconds(30) + std::max(SimTime::seconds(100),
+                                        SimTime::seconds(horizon_s));
+    EXPECT_EQ(expired, (std::vector<std::pair<std::string, SimTime>>{
+                           {"a", at}, {"b", at}, {"c", at}}))
+        << "horizon " << horizon_s;
+  }
 }
 
 TEST(MapOutputServer, WithdrawAllStopsServing) {

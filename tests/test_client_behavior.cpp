@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "client/client.h"
+#include "common/error.h"
 #include "mr/apps.h"
 #include "obs/metrics.h"
 #include "store/store.h"
@@ -32,6 +33,7 @@ struct Fixture {
   std::vector<proto::SchedulerRequest> requests;   ///< everything received
   std::vector<proto::AssignedTask> to_hand_out;    ///< dispensed in order
   bool report_map_results_immediately = false;
+  bool reply_without_payload = false;  ///< answer 200 with an empty body
 
   Fixture() {
     net::NodeConfig c;
@@ -41,8 +43,9 @@ struct Fixture {
     sched_ep = {server_node, 8080};
     http.listen(sched_ep, [this](const net::HttpRequest& req,
                                  net::HttpRespondFn respond) {
-      const proto::SchedulerRequest parsed =
-          proto::request_from_xml(req.body);
+      const auto& parsed =
+          std::any_cast<const proto::SchedulerRequest&>(req.body);
+      EXPECT_EQ(req.body_size, proto::wire_size(parsed));
       requests.push_back(parsed);
       proto::SchedulerReply reply;
       reply.request_delay = SimTime::seconds(6);
@@ -53,8 +56,8 @@ struct Fixture {
       }
       reply.had_work = !reply.tasks.empty();
       net::HttpResponse resp;
-      resp.body = proto::to_xml(reply);
-      resp.body_size = static_cast<Bytes>(resp.body.size());
+      resp.body_size = proto::wire_size(reply);
+      if (!reply_without_payload) resp.body = std::move(reply);
       respond(std::move(resp));
     });
   }
@@ -136,6 +139,14 @@ TEST(ClientBehavior, FetchesExecutesUploadsAndReportsOnNextRpc) {
   EXPECT_TRUE(f.data->has("wu1_0.part0"));
   EXPECT_TRUE(f.data->has("wu1_0.part1"));
   EXPECT_TRUE(client->idle());
+}
+
+TEST(ClientBehavior, SuccessfulReplyWithoutPayloadIsAnError) {
+  Fixture f;
+  f.reply_without_payload = true;
+  auto client = f.make_client();
+  client->start();
+  EXPECT_THROW(f.sim.run(SimTime::minutes(5)), Error);
 }
 
 TEST(ClientBehavior, BackoffEscalatesOnEmptyReplies) {

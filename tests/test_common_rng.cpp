@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "common/error.h"
@@ -59,6 +60,21 @@ TEST(Rng, UniformIntBoundsInclusive) {
 TEST(Rng, UniformIntSingleton) {
   Rng rng(17);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.uniform_int(42, 42), 42);
+}
+
+TEST(Rng, UniformIntSpansWiderThanInt64) {
+  // hi - lo does not fit int64 here; the draw must stay in range.
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  Rng rng(23);
+  bool negative = false, positive = false;
+  for (int i = 0; i < 200; ++i) {
+    rng.uniform_int(kMin, kMax);
+    const std::int64_t v = rng.uniform_int(kMin + 1, kMax);
+    EXPECT_GE(v, kMin + 1);
+    (v < 0 ? negative : positive) = true;
+  }
+  EXPECT_TRUE(negative && positive);
 }
 
 TEST(Rng, UniformIntRejectsInvertedRange) {

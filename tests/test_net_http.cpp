@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "net/http.h"
 #include "sim/simulation.h"
 
@@ -28,16 +30,21 @@ TEST(Http, RoundTripWithBody) {
   f.http.listen(ep, [](const HttpRequest& req, HttpRespondFn respond) {
     EXPECT_EQ(req.method, "GET");
     EXPECT_EQ(req.path, "/hello");
+    // The payload arrives as the typed value the client sent.
+    EXPECT_EQ(std::any_cast<std::vector<int>>(req.body),
+              (std::vector<int>{1, 2, 3}));
     HttpResponse resp;
-    resp.body = "world";
+    resp.body = std::string("world");
     resp.body_size = 5;
     respond(std::move(resp));
   });
   std::string got;
   HttpRequest req;
   req.path = "/hello";
-  f.http.request(f.client, ep, std::move(req),
-                 [&](const HttpResponse& resp) { got = resp.body; });
+  req.body = std::vector<int>{1, 2, 3};
+  f.http.request(f.client, ep, std::move(req), [&](const HttpResponse& resp) {
+    got = std::any_cast<std::string>(resp.body);
+  });
   f.sim.run();
   EXPECT_EQ(got, "world");
   EXPECT_EQ(f.http.requests_served(ep), 1);

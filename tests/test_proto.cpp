@@ -1,9 +1,17 @@
-// Round-trip tests for the scheduler RPC wire format.
+// Tests for the scheduler RPC wire format: round trips, the exact size the
+// network charges, and a seeded-mutation fuzz of the parsers.
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <limits>
+#include <string_view>
+#include <vector>
+
 #include "common/error.h"
 #include "common/rng.h"
+#include "common/strings.h"
+#include "common/xml.h"
 #include "proto/messages.h"
 
 namespace vcmr::proto {
@@ -212,123 +220,489 @@ TEST(Proto, ReplySizeGrowsWithLocations) {
   EXPECT_GT(to_xml(big).size(), 3 * to_xml(small).size());
 }
 
-// Property: randomly generated messages survive the XML round trip intact.
-class ProtoFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+// --- the historical printer --------------------------------------------------
+//
+// to_xml used to build a common::XmlNode tree and print it. That printer is
+// kept here as an oracle: the streaming emitter must write the same bytes.
+namespace oracle {
 
-TEST_P(ProtoFuzz, RandomRequestRoundTrips) {
-  common::Rng rng(GetParam());
-  SchedulerRequest req;
-  req.host_id = rng.uniform_int(0, 1000);
-  req.tasks_queued = static_cast<int>(rng.uniform_int(0, 50));
-  req.remaining_work_seconds = rng.uniform(0, 1e6);
-  req.work_request_seconds = rng.uniform(0, 1e5);
-  req.mr_capable = rng.chance(0.5);
-  req.serving_endpoint = {NodeId{rng.uniform_int(0, 99)},
-                          static_cast<int>(rng.uniform_int(1, 65535))};
-  const int n_reports = static_cast<int>(rng.uniform_int(0, 5));
-  for (int i = 0; i < n_reports; ++i) {
-    ReportedResult rep;
-    rep.result_id = rng.uniform_int(1, 10000);
-    rep.name = "result_" + std::to_string(rng.uniform_int(0, 999));
-    rep.success = rng.chance(0.9);
-    rep.digest = {rng.next_u64(), rng.next_u64()};
-    rep.output_bytes = rng.uniform_int(0, 1'000'000'000);
-    rep.claimed_credit = rng.uniform(0, 100);
-    const int n_files = static_cast<int>(rng.uniform_int(0, 4));
-    for (int k = 0; k < n_files; ++k) {
-      OutputFileInfo fo;
-      fo.name = rep.name + ".part" + std::to_string(k);
-      fo.size = rng.uniform_int(0, 1'000'000);
-      fo.digest = {rng.next_u64(), rng.next_u64()};
-      fo.uploaded = rng.chance(0.5);
-      fo.reduce_partition = k;
-      rep.outputs.push_back(fo);
-    }
-    req.reports.push_back(std::move(rep));
+using common::XmlNode;
+
+void put_i64(XmlNode& n, const char* key, std::int64_t v) {
+  n.add_child_text(key, std::to_string(v));
+}
+void put_double(XmlNode& n, const char* key, double v) {
+  n.add_child_text(key, common::strprintf("%.17g", v));
+}
+void put_digest(XmlNode& n, const char* key, const common::Digest128& d) {
+  XmlNode& c = n.add_child(key);
+  put_i64(c, "hi", static_cast<std::int64_t>(d.hi));
+  put_i64(c, "lo", static_cast<std::int64_t>(d.lo));
+}
+void put_endpoint(XmlNode& n, const char* key, const net::Endpoint& ep) {
+  XmlNode& c = n.add_child(key);
+  put_i64(c, "node", ep.node.value());
+  put_i64(c, "port", ep.port);
+}
+void put_peer(XmlNode& parent, const PeerLocation& p) {
+  XmlNode& n = parent.add_child("peer");
+  put_i64(n, "map_index", p.map_index);
+  n.add_child_text("file_name", p.file_name);
+  put_i64(n, "size", p.size);
+  put_i64(n, "holder_host", p.holder_host);
+  put_endpoint(n, "endpoint", p.endpoint);
+  put_i64(n, "on_server", p.on_server ? 1 : 0);
+  if (p.from_store) put_i64(n, "from_store", 1);
+}
+
+std::string to_xml(const SchedulerRequest& req) {
+  XmlNode root("scheduler_request");
+  put_i64(root, "host_id", req.host_id);
+  put_i64(root, "tasks_queued", req.tasks_queued);
+  put_double(root, "remaining_work_seconds", req.remaining_work_seconds);
+  put_double(root, "work_request_seconds", req.work_request_seconds);
+  put_i64(root, "mr_capable", req.mr_capable ? 1 : 0);
+  put_endpoint(root, "serving_endpoint", req.serving_endpoint);
+  for (const auto& f : req.cached_files) root.add_child_text("cached_file", f);
+  if (req.knows_results) {
+    XmlNode& kn = root.add_child("known_results");
+    for (const std::int64_t id : req.known_results) put_i64(kn, "id", id);
   }
-
-  const SchedulerRequest back = request_from_xml(to_xml(req));
-  EXPECT_EQ(back.host_id, req.host_id);
-  EXPECT_EQ(back.tasks_queued, req.tasks_queued);
-  EXPECT_DOUBLE_EQ(back.remaining_work_seconds, req.remaining_work_seconds);
-  EXPECT_EQ(back.serving_endpoint, req.serving_endpoint);
-  ASSERT_EQ(back.reports.size(), req.reports.size());
-  for (std::size_t i = 0; i < req.reports.size(); ++i) {
-    EXPECT_EQ(back.reports[i].result_id, req.reports[i].result_id);
-    EXPECT_EQ(back.reports[i].digest, req.reports[i].digest);
-    EXPECT_DOUBLE_EQ(back.reports[i].claimed_credit,
-                     req.reports[i].claimed_credit);
-    ASSERT_EQ(back.reports[i].outputs.size(), req.reports[i].outputs.size());
-    for (std::size_t k = 0; k < req.reports[i].outputs.size(); ++k) {
-      EXPECT_EQ(back.reports[i].outputs[k].digest,
-                req.reports[i].outputs[k].digest);
-      EXPECT_EQ(back.reports[i].outputs[k].size,
-                req.reports[i].outputs[k].size);
+  if (!req.store_filter.empty()) {
+    root.add_child_text("store_filter", req.store_filter);
+  }
+  for (const auto& ff : req.failed_fetches) {
+    XmlNode& n = root.add_child("failed_fetch");
+    put_i64(n, "job_id", ff.job_id);
+    put_i64(n, "map_index", ff.map_index);
+    put_i64(n, "holder_host", ff.holder_host);
+  }
+  for (const auto& r : req.reports) {
+    XmlNode& n = root.add_child("result");
+    put_i64(n, "result_id", r.result_id);
+    n.add_child_text("name", r.name);
+    put_i64(n, "success", r.success ? 1 : 0);
+    put_digest(n, "digest", r.digest);
+    put_i64(n, "output_bytes", r.output_bytes);
+    put_double(n, "claimed_credit", r.claimed_credit);
+    for (const auto& f : r.outputs) {
+      XmlNode& fo = n.add_child("output_file");
+      fo.add_child_text("name", f.name);
+      put_i64(fo, "size", f.size);
+      put_digest(fo, "digest", f.digest);
+      put_i64(fo, "uploaded", f.uploaded ? 1 : 0);
+      put_i64(fo, "reduce_partition", f.reduce_partition);
     }
+  }
+  return root.to_string();
+}
+
+std::string to_xml(const SchedulerReply& reply) {
+  XmlNode root("scheduler_reply");
+  put_i64(root, "request_delay_us", reply.request_delay.as_micros());
+  put_i64(root, "had_work", reply.had_work ? 1 : 0);
+  put_i64(root, "report_map_results_immediately",
+          reply.report_map_results_immediately ? 1 : 0);
+  put_i64(root, "keep_serving", reply.keep_serving ? 1 : 0);
+  for (const auto& t : reply.tasks) {
+    XmlNode& n = root.add_child("task");
+    put_i64(n, "result_id", t.result_id);
+    n.add_child_text("result_name", t.result_name);
+    n.add_child_text("wu_name", t.wu_name);
+    n.add_child_text("app", t.app);
+    put_i64(n, "phase", static_cast<int>(t.phase));
+    put_i64(n, "job_id", t.job_id);
+    put_i64(n, "mr_index", t.mr_index);
+    put_i64(n, "n_maps", t.n_maps);
+    put_i64(n, "n_reducers", t.n_reducers);
+    put_double(n, "flops_estimate", t.flops_estimate);
+    put_i64(n, "report_deadline_us", t.report_deadline.as_micros());
+    put_i64(n, "inputs_complete", t.inputs_complete ? 1 : 0);
+    for (const auto& in : t.inputs) {
+      XmlNode& fi = n.add_child("input_file");
+      fi.add_child_text("name", in.name);
+      put_i64(fi, "size", in.size);
+      put_i64(fi, "on_server", in.on_server ? 1 : 0);
+      for (const auto& p : in.peers) put_peer(fi, p);
+    }
+  }
+  for (const auto& u : reply.location_updates) {
+    XmlNode& n = root.add_child("location_update");
+    put_i64(n, "result_id", u.result_id);
+    put_i64(n, "complete", u.complete ? 1 : 0);
+    for (const auto& p : u.peers) put_peer(n, p);
+  }
+  return root.to_string();
+}
+
+}  // namespace oracle
+
+// --- generators --------------------------------------------------------------
+
+/// Letters, digits, the five XML specials and interior spaces. The wire
+/// format trims leaf text, so generated names carry no surrounding
+/// whitespace; they may be empty.
+std::string random_name(common::Rng& rng, int max_len = 12) {
+  static constexpr std::string_view kAlphabet = "abcxyz019_.-&<>\"' ";
+  std::string s;
+  const auto len = rng.uniform_int(0, max_len);
+  for (std::int64_t i = 0; i < len; ++i) {
+    s += kAlphabet[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(kAlphabet.size()) - 1))];
+  }
+  return std::string(common::trim(s));
+}
+
+/// Small ids, -1 ("none"), and draws over the type's full range.
+std::int64_t random_id(common::Rng& rng) {
+  switch (rng.uniform_int(0, 5)) {
+    case 0: return -1;
+    case 1: return rng.uniform_int(std::numeric_limits<std::int64_t>::min(),
+                                   std::numeric_limits<std::int64_t>::max());
+    default: return rng.uniform_int(-10, 100'000);
+  }
+}
+int random_int(common::Rng& rng) {
+  return static_cast<int>(rng.uniform_int(-10, 70'000));
+}
+
+/// Doubles that %.17g must carry exactly, tiny and huge ones included.
+double random_real(common::Rng& rng) {
+  switch (rng.uniform_int(0, 6)) {
+    case 0: return 0.0;
+    case 1: return 0.1;
+    case 2: return 1e-300;
+    case 3: return 1e300;
+    case 4: return -rng.uniform(0, 1e9);
+    default: return rng.uniform(0, 1e6);
   }
 }
 
-TEST_P(ProtoFuzz, RandomReplyRoundTrips) {
-  common::Rng rng(GetParam() + 1000);
+net::Endpoint random_endpoint(common::Rng& rng) {
+  return {NodeId{rng.uniform_int(-1, 99)}, random_int(rng)};
+}
+
+common::Digest128 random_digest(common::Rng& rng) {
+  return {rng.next_u64(), rng.next_u64()};
+}
+
+PeerLocation random_peer(common::Rng& rng) {
+  PeerLocation p;
+  p.map_index = random_int(rng);
+  p.file_name = random_name(rng);
+  p.size = random_id(rng);
+  p.holder_host = random_id(rng);
+  p.endpoint = random_endpoint(rng);
+  p.on_server = rng.chance(0.5);
+  p.from_store = rng.chance(0.3);
+  return p;
+}
+
+SchedulerRequest random_request(common::Rng& rng) {
+  SchedulerRequest req;
+  req.host_id = random_id(rng);
+  req.tasks_queued = random_int(rng);
+  req.remaining_work_seconds = random_real(rng);
+  req.work_request_seconds = random_real(rng);
+  req.mr_capable = rng.chance(0.5);
+  req.serving_endpoint = random_endpoint(rng);
+  for (auto n = rng.uniform_int(0, 3); n > 0; --n) {
+    req.cached_files.push_back(random_name(rng));
+  }
+  for (auto n = rng.uniform_int(0, 4); n > 0; --n) {
+    ReportedResult rep;
+    rep.result_id = random_id(rng);
+    rep.name = random_name(rng);
+    rep.success = rng.chance(0.9);
+    rep.digest = random_digest(rng);
+    rep.output_bytes = random_id(rng);
+    rep.claimed_credit = random_real(rng);
+    for (auto k = rng.uniform_int(0, 3); k > 0; --k) {
+      OutputFileInfo fo;
+      fo.name = random_name(rng);
+      fo.size = random_id(rng);
+      fo.digest = random_digest(rng);
+      fo.uploaded = rng.chance(0.5);
+      fo.reduce_partition = random_int(rng);
+      rep.outputs.push_back(std::move(fo));
+    }
+    req.reports.push_back(std::move(rep));
+  }
+  // known_results travels only under knows_results.
+  req.knows_results = rng.chance(0.5);
+  if (req.knows_results) {
+    for (auto n = rng.uniform_int(0, 4); n > 0; --n) {
+      req.known_results.push_back(random_id(rng));
+    }
+  }
+  for (auto n = rng.uniform_int(0, 2); n > 0; --n) {
+    req.failed_fetches.push_back({random_id(rng), random_int(rng),
+                                  random_id(rng)});
+  }
+  if (rng.chance(0.4)) req.store_filter = random_name(rng, 40);
+  return req;
+}
+
+SchedulerReply random_reply(common::Rng& rng) {
   SchedulerReply reply;
-  reply.request_delay = SimTime::micros(rng.uniform_int(0, 100'000'000));
+  reply.request_delay = SimTime::micros(random_id(rng));
   reply.had_work = rng.chance(0.5);
   reply.report_map_results_immediately = rng.chance(0.3);
-  const int n_tasks = static_cast<int>(rng.uniform_int(0, 4));
-  for (int i = 0; i < n_tasks; ++i) {
+  reply.keep_serving = rng.chance(0.5);
+  for (auto n = rng.uniform_int(0, 3); n > 0; --n) {
     AssignedTask t;
-    t.result_id = rng.uniform_int(1, 10000);
-    t.result_name = "r" + std::to_string(i);
-    t.wu_name = "w" + std::to_string(i);
-    t.app = rng.chance(0.5) ? "word_count" : "grep";
+    t.result_id = random_id(rng);
+    t.result_name = random_name(rng);
+    t.wu_name = random_name(rng);
+    t.app = random_name(rng);
     t.phase = static_cast<TaskPhase>(rng.uniform_int(0, 2));
-    t.n_maps = static_cast<int>(rng.uniform_int(1, 40));
-    t.n_reducers = static_cast<int>(rng.uniform_int(1, 10));
-    t.flops_estimate = rng.uniform(1e6, 1e12);
-    t.report_deadline = SimTime::micros(rng.uniform_int(0, 1'000'000'000));
+    t.job_id = random_id(rng);
+    t.mr_index = random_int(rng);
+    t.n_maps = random_int(rng);
+    t.n_reducers = random_int(rng);
+    t.flops_estimate = random_real(rng);
+    t.report_deadline = SimTime::micros(random_id(rng));
     t.inputs_complete = rng.chance(0.8);
-    const int n_inputs = static_cast<int>(rng.uniform_int(0, 6));
-    for (int k = 0; k < n_inputs; ++k) {
+    for (auto k = rng.uniform_int(0, 4); k > 0; --k) {
       InputFileSpec in;
-      in.name = "f" + std::to_string(k);
-      in.size = rng.uniform_int(0, 1'000'000'000);
+      in.name = random_name(rng);
+      in.size = random_id(rng);
       in.on_server = rng.chance(0.5);
-      if (rng.chance(0.7)) {
-        PeerLocation p;
-        p.map_index = k;
-        p.file_name = in.name;
-        p.size = in.size;
-        p.holder_host = rng.uniform_int(1, 50);
-        p.endpoint = {NodeId{rng.uniform_int(0, 99)}, 31416};
-        p.on_server = in.on_server;
-        in.peers.push_back(p);
+      for (auto m = rng.uniform_int(0, 2); m > 0; --m) {
+        in.peers.push_back(random_peer(rng));
       }
       t.inputs.push_back(std::move(in));
     }
     reply.tasks.push_back(std::move(t));
   }
+  for (auto n = rng.uniform_int(0, 2); n > 0; --n) {
+    LocationUpdate u;
+    u.result_id = random_id(rng);
+    u.complete = rng.chance(0.5);
+    for (auto m = rng.uniform_int(0, 3); m > 0; --m) {
+      u.peers.push_back(random_peer(rng));
+    }
+    reply.location_updates.push_back(std::move(u));
+  }
+  return reply;
+}
 
-  const SchedulerReply back = reply_from_xml(to_xml(reply));
-  EXPECT_EQ(back.request_delay, reply.request_delay);
-  EXPECT_EQ(back.had_work, reply.had_work);
-  ASSERT_EQ(back.tasks.size(), reply.tasks.size());
-  for (std::size_t i = 0; i < reply.tasks.size(); ++i) {
-    EXPECT_EQ(back.tasks[i].result_id, reply.tasks[i].result_id);
-    EXPECT_EQ(back.tasks[i].phase, reply.tasks[i].phase);
-    EXPECT_DOUBLE_EQ(back.tasks[i].flops_estimate,
-                     reply.tasks[i].flops_estimate);
-    EXPECT_EQ(back.tasks[i].report_deadline, reply.tasks[i].report_deadline);
-    ASSERT_EQ(back.tasks[i].inputs.size(), reply.tasks[i].inputs.size());
-    for (std::size_t k = 0; k < reply.tasks[i].inputs.size(); ++k) {
-      EXPECT_EQ(back.tasks[i].inputs[k].size, reply.tasks[i].inputs[k].size);
-      EXPECT_EQ(back.tasks[i].inputs[k].peers.size(),
-                reply.tasks[i].inputs[k].peers.size());
+constexpr int kMessagesPerSeed = 25;
+
+/// to_xml writes what the historical printer wrote, and wire_size counts
+/// exactly those bytes.
+template <class Msg>
+void expect_exact_wire(const Msg& m) {
+  const std::string xml = to_xml(m);
+  EXPECT_EQ(xml, oracle::to_xml(m));
+  EXPECT_EQ(wire_size(m), static_cast<Bytes>(xml.size())) << xml;
+}
+
+// Property: randomly generated messages, every field set, survive the XML
+// round trip whole and are sized exactly.
+class ProtoFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ProtoFuzz, RandomRequestRoundTrips) {
+  common::Rng rng(GetParam());
+  for (int i = 0; i < kMessagesPerSeed; ++i) {
+    const SchedulerRequest req = random_request(rng);
+    EXPECT_EQ(request_from_xml(to_xml(req)), req) << to_xml(req);
+  }
+}
+
+TEST_P(ProtoFuzz, RandomReplyRoundTrips) {
+  common::Rng rng(GetParam() + 1000);
+  for (int i = 0; i < kMessagesPerSeed; ++i) {
+    const SchedulerReply reply = random_reply(rng);
+    EXPECT_EQ(reply_from_xml(to_xml(reply)), reply) << to_xml(reply);
+  }
+}
+
+TEST_P(ProtoFuzz, WireSizeIsExactAndTextMatchesHistoricalPrinter) {
+  common::Rng rng(GetParam() + 2000);
+  for (int i = 0; i < kMessagesPerSeed; ++i) {
+    expect_exact_wire(random_request(rng));
+    expect_exact_wire(random_reply(rng));
+  }
+}
+
+// --- seeded-mutation fuzz of the wire parsers --------------------------------
+
+/// Last line of the element whose start tag is on line `first`: `first`
+/// itself for a leaf, else the close tag at the same indent.
+std::size_t element_end(const std::vector<std::string>& lines,
+                        std::size_t first) {
+  const std::string& open = lines[first];
+  if (open.find("</") != std::string::npos ||
+      open.find("/>") != std::string::npos) {
+    return first;
+  }
+  const std::size_t indent = open.find_first_not_of(' ');
+  for (std::size_t j = first + 1; j < lines.size(); ++j) {
+    if (lines[j].find_first_not_of(' ') == indent) return j;
+  }
+  return lines.size() - 1;
+}
+
+/// One seeded mutant of a to_xml text: flipped bytes, a truncation, an
+/// element duplicated or dropped, or a number made oversized.
+std::string mutate(const std::string& xml, common::Rng& rng) {
+  std::string s = xml;
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  switch (rng.uniform_int(0, 4)) {
+    case 0:
+      for (auto n = rng.uniform_int(1, 4); n > 0; --n) {
+        s[pick(s.size())] = static_cast<char>(rng.uniform_int(0, 255));
+      }
+      break;
+    case 1:
+      s.resize(pick(s.size()));
+      break;
+    case 2:
+    case 3: {
+      std::vector<std::string> lines = common::split(s, '\n');
+      lines.pop_back();  // the text ends in a newline
+      const std::size_t first = pick(lines.size());
+      const std::size_t last = element_end(lines, first);
+      const std::vector<std::string> element(
+          lines.begin() + static_cast<std::ptrdiff_t>(first),
+          lines.begin() + static_cast<std::ptrdiff_t>(last) + 1);
+      if (rng.chance(0.5)) {
+        lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(last) + 1,
+                     element.begin(), element.end());
+      } else {
+        lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(first),
+                    lines.begin() + static_cast<std::ptrdiff_t>(last) + 1);
+      }
+      s.clear();
+      for (const std::string& line : lines) s += line + '\n';
+      break;
+    }
+    default: {
+      static constexpr std::string_view kHuge[] = {
+          "99999999999999999999999", "-99999999999999999999999",
+          "18446744073709551616",    "1e999",
+          "-1e999",                  "nan",
+          "0x7fffffffffffffff"};
+      std::vector<std::size_t> digits;
+      for (std::size_t i = 0; i < s.size(); ++i) {
+        if (std::isdigit(static_cast<unsigned char>(s[i])) &&
+            (i == 0 || s[i - 1] == '>')) {
+          digits.push_back(i);
+        }
+      }
+      if (digits.empty()) break;
+      const std::size_t at = digits[pick(digits.size())];
+      const std::size_t end = s.find('<', at);
+      s.replace(at, end - at, kHuge[pick(std::size(kHuge))]);
+      break;
     }
   }
+  return s;
+}
+
+enum class Outcome { kReturned, kThrewError, kThrewOther };
+
+/// How `parse` ends. Anything but returning or throwing vcmr::Error is a
+/// parser bug.
+template <class F>
+Outcome outcome_of(F parse) {
+  try {
+    parse();
+  } catch (const Error&) {
+    return Outcome::kThrewError;
+  } catch (...) {
+    return Outcome::kThrewOther;
+  }
+  return Outcome::kReturned;
+}
+
+TEST_P(ProtoFuzz, MutatedWireParsesOrThrowsError) {
+  common::Rng rng(GetParam() + 3000);
+  constexpr int kMutantsPerMessage = 12;
+  int returned = 0, rejected = 0;
+  for (int i = 0; i < kMessagesPerSeed; ++i) {
+    for (const std::string& xml :
+         {to_xml(random_request(rng)), to_xml(random_reply(rng))}) {
+      for (int k = 0; k < kMutantsPerMessage; ++k) {
+        const std::string mutant = mutate(xml, rng);
+        EXPECT_NE(outcome_of([&] { request_from_xml(mutant); }),
+                  Outcome::kThrewOther)
+            << mutant;
+        EXPECT_NE(outcome_of([&] { reply_from_xml(mutant); }),
+                  Outcome::kThrewOther)
+            << mutant;
+        const Outcome parsed = outcome_of([&] { common::xml_parse(mutant); });
+        EXPECT_NE(parsed, Outcome::kThrewOther) << mutant;
+        ++(parsed == Outcome::kReturned ? returned : rejected);
+      }
+    }
+  }
+  // The mutants reach both sides of the parser.
+  EXPECT_GT(returned, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProtoFuzz,
                          ::testing::Values(1, 7, 42, 99, 1234, 777777));
+
+TEST(ProtoWire, EdgeCasesMatchHistoricalPrinter) {
+  // Empty messages and strings: every text field prints as <name/>.
+  expect_exact_wire(SchedulerRequest{});
+  expect_exact_wire(SchedulerReply{});
+
+  SchedulerRequest req;
+  req.host_id = -42;
+  req.tasks_queued = -1;
+  req.remaining_work_seconds = 0.1;
+  req.work_request_seconds = 1e-300;
+  req.serving_endpoint = {NodeId{-1}, -1};
+  req.cached_files = {"", "  padded  ", "a&b<c>d\"e'f", " & "};
+  req.knows_results = true;  // with an empty list: <known_results/>
+  req.store_filter = " \t";  // trims to nothing: <store_filter/>
+  ReportedResult rep;
+  rep.result_id = std::numeric_limits<std::int64_t>::min();
+  rep.name = "\tleading tab";
+  rep.claimed_credit = 1e300;
+  rep.digest = {~0ULL, 0};
+  OutputFileInfo out;
+  out.name = "<output_file>";
+  out.reduce_partition = -7;
+  rep.outputs.push_back(out);
+  req.reports.push_back(rep);
+  req.failed_fetches.push_back({-3, -4, -5});
+  expect_exact_wire(req);
+
+  req.known_results = {-9, 0, std::numeric_limits<std::int64_t>::max()};
+  expect_exact_wire(req);
+
+  SchedulerReply reply;
+  reply.request_delay = SimTime::micros(-1);
+  AssignedTask t;
+  t.result_name = "";
+  t.wu_name = "'quoted'";
+  t.app = "  &amp;  ";
+  t.flops_estimate = 0.1;
+  InputFileSpec in;
+  in.name = "in\nput";
+  PeerLocation p;
+  p.file_name = "\"peer\"";
+  p.holder_host = -2;
+  p.from_store = true;
+  in.peers.push_back(p);
+  t.inputs.push_back(in);
+  reply.tasks.push_back(t);
+  LocationUpdate u;
+  u.result_id = -8;
+  u.peers.push_back(p);
+  p.from_store = false;
+  u.peers.push_back(p);
+  reply.location_updates.push_back(u);
+  expect_exact_wire(reply);
+}
 
 TEST(Proto, BadXmlThrows) {
   EXPECT_THROW(request_from_xml("<wrong_root/>"), vcmr::Error);

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "common/error.h"
 #include "net/http.h"
 #include "obs/metrics.h"
@@ -134,6 +136,50 @@ TEST(Scheduler, AssignsMapWorkAfterFeederRuns) {
   EXPECT_EQ(t.n_reducers, 2);
   ASSERT_EQ(t.inputs.size(), 1u);
   EXPECT_TRUE(t.inputs[0].on_server);
+}
+
+// Over HTTP the scheduler takes the typed request off the wire and answers
+// with a typed reply; its wire counters carry the sizes the network
+// charged. A request with no SchedulerRequest payload is an error.
+TEST(Scheduler, HttpRpcCarriesTypedMessagesAtChargedSize) {
+  obs::ScopedMetricsRegistry metrics;
+  ProjectFixture f;
+  const HostId host = f.add_host();
+  const NodeId node = f.project->database().host(host).node;
+  f.project->start();
+
+  proto::SchedulerRequest req;
+  req.host_id = host.value();
+  req.mr_capable = true;
+  req.serving_endpoint = f.project->database().host(host).mr_endpoint;
+  req.cached_files = {"a&b"};
+  const Bytes in = proto::wire_size(req);
+  net::HttpRequest hreq;
+  hreq.method = "POST";
+  hreq.body_size = in;
+  hreq.body = req;
+  std::optional<proto::SchedulerReply> reply;
+  Bytes out = 0;
+  f.http.request(node, f.project->scheduler_endpoint(), std::move(hreq),
+                 [&](const net::HttpResponse& resp) {
+                   ASSERT_TRUE(resp.ok());
+                   reply = std::any_cast<proto::SchedulerReply>(resp.body);
+                   out = resp.body_size;
+                 });
+  f.sim.run(f.sim.now() + SimTime::seconds(10));
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(out, proto::wire_size(*reply));
+  EXPECT_EQ(out, static_cast<Bytes>(proto::to_xml(*reply).size()));
+  EXPECT_EQ(metrics.registry().counter_value("scheduler", "wire_bytes_in"),
+            in);
+  EXPECT_EQ(metrics.registry().counter_value("scheduler", "wire_bytes_out"),
+            out);
+
+  net::HttpRequest bare;
+  bare.method = "POST";
+  f.http.request(node, f.project->scheduler_endpoint(), std::move(bare),
+                 [](const net::HttpResponse&) {});
+  EXPECT_THROW(f.sim.run(f.sim.now() + SimTime::seconds(10)), Error);
 }
 
 TEST(Scheduler, OneResultPerHostPerWorkUnit) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <vector>
@@ -185,6 +186,124 @@ TEST(EventQueue, MatchesReferenceOrderUnderRandomOps) {
   }
 }
 
+TEST(EventQueue, RescheduleMovesEventAndKeepsCallback) {
+  EventQueue q;
+  auto token = std::make_shared<int>(0);
+  std::vector<char> fired;
+  const EventHandle a =
+      q.schedule(SimTime::seconds(1), [&, token] { fired.push_back('a'); });
+  q.schedule(SimTime::seconds(2), [&] { fired.push_back('b'); });
+  const EventHandle moved = q.reschedule(a, SimTime::seconds(3));
+  EXPECT_EQ(token.use_count(), 2);  // the same callback, not a rebuilt one
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.next_time(), SimTime::seconds(2));
+  q.cancel(a);  // the old handle no longer names the event
+  EXPECT_EQ(q.size(), 2u);
+  while (!q.empty()) q.pop_and_run();
+  EXPECT_EQ(fired, (std::vector<char>{'b', 'a'}));
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_THROW(q.reschedule(moved, SimTime::seconds(4)), Error);
+}
+
+TEST(EventQueue, RescheduleRejectsFiredOrCancelled) {
+  EventQueue q;
+  const EventHandle fired = q.schedule(SimTime::seconds(1), [] {});
+  const EventHandle cancelled = q.schedule(SimTime::seconds(2), [] {});
+  q.pop_and_run();
+  q.cancel(cancelled);
+  EXPECT_THROW(q.reschedule(fired, SimTime::seconds(5)), Error);
+  EXPECT_THROW(q.reschedule(cancelled, SimTime::seconds(5)), Error);
+  EXPECT_THROW(q.reschedule(EventHandle{}, SimTime::seconds(5)), Error);
+  // A stale handle must not move the slot's next occupant.
+  q.schedule(SimTime::seconds(3), [] {});
+  EXPECT_THROW(q.reschedule(cancelled, SimTime::seconds(5)), Error);
+  EXPECT_EQ(q.next_time(), SimTime::seconds(3));
+}
+
+// Differential test: random schedule/cancel/reschedule/pop scripts drive two
+// queues. One moves events with reschedule(); its twin cancels them and
+// schedules the same callback anew. Both must hand out the same handles
+// (slot, seq) and fire the same (time, label, handle) sequence.
+TEST(EventQueue, RescheduleMatchesCancelThenSchedule) {
+  struct Fired {
+    SimTime at;
+    int label = -1;
+    EventHandle handle;
+    bool operator==(const Fired&) const = default;
+  };
+  struct Twin {
+    Twin() = default;
+    Twin(const Twin&) = delete;  // callbacks hold `this`
+    Twin& operator=(const Twin&) = delete;
+
+    EventQueue q;
+    std::vector<EventHandle> handle;  // by label
+    std::vector<Fired> fired;
+    int last = -1;
+    EventFn callback(int label) {
+      return [this, label] { last = label; };
+    }
+    void pop() {
+      const SimTime at = q.pop_and_run();
+      fired.push_back({at, last, handle[static_cast<std::size_t>(last)]});
+    }
+  };
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    common::Rng rng(seed);
+    Twin moved, rebuilt;
+    std::vector<int> pending;  // labels
+    SimTime now = SimTime::zero();
+    const auto later = [&] {
+      return now + SimTime::seconds(static_cast<double>(rng.uniform_int(0, 3)));
+    };
+    const auto pick_pending = [&]() -> std::size_t {
+      return static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(pending.size()) - 1));
+    };
+
+    for (int op = 0; op < 400; ++op) {
+      const std::int64_t kind = rng.uniform_int(0, 9);
+      if (kind < 3 || pending.empty()) {
+        const int label = static_cast<int>(moved.handle.size());
+        const SimTime at = later();
+        moved.handle.push_back(moved.q.schedule(at, moved.callback(label)));
+        rebuilt.handle.push_back(
+            rebuilt.q.schedule(at, rebuilt.callback(label)));
+        pending.push_back(label);
+      } else if (kind < 4) {
+        const std::size_t i = pick_pending();
+        const auto l = static_cast<std::size_t>(pending[i]);
+        moved.q.cancel(moved.handle[l]);
+        rebuilt.q.cancel(rebuilt.handle[l]);
+        pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
+      } else if (kind < 7) {
+        const auto l = static_cast<std::size_t>(pending[pick_pending()]);
+        const SimTime at = later();
+        moved.handle[l] = moved.q.reschedule(moved.handle[l], at);
+        rebuilt.q.cancel(rebuilt.handle[l]);
+        rebuilt.handle[l] =
+            rebuilt.q.schedule(at, rebuilt.callback(static_cast<int>(l)));
+      } else {
+        moved.pop();
+        rebuilt.pop();
+        now = moved.fired.back().at;
+        pending.erase(std::find(pending.begin(), pending.end(),
+                                moved.fired.back().label));
+      }
+      ASSERT_EQ(moved.handle, rebuilt.handle)
+          << "seed " << seed << " op " << op;
+      ASSERT_EQ(moved.q.size(), pending.size());
+      ASSERT_EQ(moved.q.next_time(), rebuilt.q.next_time());
+    }
+    while (!moved.q.empty()) {
+      moved.pop();
+      rebuilt.pop();
+    }
+    EXPECT_TRUE(rebuilt.q.empty());
+    EXPECT_EQ(moved.fired, rebuilt.fired) << "seed " << seed;
+  }
+}
+
 TEST(Simulation, ClockAdvancesToEventTimes) {
   Simulation sim;
   std::vector<double> at;
@@ -230,6 +349,18 @@ TEST(Simulation, CannotScheduleInPast) {
   sim.after(SimTime::seconds(5), [] {});
   sim.run();
   EXPECT_THROW(sim.at(SimTime::seconds(1), [] {}), Error);
+}
+
+TEST(Simulation, RescheduleMovesPendingEventNotIntoPast) {
+  Simulation sim;
+  SimTime fired_at = SimTime::infinity();
+  EventHandle h = sim.after(SimTime::seconds(5), [&] { fired_at = sim.now(); });
+  sim.run(SimTime::seconds(2));
+  EXPECT_THROW(sim.reschedule(h, SimTime::seconds(1)), Error);
+  h = sim.reschedule(h, SimTime::seconds(9));
+  sim.run();
+  EXPECT_EQ(fired_at, SimTime::seconds(9));
+  EXPECT_EQ(sim.events_executed(), 1u);
 }
 
 TEST(Simulation, StopHaltsRun) {

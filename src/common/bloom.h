@@ -28,7 +28,6 @@ class BloomFilter {
   void merge(const BloomFilter& other);
 
   std::size_t bit_count() const { return words_.size() * 64; }
-  int hash_count() const { return hashes_; }
   /// Fraction of bits set (saturation indicator).
   double fill_ratio() const;
   /// Expected false-positive rate at the current fill.

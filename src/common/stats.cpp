@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/error.h"
 #include "common/strings.h"
 
 namespace vcmr::common {
@@ -31,60 +30,6 @@ double Summary::stddev() const { return std::sqrt(variance()); }
 std::string Summary::str() const {
   return strprintf("n=%lld mean=%.3f sd=%.3f min=%.3f max=%.3f",
                    static_cast<long long>(n_), mean(), stddev(), min(), max());
-}
-
-void Percentiles::ensure_sorted() const {
-  if (!sorted_) {
-    std::sort(xs_.begin(), xs_.end());
-    sorted_ = true;
-  }
-}
-
-double Percentiles::quantile(double q) const {
-  require(!xs_.empty(), "Percentiles::quantile on empty sample");
-  require(q >= 0.0 && q <= 1.0, "quantile q out of [0,1]");
-  ensure_sorted();
-  if (xs_.size() == 1) return xs_[0];
-  const double pos = q * static_cast<double>(xs_.size() - 1);
-  const auto i = static_cast<std::size_t>(pos);
-  const double frac = pos - static_cast<double>(i);
-  if (i + 1 >= xs_.size()) return xs_.back();
-  return xs_[i] * (1.0 - frac) + xs_[i + 1] * frac;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  require(hi > lo, "Histogram: hi must exceed lo");
-  require(buckets > 0, "Histogram: need at least one bucket");
-}
-
-void Histogram::add(double x) {
-  const double w = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto idx = static_cast<std::int64_t>((x - lo_) / w);
-  idx = std::clamp<std::int64_t>(idx, 0,
-                                 static_cast<std::int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  const double w = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + w * static_cast<double>(i);
-}
-
-std::string Histogram::ascii(std::size_t width) const {
-  std::int64_t peak = 1;
-  for (const auto c : counts_) peak = std::max(peak, c);
-  std::string out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar = static_cast<std::size_t>(
-        static_cast<double>(counts_[i]) / static_cast<double>(peak) *
-        static_cast<double>(width));
-    out += strprintf("%10.2f | %-*s %lld\n", bucket_lo(i),
-                     static_cast<int>(width), std::string(bar, '#').c_str(),
-                     static_cast<long long>(counts_[i]));
-  }
-  return out;
 }
 
 }  // namespace vcmr::common

@@ -1,10 +1,8 @@
 #pragma once
-// Online summary statistics and fixed-bucket histograms, used by metrics
-// collection and the benchmark harnesses.
+// Online summary statistics for the benchmark harnesses.
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace vcmr::common {
 
@@ -31,42 +29,6 @@ class Summary {
   double min_ = 0.0;
   double max_ = 0.0;
   double sum_ = 0.0;
-};
-
-/// Stores samples for exact order statistics; fine at simulation scale.
-class Percentiles {
- public:
-  void add(double x) { xs_.push_back(x); sorted_ = false; }
-  std::size_t count() const { return xs_.size(); }
-  /// q in [0,1]; linear interpolation between closest ranks.
-  double quantile(double q) const;
-  double median() const { return quantile(0.5); }
-
- private:
-  void ensure_sorted() const;
-  mutable std::vector<double> xs_;
-  mutable bool sorted_ = true;
-};
-
-/// Fixed-width bucket histogram over [lo, hi); out-of-range values clamp to
-/// the edge buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  std::int64_t bucket_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t buckets() const { return counts_.size(); }
-  double bucket_lo(std::size_t i) const;
-  std::int64_t total() const { return total_; }
-
-  /// ASCII rendering for report binaries.
-  std::string ascii(std::size_t width = 50) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::int64_t> counts_;
-  std::int64_t total_ = 0;
 };
 
 }  // namespace vcmr::common

@@ -20,8 +20,6 @@ std::string_view trim(std::string_view s);
 bool starts_with(std::string_view s, std::string_view prefix);
 bool ends_with(std::string_view s, std::string_view suffix);
 
-std::string to_lower(std::string_view s);
-
 /// Join with a separator.
 std::string join(const std::vector<std::string>& parts, std::string_view sep);
 

@@ -1,9 +1,10 @@
 #pragma once
 // Minimal XML document model.
 //
-// BOINC's on-disk formats — work-unit and result templates, scheduler RPC
-// bodies, and BOINC-MR's `mr_jobtracker.xml` job configuration — are plain
-// XML. This is a small, strict-enough reader/writer for that dialect:
+// BOINC's on-disk formats — scheduler RPC bodies and BOINC-MR's
+// `mr_jobtracker.xml` job configuration — are plain XML, and so are the
+// simulator's scenario files and database snapshots. This is a small,
+// strict-enough reader/writer for that dialect:
 // elements, attributes, text content, comments; no namespaces, DTDs, or
 // processing instructions.
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "common/strings.h"
-
 namespace vcmr::core {
 
 namespace {
@@ -128,13 +126,6 @@ JobMetrics compute_job_metrics(const db::Database& db, MrJobId job) {
                             m.map_to_reduce_gap_seconds +
                             m.reduce.span_seconds_trimmed;
   return m;
-}
-
-std::string fmt_cell(double raw, double trimmed) {
-  if (std::abs(raw - trimmed) < 1.0) {
-    return common::strprintf("%5.0f", raw);
-  }
-  return common::strprintf("%5.0f [%0.f]", raw, trimmed);
 }
 
 }  // namespace vcmr::core

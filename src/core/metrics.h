@@ -57,7 +57,4 @@ struct JobMetrics {
 /// project database.
 JobMetrics compute_job_metrics(const db::Database& db, MrJobId job);
 
-/// One Table-I-style row: "484  [396]" formatting helpers.
-std::string fmt_cell(double raw, double trimmed);
-
 }  // namespace vcmr::core

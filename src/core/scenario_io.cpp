@@ -31,32 +31,30 @@ Scenario scenario_from_xml(const std::string& xml) {
   s.flow_failure_rate =
       root->child_double("flow_failure_rate", s.flow_failure_rate);
 
+  // Storage-tier and project blocks carry line-numbered validation errors
+  // (the trace loader's style): a bad value points at the element that
+  // holds it, or at the block's open tag when the element is absent.
+  const auto fail_at = [](const XmlNode& block, std::string_view key,
+                          const char* why) {
+    const XmlNode* c = block.child(key);
+    throw Error(common::strprintf("scenario xml line %d: %s",
+                                  c != nullptr ? c->line() : block.line(),
+                                  why));
+  };
+
   if (const XmlNode* p = root->child("project")) {
     auto& cfg = s.project;
-    cfg.target_nresults =
-        static_cast<int>(p->child_i64("target_nresults", cfg.target_nresults));
-    cfg.min_quorum = static_cast<int>(p->child_i64("min_quorum", cfg.min_quorum));
-    cfg.mirror_map_outputs =
-        p->child_i64("mirror_map_outputs", cfg.mirror_map_outputs ? 1 : 0) != 0;
-    cfg.report_map_results_immediately =
-        p->child_i64("report_map_results_immediately",
-                     cfg.report_map_results_immediately ? 1 : 0) != 0;
-    cfg.pipelined_reduce =
-        p->child_i64("pipelined_reduce", cfg.pipelined_reduce ? 1 : 0) != 0;
+    server::read_project_fields(*p, "scenario xml", cfg);
     cfg.delay_bound = SimTime::seconds(
         p->child_double("delay_bound_s", cfg.delay_bound.as_seconds()));
     cfg.max_wus_in_progress = static_cast<int>(
         p->child_i64("max_wus_in_progress", cfg.max_wus_in_progress));
-    cfg.resend_lost_results =
-        p->child_i64("resend_lost_results", cfg.resend_lost_results ? 1 : 0) !=
-        0;
-    cfg.report_fetch_failures =
-        p->child_i64("report_fetch_failures",
-                     cfg.report_fetch_failures ? 1 : 0) != 0;
     cfg.snapshot_period = SimTime::seconds(p->child_double(
         "snapshot_period_s", cfg.snapshot_period.as_seconds()));
-    require(cfg.min_quorum >= 1 && cfg.min_quorum <= cfg.target_nresults,
-            "scenario xml: need 1 <= min_quorum <= target_nresults");
+    if (!(cfg.snapshot_period > SimTime::zero())) {
+      fail_at(*p, "snapshot_period_s",
+              "<project><snapshot_period_s> must be positive");
+    }
   }
 
   if (const XmlNode* r = root->child("replication")) {
@@ -79,17 +77,6 @@ Scenario scenario_from_xml(const std::string& xml) {
     cfg.peer_fetch.max_attempts = static_cast<int>(
         c->child_i64("peer_fetch_attempts", cfg.peer_fetch.max_attempts));
   }
-
-  // Storage-tier blocks carry line-numbered validation errors (the trace
-  // loader's style): a bad value points at the element that holds it, or at
-  // the block's open tag when the element is absent.
-  const auto fail_at = [](const XmlNode& block, std::string_view key,
-                          const char* why) {
-    const XmlNode* c = block.child(key);
-    throw Error(common::strprintf("scenario xml line %d: %s",
-                                  c != nullptr ? c->line() : block.line(),
-                                  why));
-  };
 
   if (const XmlNode* d = root->child("data_servers")) {
     auto& dc = s.data_servers;
@@ -346,21 +333,11 @@ std::string scenario_to_xml(const Scenario& s) {
   }
 
   XmlNode& p = root.add_child("project");
-  p.add_child_text("target_nresults", std::to_string(s.project.target_nresults));
-  p.add_child_text("min_quorum", std::to_string(s.project.min_quorum));
-  p.add_child_text("mirror_map_outputs",
-                   s.project.mirror_map_outputs ? "1" : "0");
-  p.add_child_text("report_map_results_immediately",
-                   s.project.report_map_results_immediately ? "1" : "0");
-  p.add_child_text("pipelined_reduce", s.project.pipelined_reduce ? "1" : "0");
+  server::write_project_fields(p, s.project);
   p.add_child_text("delay_bound_s",
                    common::strprintf("%.0f", s.project.delay_bound.as_seconds()));
   p.add_child_text("max_wus_in_progress",
                    std::to_string(s.project.max_wus_in_progress));
-  p.add_child_text("resend_lost_results",
-                   s.project.resend_lost_results ? "1" : "0");
-  p.add_child_text("report_fetch_failures",
-                   s.project.report_fetch_failures ? "1" : "0");
   p.add_child_text(
       "snapshot_period_s",
       common::strprintf("%.0f", s.project.snapshot_period.as_seconds()));

@@ -1,7 +1,6 @@
 #include "db/database.h"
 
 #include <algorithm>
-#include <iterator>
 
 #include "common/error.h"
 #include "common/strings.h"
@@ -165,7 +164,6 @@ void Database::index_unsent(const ResultRecord& r) {
   if (wu.audit) {
     unsent_audit_.insert(r.id);
   } else {
-    unsent_bulk_.insert(r.id);
     unsent_bulk_by_job_[wu.mr_job].insert(r.id);
   }
 }
@@ -174,7 +172,6 @@ void Database::unindex_unsent(const ResultRecord& r) {
   // The audit flag may have flipped since classification; erase from both
   // queues unconditionally.
   unsent_audit_.erase(r.id);
-  unsent_bulk_.erase(r.id);
   const auto it = unsent_bulk_by_job_.find(workunit(r.wu).mr_job);
   if (it != unsent_bulk_by_job_.end()) {
     it->second.erase(r.id);
@@ -207,14 +204,6 @@ void Database::set_workunit_audit(WorkUnitId id, bool audit) {
 std::vector<ResultId> Database::results_of(WorkUnitId wu) const {
   const auto it = results_by_wu_.find(wu);
   return it == results_by_wu_.end() ? std::vector<ResultId>{} : it->second;
-}
-
-std::vector<ResultId> Database::unsent_results() const {
-  std::vector<ResultId> out;
-  out.reserve(unsent_audit_.size() + unsent_bulk_.size());
-  std::merge(unsent_audit_.begin(), unsent_audit_.end(), unsent_bulk_.begin(),
-             unsent_bulk_.end(), std::back_inserter(out));
-  return out;
 }
 
 std::vector<ResultId> Database::timed_out_results(SimTime now) const {

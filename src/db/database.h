@@ -49,7 +49,7 @@ class Database {
   // --- state transitions (index-maintaining) -------------------------------
   /// Change a result's server_state. This is the only supported way to move
   /// a result in or out of kUnsent: it keeps the feeder's ready queues
-  /// (unsent_audit / unsent_bulk / unsent_bulk_by_job) in sync, replacing
+  /// (unsent_audit / unsent_bulk_by_job) in sync, replacing
   /// the full-table scan the feeder used to do per pass. No-op if the state
   /// is unchanged.
   void set_server_state(ResultId id, ServerState s);
@@ -61,13 +61,10 @@ class Database {
   // --- queries used by the daemons -----------------------------------------
   /// Results of a workunit, id order.
   std::vector<ResultId> results_of(WorkUnitId wu) const;
-  /// All unsent results, id order (merged from the ready queues).
-  std::vector<ResultId> unsent_results() const;
   /// Feeder ready queues: unsent results of audit-flagged workunits, id
-  /// order; unsent bulk results, id order; and the bulk queue sharded by
+  /// order; and the other unsent results sharded by job, id order within a
   /// job (the feeder's fair-share round-robin walks one shard per round).
   const std::set<ResultId>& unsent_audit() const { return unsent_audit_; }
-  const std::set<ResultId>& unsent_bulk() const { return unsent_bulk_; }
   const std::map<MrJobId, std::set<ResultId>>& unsent_bulk_by_job() const {
     return unsent_bulk_by_job_;
   }
@@ -122,7 +119,6 @@ class Database {
   /// set_workunit_audit time so no daemon pass ever rescans the result
   /// table for unsent work.
   std::set<ResultId> unsent_audit_;
-  std::set<ResultId> unsent_bulk_;
   std::map<MrJobId, std::set<ResultId>> unsent_bulk_by_job_;
 
   std::int64_t next_app_ = 1;

@@ -94,7 +94,7 @@ struct WorkUnitRecord {
   /// scheduler's fill-the-request-seconds matchmaking and client runtime.
   double flops_est = 0.0;
 
-  // BOINC-MR annotations (the <mapreduce> tag in the WU template).
+  // BOINC-MR annotations (what the paper's <mapreduce> WU template tag names).
   MrPhase mr_phase = MrPhase::kNone;
   MrJobId mr_job;
   int mr_index = -1;  ///< map index in [0,M) or reduce partition in [0,R)

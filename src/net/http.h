@@ -58,7 +58,6 @@ class HttpService {
   /// BOINC's cgi-per-function layout.
   void listen(Endpoint ep, HttpHandler handler);
   void stop_listening(Endpoint ep);
-  bool listening(Endpoint ep) const { return handlers_.count(ep) > 0; }
 
   /// Issues a request. `on_fail` fires on connectivity loss at any stage or
   /// when nothing listens at the endpoint. Body flows use `priority`, and

@@ -47,10 +47,6 @@ const Network::Node& Network::node(NodeId id) const {
   return nodes_[static_cast<std::size_t>(id.value())];
 }
 
-const std::string& Network::node_name(NodeId id) const {
-  return node(id).cfg.name;
-}
-
 void Network::set_online(NodeId id, bool online) {
   Node& n = node(id);
   if (n.online == online) return;
@@ -77,8 +73,6 @@ void Network::set_partition_class(NodeId id, int cls) {
   n.partition = cls;
   fail_partitioned_flows();
 }
-
-int Network::partition_class(NodeId id) const { return node(id).partition; }
 
 bool Network::reachable(NodeId a, NodeId b) const {
   const Node& na = node(a);

@@ -86,8 +86,6 @@ class Network {
 
   // --- topology ---------------------------------------------------------
   NodeId add_node(const NodeConfig& cfg);
-  std::size_t node_count() const { return nodes_.size(); }
-  const std::string& node_name(NodeId id) const;
 
   void set_online(NodeId id, bool online);
   bool online(NodeId id) const;
@@ -103,7 +101,6 @@ class Network {
   /// cannot exchange flows or messages. All nodes start in class 0;
   /// changing a node's class fails its flows that now cross the cut.
   void set_partition_class(NodeId id, int cls);
-  int partition_class(NodeId id) const;
   /// Both endpoints online and in the same partition class.
   bool reachable(NodeId a, NodeId b) const;
 

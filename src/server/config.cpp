@@ -15,36 +15,13 @@ ProjectConfig parse_mr_jobtracker(const std::string& xml, ProjectConfig base) {
       static_cast<int>(root->child_i64("n_maps", cfg.default_n_maps));
   cfg.default_n_reducers =
       static_cast<int>(root->child_i64("n_reducers", cfg.default_n_reducers));
-  if (root->has_child("target_nresults")) {
-    cfg.target_nresults = static_cast<int>(root->child_i64("target_nresults"));
-  }
-  if (root->has_child("min_quorum")) {
-    cfg.min_quorum = static_cast<int>(root->child_i64("min_quorum"));
-  }
-  if (root->has_child("mirror_map_outputs")) {
-    cfg.mirror_map_outputs = root->child_i64("mirror_map_outputs") != 0;
-  }
-  if (root->has_child("report_map_results_immediately")) {
-    cfg.report_map_results_immediately =
-        root->child_i64("report_map_results_immediately") != 0;
-  }
-  if (root->has_child("pipelined_reduce")) {
-    cfg.pipelined_reduce = root->child_i64("pipelined_reduce") != 0;
-  }
-  if (root->has_child("resend_lost_results")) {
-    cfg.resend_lost_results = root->child_i64("resend_lost_results") != 0;
-  }
-  if (root->has_child("report_fetch_failures")) {
-    cfg.report_fetch_failures = root->child_i64("report_fetch_failures") != 0;
-  }
   if (const common::XmlNode* r = root->child("replication")) {
     read_replication(*r, "mr_jobtracker.xml", cfg.reputation);
   }
   require(cfg.default_n_maps >= 1, "mr_jobtracker.xml: n_maps must be >= 1");
   require(cfg.default_n_reducers >= 1,
           "mr_jobtracker.xml: n_reducers must be >= 1");
-  require(cfg.min_quorum >= 1 && cfg.min_quorum <= cfg.target_nresults,
-          "mr_jobtracker.xml: need 1 <= min_quorum <= target_nresults");
+  read_project_fields(*root, "mr_jobtracker.xml", cfg);
   return cfg;
 }
 
@@ -52,19 +29,40 @@ std::string mr_jobtracker_xml(const ProjectConfig& cfg) {
   common::XmlNode root("mr_jobtracker");
   root.add_child_text("n_maps", std::to_string(cfg.default_n_maps));
   root.add_child_text("n_reducers", std::to_string(cfg.default_n_reducers));
-  root.add_child_text("target_nresults", std::to_string(cfg.target_nresults));
-  root.add_child_text("min_quorum", std::to_string(cfg.min_quorum));
-  root.add_child_text("mirror_map_outputs",
-                      cfg.mirror_map_outputs ? "1" : "0");
-  root.add_child_text("report_map_results_immediately",
-                      cfg.report_map_results_immediately ? "1" : "0");
-  root.add_child_text("pipelined_reduce", cfg.pipelined_reduce ? "1" : "0");
-  root.add_child_text("resend_lost_results",
-                      cfg.resend_lost_results ? "1" : "0");
-  root.add_child_text("report_fetch_failures",
-                      cfg.report_fetch_failures ? "1" : "0");
+  write_project_fields(root, cfg);
   write_replication(root, cfg.reputation);
   return root.to_string();
+}
+
+void read_project_fields(const common::XmlNode& p, const std::string& doc,
+                         ProjectConfig& cfg) {
+  const auto flag = [&p](const char* name, bool& v) {
+    v = p.child_i64(name, v ? 1 : 0) != 0;
+  };
+  cfg.target_nresults =
+      static_cast<int>(p.child_i64("target_nresults", cfg.target_nresults));
+  cfg.min_quorum = static_cast<int>(p.child_i64("min_quorum", cfg.min_quorum));
+  flag("mirror_map_outputs", cfg.mirror_map_outputs);
+  flag("report_map_results_immediately", cfg.report_map_results_immediately);
+  flag("pipelined_reduce", cfg.pipelined_reduce);
+  flag("resend_lost_results", cfg.resend_lost_results);
+  flag("report_fetch_failures", cfg.report_fetch_failures);
+  if (cfg.min_quorum < 1 || cfg.min_quorum > cfg.target_nresults) {
+    throw Error(doc + ": need 1 <= min_quorum <= target_nresults");
+  }
+}
+
+void write_project_fields(common::XmlNode& p, const ProjectConfig& cfg) {
+  const auto flag = [&p](const char* name, bool v) {
+    p.add_child_text(name, v ? "1" : "0");
+  };
+  p.add_child_text("target_nresults", std::to_string(cfg.target_nresults));
+  p.add_child_text("min_quorum", std::to_string(cfg.min_quorum));
+  flag("mirror_map_outputs", cfg.mirror_map_outputs);
+  flag("report_map_results_immediately", cfg.report_map_results_immediately);
+  flag("pipelined_reduce", cfg.pipelined_reduce);
+  flag("resend_lost_results", cfg.resend_lost_results);
+  flag("report_fetch_failures", cfg.report_fetch_failures);
 }
 
 void read_replication(const common::XmlNode& r, const std::string& doc,

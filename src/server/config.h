@@ -119,6 +119,16 @@ ProjectConfig parse_mr_jobtracker(const std::string& xml,
 /// Serializes the MR-relevant fields back to `mr_jobtracker.xml` form.
 std::string mr_jobtracker_xml(const ProjectConfig& cfg);
 
+/// The project fields `mr_jobtracker.xml` and scenario XML's `<project>`
+/// block share: target_nresults, min_quorum and the BOINC-MR and recovery
+/// switches. Reads them from `p` over `cfg` (absent or unparsable fields
+/// keep their values) and checks 1 <= min_quorum <= target_nresults; errors
+/// name `doc`.
+void read_project_fields(const common::XmlNode& p, const std::string& doc,
+                         ProjectConfig& cfg);
+/// Appends those fields to `p`.
+void write_project_fields(common::XmlNode& p, const ProjectConfig& cfg);
+
 /// The `<replication policy="fixed|adaptive">` block, shared by
 /// `mr_jobtracker.xml` and scenario XML. Reads `r` over `rc` (absent fields
 /// keep their values) and validates the result; errors name `doc`.

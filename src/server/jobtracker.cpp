@@ -5,7 +5,6 @@
 #include "common/error.h"
 #include "common/logging.h"
 #include "mr/dataset.h"
-#include "server/templates.h"
 
 namespace vcmr::server {
 
@@ -30,34 +29,27 @@ std::string JobTracker::reduce_output_name(const std::string& result_name) {
   return result_name + ".out";
 }
 
-WorkUnitId JobTracker::create_wu_from_template(const std::string& tpl_xml,
-                                               db::MrPhase phase, MrJobId job,
-                                               int index, double flops_est) {
-  // Round-trip through the template parser: exactly what BOINC's staging
-  // scripts ("work units must be manually added ... using specific
-  // scripts", §III.B) do with the on-disk XML.
-  const WuTemplate tpl = WuTemplate::parse(tpl_xml);
-
+void JobTracker::create_wu(const db::MrJobRecord& job, db::MrPhase phase,
+                           int index, double flops_est,
+                           std::vector<FileId> inputs) {
+  // Replication a freshly staged WU starts with (vcmr::rep decision).
+  const rep::Replication repl = rep::initial_replication(
+      cfg_.reputation, {cfg_.target_nresults, cfg_.min_quorum});
   db::WorkUnitRecord wu;
-  wu.name = tpl.wu_name;
-  wu.target_nresults = tpl.target_nresults;
-  wu.min_quorum = tpl.min_quorum;
+  wu.name = job.name + (phase == db::MrPhase::kMap ? "_map_" : "_reduce_") +
+            std::to_string(index);
+  wu.app = job.app;
+  wu.input_files = std::move(inputs);
+  wu.target_nresults = repl.target_nresults;
+  wu.min_quorum = repl.min_quorum;
   wu.max_error_results = cfg_.max_error_results;
   wu.max_total_results = cfg_.max_total_results;
-  wu.delay_bound = tpl.delay_bound;
+  wu.delay_bound = cfg_.delay_bound;
   wu.mr_phase = phase;
-  wu.mr_job = job;
+  wu.mr_job = job.id;
   wu.mr_index = index;
   wu.flops_est = flops_est;
-
-  const db::MrJobRecord& jr = db_.mr_job(job);
-  wu.app = jr.app;
-  for (const auto& f : tpl.input_files) {
-    const auto fid = db_.find_file_by_name(f.name);
-    require(fid.has_value(), "wu template references unstaged file");
-    wu.input_files.push_back(*fid);
-  }
-  return db_.create_workunit(wu).id;
+  db_.create_workunit(wu);
 }
 
 MrJobId JobTracker::submit(const MrJobSpec& spec) {
@@ -83,99 +75,55 @@ MrJobId JobTracker::submit(const MrJobSpec& spec) {
   JobRuntime& rt = runtime_[job.id];
   rt.cost = app->cost();
 
-  // Stage input chunks on the data server and register them in the db.
+  // Split the input into one chunk per map, or into the single file every
+  // map work unit of a parameter sweep reads.
+  const int n_files = spec.shared_input ? 1 : n_maps;
   std::vector<mr::FilePayload> chunks;
-  if (spec.shared_input) {
-    // One file, referenced by every map WU (parameter sweep).
-    mr::FilePayload whole;
-    if (spec.input_text) {
-      whole = mr::FilePayload::of_content("#chunk 0\n" + *spec.input_text);
-    } else {
-      whole = mr::FilePayload::of_size(
-          spec.input_size,
-          common::Hasher{}.update(spec.name).update_u64(0).digest());
-    }
-    rt.input_size = whole.size;
-    chunks.assign(static_cast<std::size_t>(n_maps), whole);
-
-    const std::string fname = spec.name + "_shared_input";
-    db::FileRecord frec;
-    frec.name = fname;
-    frec.size = whole.size;
-    frec.digest = whole.digest;
-    frec.on_server = true;
-    db_.create_file(frec);
-    data_.stage(fname, whole);
-
-    for (int i = 0; i < n_maps; ++i) {
-      WuTemplate tpl;
-      tpl.wu_name = spec.name + "_map_" + std::to_string(i);
-      tpl.app_name = spec.app;
-      tpl.input_files.push_back({fname, whole.size});
-      const rep::Replication repl = initial_replication();
-      tpl.target_nresults = repl.target_nresults;
-      tpl.min_quorum = repl.min_quorum;
-      tpl.delay_bound = cfg_.delay_bound;
-      tpl.job_name = spec.name;
-      tpl.phase = 1;
-      tpl.index = i;
-      tpl.n_maps = n_maps;
-      tpl.n_reducers = n_reducers;
-      const double flops =
-          rt.cost.map_flops_per_byte * static_cast<double>(whole.size);
-      create_wu_from_template(tpl.render(), db::MrPhase::kMap, job.id, i,
-                              flops);
-    }
-    log_.info("submitted sweep job '", spec.name, "': ", n_maps,
-              " maps over one shared ", whole.size, "-byte input");
-    return job.id;
-  }
   if (spec.input_text) {
-    for (auto& text : mr::split_text(*spec.input_text, n_maps)) {
+    for (auto& text : mr::split_text(*spec.input_text, n_files)) {
       chunks.push_back(mr::FilePayload::of_content(std::move(text)));
     }
-    rt.input_size = static_cast<Bytes>(spec.input_text->size());
   } else {
-    for (const Bytes size : mr::split_sizes(spec.input_size, n_maps)) {
+    for (const Bytes size : mr::split_sizes(spec.input_size, n_files)) {
       // Deterministic digest: modelled inputs have no bytes to hash.
       chunks.push_back(mr::FilePayload::of_size(
           size, common::Hasher{}.update(spec.name).update_u64(
                     static_cast<std::uint64_t>(chunks.size())).digest()));
     }
-    rt.input_size = spec.input_size;
   }
+  rt.input_size = spec.shared_input ? chunks.front().size
+                  : spec.input_text
+                      ? static_cast<Bytes>(spec.input_text->size())
+                      : spec.input_size;
 
+  // Stage each file on the data server and register it in the db just
+  // before the first work unit that reads it.
+  FileId input;
   for (int i = 0; i < n_maps; ++i) {
-    const std::string fname = map_input_name(spec.name, i);
-    const mr::FilePayload& chunk = chunks[static_cast<std::size_t>(i)];
-    db::FileRecord frec;
-    frec.name = fname;
-    frec.size = chunk.size;
-    frec.digest = chunk.digest;
-    frec.on_server = true;
-    db_.create_file(frec);
-    data_.stage(fname, chunk);
-
-    WuTemplate tpl;
-    tpl.wu_name = spec.name + "_map_" + std::to_string(i);
-    tpl.app_name = spec.app;
-    tpl.input_files.push_back({fname, chunk.size});
-    const rep::Replication repl = initial_replication();
-    tpl.target_nresults = repl.target_nresults;
-    tpl.min_quorum = repl.min_quorum;
-    tpl.delay_bound = cfg_.delay_bound;
-    tpl.job_name = spec.name;
-    tpl.phase = 1;
-    tpl.index = i;
-    tpl.n_maps = n_maps;
-    tpl.n_reducers = n_reducers;
-    const double flops =
-        rt.cost.map_flops_per_byte * static_cast<double>(chunk.size);
-    create_wu_from_template(tpl.render(), db::MrPhase::kMap, job.id, i, flops);
+    const mr::FilePayload& chunk =
+        chunks[static_cast<std::size_t>(spec.shared_input ? 0 : i)];
+    if (i < n_files) {
+      db::FileRecord frec;
+      frec.name = spec.shared_input ? spec.name + "_shared_input"
+                                    : map_input_name(spec.name, i);
+      frec.size = chunk.size;
+      frec.digest = chunk.digest;
+      frec.on_server = true;
+      input = db_.create_file(frec).id;
+      data_.stage(frec.name, chunk);
+    }
+    create_wu(job, db::MrPhase::kMap, i,
+              rt.cost.map_flops_per_byte * static_cast<double>(chunk.size),
+              {input});
   }
 
-  log_.info("submitted job '", spec.name, "': ", n_maps, " maps, ", n_reducers,
-            " reducers, input ", rt.input_size, " bytes");
+  if (spec.shared_input) {
+    log_.info("submitted sweep job '", spec.name, "': ", n_maps,
+              " maps over one shared ", rt.input_size, "-byte input");
+  } else {
+    log_.info("submitted job '", spec.name, "': ", n_maps, " maps, ",
+              n_reducers, " reducers, input ", rt.input_size, " bytes");
+  }
   return job.id;
 }
 
@@ -191,20 +139,7 @@ void JobTracker::create_reduce_wus(db::MrJobRecord& job) {
       rt.cost.reduce_flops_per_byte * inter_bytes / job.n_reducers;
 
   for (int r = 0; r < job.n_reducers; ++r) {
-    WuTemplate tpl;
-    tpl.wu_name = job.name + "_reduce_" + std::to_string(r);
-    tpl.app_name = db_.app(job.app).name;
-    const rep::Replication repl = initial_replication();
-    tpl.target_nresults = repl.target_nresults;
-    tpl.min_quorum = repl.min_quorum;
-    tpl.delay_bound = cfg_.delay_bound;
-    tpl.job_name = job.name;
-    tpl.phase = 2;
-    tpl.index = r;
-    tpl.n_maps = job.n_maps;
-    tpl.n_reducers = job.n_reducers;
-    create_wu_from_template(tpl.render(), db::MrPhase::kReduce, job.id, r,
-                            flops);
+    create_wu(job, db::MrPhase::kReduce, r, flops, {});
   }
   log_.info("job '", job.name, "': created ", job.n_reducers,
             " reduce work units");

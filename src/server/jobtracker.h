@@ -104,14 +104,11 @@ class JobTracker {
 
  private:
   void create_reduce_wus(db::MrJobRecord& job);
-  WorkUnitId create_wu_from_template(const std::string& tpl_xml,
-                                     db::MrPhase phase, MrJobId job,
-                                     int index, double flops_est);
-  /// Replication a freshly staged WU starts with (vcmr::rep decision).
-  rep::Replication initial_replication() const {
-    return rep::initial_replication(
-        cfg_.reputation, {cfg_.target_nresults, cfg_.min_quorum});
-  }
+  /// Writes map `index` / reduce partition `index` of `job` into the
+  /// database (`<job>_map_<i>` / `<job>_reduce_<r>`) with the project's
+  /// initial replication, deadline and error limits.
+  void create_wu(const db::MrJobRecord& job, db::MrPhase phase, int index,
+                 double flops_est, std::vector<FileId> inputs);
 
   sim::Simulation& sim_;
   db::Database& db_;

@@ -51,12 +51,7 @@ Project::Project(sim::Simulation& sim, net::HttpService& http,
       assimilator_(db_),
       jobtracker_(sim, db_, data_, cfg_),
       scheduler_(sim, db_, feeder_, jobtracker_, cfg_, http,
-                 net::Endpoint{server_node, kSchedulerPort}, &rep_policy_),
-      feeder_daemon_(sim, "feeder"),
-      transitioner_daemon_(sim, "transitioner"),
-      validator_daemon_(sim, "validator"),
-      assimilator_daemon_(sim, "assimilator"),
-      snapshot_daemon_(sim, "snapshot") {
+                 net::Endpoint{server_node, kSchedulerPort}, &rep_policy_) {
   validator_.set_validated_listener(
       [this](WorkUnitId wu) { jobtracker_.wu_validated(wu); });
   assimilator_.set_assimilated_listener(
@@ -66,16 +61,16 @@ Project::Project(sim::Simulation& sim, net::HttpService& http,
 }
 
 void Project::start() {
-  feeder_daemon_.start(cfg_.feeder_period, [this] {
+  feeder_daemon_.emplace(sim_, cfg_.feeder_period, [this] {
     note_daemon_pass(sim_, "feeder", feeder_.refill());
   });
-  transitioner_daemon_.start(cfg_.transitioner_period, [this] {
+  transitioner_daemon_.emplace(sim_, cfg_.transitioner_period, [this] {
     note_daemon_pass(sim_, "transitioner", transitioner_.pass(sim_.now()));
   });
-  validator_daemon_.start(cfg_.validator_period, [this] {
+  validator_daemon_.emplace(sim_, cfg_.validator_period, [this] {
     note_daemon_pass(sim_, "validator", validator_.pass());
   });
-  assimilator_daemon_.start(cfg_.assimilator_period, [this] {
+  assimilator_daemon_.emplace(sim_, cfg_.assimilator_period, [this] {
     const std::int64_t before = assimilator_.assimilated();
     assimilator_.pass();
     note_daemon_pass(sim_, "assimilator",
@@ -83,7 +78,7 @@ void Project::start() {
   });
   if (snapshots_enabled_) {
     take_snapshot();  // a restore point exists from the first instant
-    snapshot_daemon_.start(cfg_.snapshot_period, [this] {
+    snapshot_daemon_.emplace(sim_, cfg_.snapshot_period, [this] {
       take_snapshot();
       note_daemon_pass(sim_, "snapshot", 1);
     });
@@ -91,11 +86,11 @@ void Project::start() {
 }
 
 void Project::stop() {
-  feeder_daemon_.stop();
-  transitioner_daemon_.stop();
-  validator_daemon_.stop();
-  assimilator_daemon_.stop();
-  snapshot_daemon_.stop();
+  feeder_daemon_.reset();
+  transitioner_daemon_.reset();
+  validator_daemon_.reset();
+  assimilator_daemon_.reset();
+  snapshot_daemon_.reset();
 }
 
 void Project::take_snapshot() {

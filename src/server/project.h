@@ -7,13 +7,13 @@
 // object standing in for a whole BOINC project deployment.
 
 #include <memory>
+#include <optional>
 
 #include "db/database.h"
 #include "net/http.h"
 #include "reputation/reputation.h"
 #include "server/assimilator.h"
 #include "server/config.h"
-#include "server/daemon.h"
 #include "server/feeder.h"
 #include "server/jobtracker.h"
 #include "server/scheduler.h"
@@ -69,8 +69,6 @@ class Project {
   /// The storage tier (N sharded data servers; shard 0 on the server node).
   store::StorageTier& storage() { return data_; }
   const store::StorageTier& storage() const { return data_; }
-  /// The primary data server — the historical single-server accessor.
-  store::DataServer& data_server() { return data_.primary(); }
   JobTracker& jobtracker() { return jobtracker_; }
   Scheduler& scheduler() { return scheduler_; }
   const ProjectConfig& config() const { return cfg_; }
@@ -91,11 +89,16 @@ class Project {
   Assimilator assimilator_;
   JobTracker jobtracker_;
   Scheduler scheduler_;
-  PeriodicDaemon feeder_daemon_;
-  PeriodicDaemon transitioner_daemon_;
-  PeriodicDaemon validator_daemon_;
-  PeriodicDaemon assimilator_daemon_;
-  PeriodicDaemon snapshot_daemon_;
+  // BOINC's server side is a set of daemons, each polling the database on
+  // its own cadence; the gaps between those polls are part of the latency
+  // the paper measures (§IV.B). Engaged while running: start() emplaces,
+  // stop() resets. No tick may stop its own daemon: resetting the optional
+  // inside its callback would destroy the running task.
+  std::optional<sim::PeriodicTask> feeder_daemon_;
+  std::optional<sim::PeriodicTask> transitioner_daemon_;
+  std::optional<sim::PeriodicTask> validator_daemon_;
+  std::optional<sim::PeriodicTask> assimilator_daemon_;
+  std::optional<sim::PeriodicTask> snapshot_daemon_;
   bool snapshots_enabled_ = false;
   bool crashed_ = false;
   std::string last_snapshot_;

@@ -59,7 +59,6 @@ class Simulation {
   /// every component that records into it.
   void set_trace(TraceRecorder* trace) { trace_ = trace; }
 
-  const common::RngStreamFactory& rng_factory() const { return rng_; }
   common::Rng rng_stream(std::string_view name, std::uint64_t index = 0) const {
     return rng_.stream(name, index);
   }

@@ -32,13 +32,6 @@ class AvailabilityModel {
   /// Starts churning `client`; `index` keys its RNG stream.
   void attach(client::Client& client, std::uint64_t index);
 
-  /// Long-run fraction of time online implied by the configuration.
-  double expected_availability() const {
-    const double on = cfg_.mean_on.as_seconds();
-    const double off = cfg_.mean_off.as_seconds();
-    return on / (on + off);
-  }
-
  private:
   void schedule_next(client::Client& client, common::Rng rng);
 

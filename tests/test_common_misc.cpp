@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/error.h"
 #include "common/logging.h"
 #include "common/stats.h"
 #include "common/strings.h"
@@ -11,8 +10,6 @@
 namespace vcmr {
 namespace {
 
-using common::Histogram;
-using common::Percentiles;
 using common::Summary;
 
 TEST(SimTime, Constructors) {
@@ -141,44 +138,6 @@ TEST(Summary, EmptyIsZero) {
   EXPECT_EQ(s.count(), 0);
   EXPECT_EQ(s.mean(), 0.0);
   EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(Percentiles, Quantiles) {
-  Percentiles p;
-  for (int i = 1; i <= 100; ++i) p.add(i);
-  EXPECT_NEAR(p.median(), 50.5, 1e-9);
-  EXPECT_NEAR(p.quantile(0.0), 1.0, 1e-9);
-  EXPECT_NEAR(p.quantile(1.0), 100.0, 1e-9);
-  EXPECT_NEAR(p.quantile(0.9), 90.1, 1e-9);
-}
-
-TEST(Percentiles, ThrowsOnEmpty) {
-  Percentiles p;
-  EXPECT_THROW(p.quantile(0.5), Error);
-}
-
-TEST(Histogram, Bucketing) {
-  Histogram h(0, 10, 5);
-  h.add(0.5);
-  h.add(3.0);
-  h.add(3.5);
-  h.add(9.9);
-  h.add(-4.0);   // clamps to first bucket
-  h.add(100.0);  // clamps to last bucket
-  EXPECT_EQ(h.total(), 6);
-  EXPECT_EQ(h.bucket_count(0), 2);  // 0.5 and clamped -4
-  EXPECT_EQ(h.bucket_count(1), 2);
-  EXPECT_EQ(h.bucket_count(4), 2);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(1), 2.0);
-}
-
-TEST(Histogram, AsciiRendersAllBuckets) {
-  Histogram h(0, 4, 4);
-  h.add(1);
-  h.add(1);
-  h.add(3);
-  const std::string art = h.ascii(20);
-  EXPECT_EQ(std::count(art.begin(), art.end(), '\n'), 4);
 }
 
 TEST(Logging, CaptureSinkReceivesRecords) {

@@ -181,16 +181,36 @@ TEST(ScenarioIo, StorageErrorsCarryLineNumbers) {
 }
 
 TEST(ScenarioIo, RejectsInvalid) {
+  const auto message_of = [](const std::string& xml) -> std::string {
+    try {
+      scenario_from_xml(xml);
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "";
+  };
   EXPECT_THROW(scenario_from_xml("<wrong/>"), Error);
   EXPECT_THROW(scenario_from_xml("<scenario><nodes>0</nodes></scenario>"),
                Error);
   EXPECT_THROW(scenario_from_xml(
                    "<scenario><hosts><preset>mars</preset></hosts></scenario>"),
                Error);
-  EXPECT_THROW(
-      scenario_from_xml("<scenario><project><min_quorum>9</min_quorum>"
-                        "</project></scenario>"),
-      Error);
+  EXPECT_EQ(message_of("<scenario><project><min_quorum>9</min_quorum>"
+                       "</project></scenario>"),
+            "scenario xml: need 1 <= min_quorum <= target_nresults");
+  // A non-positive snapshot cadence would re-arm the snapshot daemon at the
+  // same instant forever; it is refused at the element's line.
+  for (const std::string period : {"0", "-5"}) {
+    EXPECT_EQ(message_of("<scenario>\n"
+                         "  <project>\n"
+                         "    <snapshot_period_s>" + period +
+                         "</snapshot_period_s>\n"
+                         "  </project>\n"
+                         "</scenario>"),
+              "scenario xml line 3: <project><snapshot_period_s> must be "
+              "positive")
+        << period;
+  }
 }
 
 TEST(ScenarioIo, ParsedScenarioRuns) {

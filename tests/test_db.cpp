@@ -19,6 +19,15 @@ WorkUnitRecord wu_proto(const std::string& name, AppId app) {
   return wu;
 }
 
+/// The unsent results outside the audit queue, across every job shard.
+std::set<ResultId> unsent_bulk(const Database& db) {
+  std::set<ResultId> out;
+  for (const auto& [job, ids] : db.unsent_bulk_by_job()) {
+    out.insert(ids.begin(), ids.end());
+  }
+  return out;
+}
+
 TEST(Database, CreateAndLookup) {
   Database db;
   const AppRecord& app = db.create_app("word_count");
@@ -75,9 +84,8 @@ TEST(Database, UnsentQuery) {
   const ResultRecord& r1 = db.create_result(rp);
   rp.server_state = ServerState::kInProgress;
   db.create_result(rp);
-  const auto unsent = db.unsent_results();
-  ASSERT_EQ(unsent.size(), 1u);
-  EXPECT_EQ(unsent[0], r1.id);
+  EXPECT_EQ(unsent_bulk(db), std::set<ResultId>{r1.id});
+  EXPECT_TRUE(db.unsent_audit().empty());
 }
 
 // The ready-queue indexes must track every state transition: create,
@@ -92,27 +100,21 @@ TEST(Database, UnsentIndexTracksTransitions) {
   rp.server_state = ServerState::kUnsent;
   const ResultId r1 = db.create_result(rp).id;
   const ResultId r2 = db.create_result(rp).id;
-  EXPECT_EQ(db.unsent_bulk().size(), 2u);
+  EXPECT_EQ(unsent_bulk(db).size(), 2u);
   EXPECT_TRUE(db.unsent_audit().empty());
   ASSERT_EQ(db.unsent_bulk_by_job().size(), 1u);
 
   db.set_server_state(r1, ServerState::kInProgress);
-  EXPECT_EQ(db.unsent_bulk(), std::set<ResultId>{r2});
+  EXPECT_EQ(unsent_bulk(db), std::set<ResultId>{r2});
   db.set_server_state(r1, ServerState::kUnsent);
-  EXPECT_EQ(db.unsent_bulk(), (std::set<ResultId>{r1, r2}));
+  EXPECT_EQ(unsent_bulk(db), (std::set<ResultId>{r1, r2}));
 
   // Flipping the work unit to audit moves its pending results between
   // queues; results already handed out are untouched.
   db.set_server_state(r2, ServerState::kInProgress);
   db.set_workunit_audit(wu.id, true);
   EXPECT_EQ(db.unsent_audit(), std::set<ResultId>{r1});
-  EXPECT_TRUE(db.unsent_bulk().empty());
   EXPECT_TRUE(db.unsent_bulk_by_job().empty());
-
-  // unsent_results() is the merged view of both queues.
-  const auto merged = db.unsent_results();
-  ASSERT_EQ(merged.size(), 1u);
-  EXPECT_EQ(merged[0], r1);
 }
 
 // Snapshot load rebuilds the ready queues from the restored tables.
@@ -134,9 +136,9 @@ TEST(Database, UnsentIndexSurvivesSnapshotRoundTrip) {
   db.create_result(rp);
 
   const Database loaded = Database::load(db.save());
-  EXPECT_EQ(loaded.unsent_bulk(), std::set<ResultId>{rb});
+  EXPECT_EQ(unsent_bulk(loaded), std::set<ResultId>{rb});
   EXPECT_EQ(loaded.unsent_audit(), std::set<ResultId>{ra});
-  EXPECT_EQ(loaded.unsent_results(), db.unsent_results());
+  EXPECT_EQ(loaded.unsent_bulk_by_job(), db.unsent_bulk_by_job());
 }
 
 TEST(Database, TimedOutQuery) {

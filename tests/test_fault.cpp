@@ -162,7 +162,7 @@ TEST(FaultRecovery, DataServerOutage) {
   EXPECT_EQ(cluster.collect_output(out.job), oracle(text, 4, 2));
   EXPECT_EQ(fault::injections(cluster.metrics(), "server_down"), 1);
   EXPECT_EQ(fault::injections(cluster.metrics(), "server_up"), 1);
-  EXPECT_GT(cluster.project().data_server().rejected_unavailable(), 0);
+  EXPECT_GT(cluster.project().storage().primary().rejected_unavailable(), 0);
 }
 
 TEST(FaultRecovery, ClientCrashAndRestart) {

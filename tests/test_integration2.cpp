@@ -96,7 +96,7 @@ TEST(Integration2, HashOnlyModeCorrectOutput) {
   EXPECT_GT(out.interclient_bytes, 0);
   // Server never saw a map partition: its ingress is only reduce outputs
   // and RPC bodies, far below the intermediate volume.
-  EXPECT_LT(cluster.project().data_server().bytes_ingested(),
+  EXPECT_LT(cluster.project().storage().primary().bytes_ingested(),
             out.interclient_bytes);
 }
 

@@ -1,4 +1,4 @@
-// Tests for config parsing, WU templates, and the daemon state machines
+// Tests for config parsing and the daemon state machines
 // (feeder, transitioner, validator, assimilator) driven directly against a
 // database — no network involved.
 
@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "common/error.h"
@@ -14,7 +15,6 @@
 #include "server/assimilator.h"
 #include "server/config.h"
 #include "server/feeder.h"
-#include "server/templates.h"
 #include "server/transitioner.h"
 #include "server/validator.h"
 
@@ -65,10 +65,15 @@ TEST(Config, RejectsInvalid) {
   EXPECT_THROW(parse_mr_jobtracker("<wrong/>"), Error);
   EXPECT_THROW(parse_mr_jobtracker("<mr_jobtracker><n_maps>0</n_maps></mr_jobtracker>"),
                Error);
-  EXPECT_THROW(parse_mr_jobtracker(
-                   "<mr_jobtracker><min_quorum>5</min_quorum>"
-                   "<target_nresults>2</target_nresults></mr_jobtracker>"),
-               Error);
+  try {
+    parse_mr_jobtracker(
+        "<mr_jobtracker><min_quorum>5</min_quorum>"
+        "<target_nresults>2</target_nresults></mr_jobtracker>");
+    FAIL() << "min_quorum 5 > target_nresults 2 accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "mr_jobtracker.xml: need 1 <= min_quorum <= target_nresults");
+  }
 }
 
 // mr_jobtracker.xml and scenario XML read <replication> through one reader,
@@ -83,50 +88,6 @@ TEST(Config, RejectsNegativeTrustMaxSkips) {
     EXPECT_EQ(std::string(e.what()),
               "mr_jobtracker.xml: trust_max_skips must be >= 0");
   }
-}
-
-TEST(Templates, RenderParseRoundTrip) {
-  WuTemplate t;
-  t.wu_name = "job_map_3";
-  t.app_name = "word_count";
-  t.input_files.push_back({"job_map_3_input", 50'000'000});
-  t.target_nresults = 2;
-  t.min_quorum = 2;
-  t.delay_bound = SimTime::hours(4);
-  t.job_name = "job";
-  t.phase = 1;
-  t.index = 3;
-  t.n_maps = 20;
-  t.n_reducers = 5;
-  const WuTemplate back = WuTemplate::parse(t.render());
-  EXPECT_EQ(back.wu_name, "job_map_3");
-  EXPECT_EQ(back.app_name, "word_count");
-  ASSERT_EQ(back.input_files.size(), 1u);
-  EXPECT_EQ(back.input_files[0].size, 50'000'000);
-  EXPECT_EQ(back.job_name, "job");
-  EXPECT_EQ(back.phase, 1);
-  EXPECT_EQ(back.index, 3);
-  EXPECT_EQ(back.n_reducers, 5);
-  EXPECT_EQ(back.delay_bound, SimTime::hours(4));
-}
-
-TEST(Templates, PlainWorkUnitHasNoMrTag) {
-  WuTemplate t;
-  t.wu_name = "ordinary";
-  t.app_name = "app";
-  const std::string xml = t.render();
-  EXPECT_EQ(xml.find("<mapreduce>"), std::string::npos);
-  EXPECT_EQ(WuTemplate::parse(xml).phase, 0);
-}
-
-TEST(Templates, ParseRejectsBadInput) {
-  EXPECT_THROW(WuTemplate::parse("<workunit/>"), Error);  // missing name
-  EXPECT_THROW(WuTemplate::parse("<other/>"), Error);
-  EXPECT_THROW(WuTemplate::parse(
-                   "<workunit><name>x</name><app_name>a</app_name>"
-                   "<mapreduce><job>j</job><phase>weird</phase></mapreduce>"
-                   "</workunit>"),
-               Error);
 }
 
 struct DaemonFixture {
@@ -494,9 +455,9 @@ TEST(Feeder, FairShareSingleJobKeepsIdOrder) {
   }
   Feeder fair(db, 6);
   fair.refill();
-  const std::vector<ResultId> id_order(db.unsent_bulk().begin(),
-                                       db.unsent_bulk().end());
-  EXPECT_EQ(fair.cache(), id_order);
+  ASSERT_EQ(db.unsent_bulk_by_job().size(), 1u);
+  const std::set<ResultId>& ready = db.unsent_bulk_by_job().at(MrJobId{1});
+  EXPECT_EQ(fair.cache(), std::vector<ResultId>(ready.begin(), ready.end()));
 }
 
 namespace {

@@ -102,7 +102,7 @@ TEST(JobTracker, SubmitStagesInputsAndWorkUnits) {
   EXPECT_EQ(db.workunits_of_job(job, db::MrPhase::kMap).size(), 3u);
   EXPECT_EQ(db.workunits_of_job(job, db::MrPhase::kReduce).size(), 0u);
   EXPECT_EQ(db.file_count(), 3u);
-  EXPECT_TRUE(f.project->data_server().has("job_map_0_input"));
+  EXPECT_TRUE(f.project->storage().primary().has("job_map_0_input"));
   // Chunk sizes partition the input.
   Bytes total = 0;
   db.for_each_workunit([&](const db::WorkUnitRecord& wu) {
@@ -325,6 +325,118 @@ TEST(JobTracker, PipelinedModeCreatesReduceEarly) {
   EXPECT_EQ(f.project->jobtracker().locations_for(MrJobId{1}, 0).size(), 1u);
 }
 
+// Every field JobTracker writes into a staged work unit, pinned for a
+// chunked job, a shared-input sweep and the reduce work units created once
+// the maps validate, under fixed and under adaptive replication.
+struct StagedWu {
+  std::string name;
+  db::MrPhase phase;
+  int index;
+  double flops;
+  std::vector<std::pair<std::int64_t, std::string>> inputs;  ///< id, name
+};
+
+ProjectConfig staging_config(rep::PolicyMode mode) {
+  ProjectConfig cfg;
+  cfg.reputation.mode = mode;
+  cfg.target_nresults = 3;
+  cfg.min_quorum = 2;
+  cfg.max_error_results = 5;
+  cfg.max_total_results = 9;
+  cfg.delay_bound = SimTime::micros(2'700'123'457);
+  return cfg;
+}
+
+void expect_staged(const db::Database& db, rep::PolicyMode mode, MrJobId job,
+                   WorkUnitId id, const StagedWu& want) {
+  SCOPED_TRACE(want.name);
+  const db::WorkUnitRecord& wu = db.workunit(id);
+  const bool adaptive = mode == rep::PolicyMode::kAdaptive;
+  EXPECT_EQ(wu.name, want.name);
+  EXPECT_EQ(wu.app, db.mr_job(job).app);
+  EXPECT_EQ(db.app(wu.app).name, "word_count");
+  EXPECT_EQ(wu.target_nresults, adaptive ? 1 : 3);
+  EXPECT_EQ(wu.min_quorum, adaptive ? 1 : 2);
+  EXPECT_EQ(wu.max_error_results, 5);
+  EXPECT_EQ(wu.max_total_results, 9);
+  EXPECT_EQ(wu.delay_bound.as_micros(), 2'700'123'457);
+  EXPECT_EQ(wu.mr_phase, want.phase);
+  EXPECT_EQ(wu.mr_job.value(), job.value());
+  EXPECT_EQ(wu.mr_index, want.index);
+  EXPECT_DOUBLE_EQ(wu.flops_est, want.flops);
+  std::vector<std::pair<std::int64_t, std::string>> inputs;
+  for (const FileId fid : wu.input_files) {
+    inputs.emplace_back(fid.value(), db.file(fid).name);
+  }
+  EXPECT_EQ(inputs, want.inputs);
+}
+
+/// Reports every task the hosts are handed as a success (replicas agree)
+/// until the job's reduce work units exist; returns them untouched by any
+/// assignment.
+std::vector<WorkUnitId> validate_maps(ProjectFixture& f, MrJobId job,
+                                      int n_reducers) {
+  std::vector<HostId> hosts;
+  for (int i = 0; i < 4; ++i) hosts.push_back(f.add_host());
+  auto& db = f.project->database();
+  for (int round = 0; round < 20; ++round) {
+    f.tick();
+    auto reduces = db.workunits_of_job(job, db::MrPhase::kReduce);
+    if (!reduces.empty()) return reduces;
+    for (const HostId h : hosts) {
+      for (const auto& t : f.ask_for_work(h).tasks) {
+        f.report_success(h, t, t.wu_name, n_reducers);
+      }
+    }
+  }
+  return {};
+}
+
+TEST(JobTracker, StagedWorkUnitsCarryEveryField) {
+  for (const rep::PolicyMode mode :
+       {rep::PolicyMode::kFixed, rep::PolicyMode::kAdaptive}) {
+    SCOPED_TRACE(rep::to_string(mode));
+    {
+      ProjectFixture f(staging_config(mode));
+      const MrJobId job = f.project->submit_job(small_job(3, 2));
+      const db::Database& db = f.project->database();
+      const auto maps = db.workunits_of_job(job, db::MrPhase::kMap);
+      ASSERT_EQ(maps.size(), 3u);
+      for (int i = 0; i < 3; ++i) {
+        const std::string n = std::to_string(i);
+        expect_staged(db, mode, job, maps[static_cast<std::size_t>(i)],
+                      {"job_map_" + n, db::MrPhase::kMap, i, 30.0 * 10'000'000,
+                       {{i + 1, "job_map_" + n + "_input"}}});
+      }
+
+      const auto reduces = validate_maps(f, job, 2);
+      ASSERT_EQ(reduces.size(), 2u);
+      const double reduce_flops = 15.0 * (30'000'000 * 1.15) / 2;
+      for (int r = 0; r < 2; ++r) {
+        expect_staged(db, mode, job, reduces[static_cast<std::size_t>(r)],
+                      {"job_reduce_" + std::to_string(r), db::MrPhase::kReduce,
+                       r, reduce_flops, {}});
+      }
+    }
+    {
+      ProjectFixture f(staging_config(mode));
+      MrJobSpec spec = small_job(3, 2);
+      spec.name = "sweep";
+      spec.input_size = 12'000'000;
+      spec.shared_input = true;
+      const MrJobId job = f.project->submit_job(spec);
+      const db::Database& db = f.project->database();
+      const auto maps = db.workunits_of_job(job, db::MrPhase::kMap);
+      ASSERT_EQ(maps.size(), 3u);
+      for (int i = 0; i < 3; ++i) {
+        expect_staged(db, mode, job, maps[static_cast<std::size_t>(i)],
+                      {"sweep_map_" + std::to_string(i), db::MrPhase::kMap, i,
+                       30.0 * 12'000'000, {{1, "sweep_shared_input"}}});
+      }
+    }
+  }
+}
+
 TEST(Scheduler, PlainClientSkipsReduceWithoutMirroring) {
   ProjectConfig cfg;
   cfg.mirror_map_outputs = false;
@@ -345,6 +457,16 @@ TEST(Scheduler, PlainClientSkipsReduceWithoutMirroring) {
   // An MR-capable client does.
   const HostId mr = f.add_host();
   EXPECT_FALSE(f.ask_for_work(mr).tasks.empty());
+}
+
+// The daemons run on sim::PeriodicTask, which refuses a cadence that would
+// re-arm at the same instant forever.
+TEST(Project, ZeroDaemonPeriodIsRejected) {
+  ProjectConfig cfg;
+  cfg.snapshot_period = SimTime::zero();
+  ProjectFixture f(cfg);
+  f.project->enable_snapshots();
+  EXPECT_THROW(f.project->start(), Error);
 }
 
 TEST(Scheduler, ImmediateReportFlagPropagates) {

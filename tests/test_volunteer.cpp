@@ -1,9 +1,8 @@
-// Tests for the volunteer behaviour models: populations, NAT mixes,
-// byzantine mixes, and churn statistics.
+// Tests for the volunteer behaviour models: populations, NAT mixes and
+// byzantine mixes.
 
 #include <gtest/gtest.h>
 
-#include "volunteer/availability.h"
 #include "volunteer/byzantine.h"
 #include "volunteer/population.h"
 
@@ -83,15 +82,6 @@ TEST(Byzantine, ZeroFractionIsAllHonest) {
   for (const double p : error_probabilities(100, {}, rng)) {
     EXPECT_EQ(p, 0.0);
   }
-}
-
-TEST(Availability, ExpectedAvailabilityFormula) {
-  sim::Simulation sim(1);
-  ChurnConfig cfg;
-  cfg.mean_on = SimTime::hours(9);
-  cfg.mean_off = SimTime::hours(1);
-  AvailabilityModel model(sim, cfg);
-  EXPECT_NEAR(model.expected_availability(), 0.9, 1e-9);
 }
 
 }  // namespace

@@ -358,10 +358,14 @@ int main(int argc, char** argv) {
       streamer = std::make_unique<obs::MetricsStreamer>(cluster.simulation(),
                                                         stream_out, opt);
       const db::Database& database = cluster.project().database();
-      // Ready results waiting for a scheduler RPC: O(1) index reads.
+      // Ready results waiting for a scheduler RPC: the feeder's ready
+      // queues, one size read per job shard.
       streamer->add_probe("db/ready_results", [&database] {
-        return static_cast<double>(database.unsent_audit().size() +
-                                   database.unsent_bulk().size());
+        std::size_t n = database.unsent_audit().size();
+        for (const auto& [job, ids] : database.unsent_bulk_by_job()) {
+          n += ids.size();
+        }
+        return static_cast<double>(n);
       });
       // In-flight results: a full scan, but only streaming runs pay for it.
       streamer->add_probe("db/in_flight_results", [&database] {

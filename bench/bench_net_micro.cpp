@@ -45,6 +45,31 @@ void BM_FairShareReallocation(benchmark::State& state) {
 }
 BENCHMARK(BM_FairShareReallocation)->Arg(10)->Arg(40)->Arg(100);
 
+// Many-round re-levels: n clients with distinct small uplinks upload to
+// one server, so every flow is its own bottleneck and each re-level runs
+// one round per live flow (the star above settles in one round).
+void BM_HeterogeneousUploadReallocation(benchmark::State& state) {
+  const int n_flows = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    sim::Simulation sim(1);
+    net::Network net(sim);
+    const NodeId server = net.add_node(net::NodeConfig{});
+    for (int i = 0; i < n_flows; ++i) {
+      net::NodeConfig cfg;
+      cfg.up_bps = 1e3 * (i + 1);
+      const NodeId c = net.add_node(cfg);
+      net::FlowSpec fs;
+      fs.src = c;
+      fs.dst = server;
+      fs.bytes = 1'000'000'000;
+      net.start_flow(std::move(fs));
+    }
+    benchmark::DoNotOptimize(net.active_flow_count());
+  }
+  state.SetItemsProcessed(state.iterations() * n_flows);
+}
+BENCHMARK(BM_HeterogeneousUploadReallocation)->Arg(10)->Arg(40)->Arg(100);
+
 /// A reduce assignment carrying 20 mapper locations.
 proto::SchedulerReply reduce_reply() {
   proto::SchedulerReply reply;

@@ -61,9 +61,13 @@ double BloomFilter::false_positive_rate() const {
 std::string BloomFilter::serialize() const {
   std::string out = "bloom:" + std::to_string(bit_count()) + ":" +
                     std::to_string(hashes_) + ":";
-  out.reserve(out.size() + words_.size() * 16);
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t pos = out.size();
+  out.resize(pos + words_.size() * 16);
   for (const std::uint64_t w : words_) {
-    out += strprintf("%016llx", static_cast<unsigned long long>(w));
+    for (int shift = 60; shift >= 0; shift -= 4) {
+      out[pos++] = kHex[(w >> shift) & 0xf];
+    }
   }
   return out;
 }

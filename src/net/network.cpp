@@ -93,10 +93,6 @@ const NodeTraffic& Network::traffic(NodeId id) const {
   return node(id).traffic;
 }
 
-bool Network::Resources::contains(std::uint32_t x) const {
-  return std::find(begin(), end(), x) != end();
-}
-
 Network::Resources Network::resources_of(const FlowSpec& spec) {
   if (!spec.relay) return Resources{{up_res(spec.src), down_res(spec.dst)}, 2};
   return Resources{{up_res(spec.src), down_res(spec.dst),
@@ -256,24 +252,27 @@ void Network::component_of(const Resources& dirty,
       for (const auto r2 : f.res) visit(r2);
     }
   }
-  std::sort(comp.begin(), comp.end(),
-            [](const FlowEntry* a, const FlowEntry* b) {
-              return a->first < b->first;
-            });
 }
 
 void Network::level(const std::vector<FlowEntry*>& comp,
                     std::vector<double>& rate) {
   // Progressive filling, foreground first, background on the residue. The
-  // floating-point operations and their order are a contract (pinned
-  // bit-for-bit by the AllocOracle suite): flows in FlowId order, the
-  // bottleneck is the smallest max(0, cap) / users with ties to the
-  // smallest tie_key(), and each link's subtractions come in FlowId order.
+  // floating-point operations are a contract (pinned bit-for-bit by the
+  // AllocOracle suites): the bottleneck is the smallest max(0, cap) / users
+  // with ties to the smallest tie_key(), and each flow a round freezes has
+  // that round's fair share taken off every link it lists, once per
+  // listing. Every subtraction within a round is the same share, so neither
+  // the order of `comp` nor the order of a link's index can change a bit.
   rate.assign(comp.size(), 0.0);
+  pending_.resize(comp.size());
   const std::uint64_t epoch = ++epoch_;
   comp_links_.clear();
-  for (const FlowEntry* e : comp) {
-    for (const auto r : e->second.res) {
+  bool background = false;
+  for (std::size_t i = 0; i < comp.size(); ++i) {
+    Flow& f = comp[i]->second;
+    f.slot = static_cast<std::uint32_t>(i);
+    background |= f.spec.priority == FlowPriority::kBackground;
+    for (const auto r : f.res) {
       Link& l = links_[r];
       if (l.mark == epoch) continue;
       l.mark = epoch;
@@ -284,17 +283,19 @@ void Network::level(const std::vector<FlowEntry*>& comp,
 
   for (const FlowPriority cls :
        {FlowPriority::kForeground, FlowPriority::kBackground}) {
+    if (cls == FlowPriority::kBackground && !background) break;
     // Flows of this class still awaiting a rate, and per link the number
     // of them crossing it.
-    pending_.clear();
+    std::size_t left = 0;
     for (const auto r : comp_links_) links_[r].users = 0;
     for (std::size_t i = 0; i < comp.size(); ++i) {
       const Flow& f = comp[i]->second;
-      if (f.spec.priority != cls) continue;
-      pending_.push_back(i);
+      pending_[i] = f.spec.priority == cls;
+      if (!pending_[i]) continue;
+      ++left;
       for (const auto r : f.res) ++links_[r].users;
     }
-    while (!pending_.empty()) {
+    while (left > 0) {
       // Find the bottleneck: link with the smallest fair share.
       double best_share = std::numeric_limits<double>::infinity();
       std::uint32_t best_r = 0;
@@ -310,21 +311,19 @@ void Network::level(const std::vector<FlowEntry*>& comp,
       }
       if (!std::isfinite(best_share)) break;
       // Freeze every pending flow crossing the bottleneck at the fair share.
-      std::size_t kept = 0;
-      for (std::size_t k = 0; k < pending_.size(); ++k) {
-        const std::size_t i = pending_[k];
-        const Resources& rs = comp[i]->second.res;
-        if (!rs.contains(best_r)) {
-          pending_[kept++] = i;
-          continue;
-        }
-        rate[i] = best_share;
-        for (const auto r : rs) {
+      // The component is closed, so each flow in the link's index has its
+      // slot; one listing the link twice is met twice and frozen once.
+      for (FlowEntry* e : links_[best_r].flows) {
+        Flow& f = e->second;
+        if (!pending_[f.slot]) continue;
+        pending_[f.slot] = 0;
+        --left;
+        rate[f.slot] = best_share;
+        for (const auto r : f.res) {
           links_[r].cap -= best_share;
           --links_[r].users;
         }
       }
-      pending_.resize(kept);
     }
   }
 }
@@ -347,11 +346,12 @@ void Network::reallocate(const Resources& dirty) {
     // and its scheduled completion event untouched; only actual rate
     // changes settle, re-anchor, and reschedule. Because kGlobal levels a
     // superset but every extra flow's rate is unchanged by construction,
-    // both modes perform the same mutations here.
-    const SimTime now = sim_.now();
+    // both modes perform the same mutations here. The re-rated flows go in
+    // FlowId order: that order hands out their events' sequence numbers,
+    // which break ties between completions at one instant.
+    rerated_.clear();
     for (std::size_t i = 0; i < comp_.size(); ++i) {
-      const FlowId id = comp_[i]->first;
-      Flow& f = comp_[i]->second;
+      const Flow& f = comp_[i]->second;
       double r = rates_[i];
       if (r < 1e-3) {
         // Stalled (starved background class) or floating-point residue from
@@ -360,14 +360,22 @@ void Network::reallocate(const Resources& dirty) {
         r = 0.0;
       }
       if (f.leveled && r == f.rate) continue;
+      rerated_.emplace_back(comp_[i], r);
+    }
+    std::sort(rerated_.begin(), rerated_.end(),
+              [](const auto& a, const auto& b) {
+                return a.first->first < b.first->first;
+              });
 
+    const SimTime now = sim_.now();
+    for (const auto& [e, r] : rerated_) {
+      const FlowId id = e->first;
+      Flow& f = e->second;
       settle(f);  // credit progress at the old rate, then re-anchor
       f.anchor_done = f.done;
       f.anchor_time = now;
       f.rate = r;
       f.leveled = true;
-      sim_.cancel(f.completion);
-      f.completion = sim::EventHandle{};
 
       // A milestone already reached fires now; milestone_of() never
       // reports an armed threshold at or past `done`, so that is always a
@@ -377,10 +385,19 @@ void Network::reallocate(const Resources& dirty) {
       f.fails = m.is_failure;
       SimTime at = now;
       if (left > 0) {
-        if (f.rate == 0.0) continue;
+        if (f.rate == 0.0) {  // stalls until a later re-level
+          sim_.cancel(f.completion);
+          f.completion = sim::EventHandle{};
+          continue;
+        }
         at = now + SimTime::seconds(static_cast<double>(left) / f.rate);
       }
-      f.completion = sim_.at(at, [this, id] { reach_milestone(id); });
+      // A live flow's handle is pending or empty: its milestone event
+      // removes the flow when it fires. Moving the pending event gives it
+      // the slot and sequence number cancel-then-at would.
+      f.completion = f.completion.valid()
+                         ? sim_.reschedule(f.completion, at)
+                         : sim_.at(at, [this, id] { reach_milestone(id); });
     }
   }
 

@@ -29,6 +29,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -183,7 +184,6 @@ class Network {
 
     const std::uint32_t* begin() const { return r.data(); }
     const std::uint32_t* end() const { return r.data() + n; }
-    bool contains(std::uint32_t x) const;
   };
 
   struct Flow {
@@ -208,6 +208,7 @@ class Network {
     sim::EventHandle completion;
     Bytes fail_after_bytes = -1;  ///< injected failure threshold; -1 = none
     std::uint64_t mark = 0;       ///< component_of() visit epoch
+    std::uint32_t slot = 0;       ///< level() scratch: index in its component
   };
   using FlowEntry = std::map<FlowId, Flow>::value_type;
 
@@ -240,19 +241,25 @@ class Network {
   /// Settle traffic accounting to `now` from the flow's anchor.
   void settle(Flow& f);
   /// Re-level the connected component reachable from the dirty links
-  /// (every flow in kGlobal mode): water-fill the component, then for
-  /// each flow whose rate actually changed, settle, re-anchor, and
-  /// reschedule its milestone event. Unchanged flows are left entirely
+  /// (every flow in kGlobal mode): water-fill the component, then, in
+  /// FlowId order, settle, re-anchor and reschedule each flow whose rate
+  /// actually changed. A pending milestone event moves in place
+  /// (Simulation::reschedule), keeping the slot and sequence number
+  /// cancel-then-at would give it. Unchanged flows are left entirely
   /// alone — same rate, same pending completion event.
   void reallocate(const Resources& dirty);
   /// Flows sharing links, transitively, with the dirty ones, into `comp`
-  /// in FlowId order.
+  /// in discovery order (not FlowId order). The result is closed: every
+  /// flow on one of its links is in it.
   void component_of(const Resources& dirty, std::vector<FlowEntry*>& comp);
-  /// Two-class progressive filling restricted to `comp` (in FlowId order);
-  /// rate[i] is comp[i]'s rate. Max-min rates of a connected component do
-  /// not depend on flows outside it, and the restricted fill performs the
-  /// identical floating-point operations the global fill would on this
-  /// component, so the result is bit-equal.
+  /// Two-class progressive filling restricted to `comp`; rate[i] is
+  /// comp[i]'s rate. `comp` may come in any order but must be closed under
+  /// link sharing (every flow on one of its links is in it), as
+  /// component_of(), kGlobal and the oracle check guarantee: a round
+  /// freezes the flows it finds in the bottleneck link's index. Max-min
+  /// rates of a connected component do not depend on flows outside it, and
+  /// the restricted fill performs the identical floating-point operations
+  /// the global fill would on this component, so the result is bit-equal.
   void level(const std::vector<FlowEntry*>& comp, std::vector<double>& rate);
   /// VCMR_NET_CHECK_ALLOC: compare every stored rate against a fresh global
   /// water-filling; throws on any mismatch.
@@ -297,9 +304,10 @@ class Network {
   // reallocate()/level() working storage, reused across calls.
   std::vector<FlowEntry*> comp_;
   std::vector<double> rates_;
+  std::vector<std::pair<FlowEntry*, double>> rerated_;  ///< (flow, new rate)
   std::vector<std::uint32_t> frontier_;
   std::vector<std::uint32_t> comp_links_;
-  std::vector<std::size_t> pending_;
+  std::vector<std::uint8_t> pending_;  ///< by Flow::slot, during level()
   std::int64_t next_flow_id_ = 1;
   AllocMode alloc_mode_ = AllocMode::kIncremental;
   bool check_alloc_ = false;

@@ -109,11 +109,6 @@ class AdaptiveReplicationPolicy {
 
   bool adaptive() const { return cfg_.mode == PolicyMode::kAdaptive; }
 
-  /// See initial_replication().
-  Replication initial(const Replication& base) const {
-    return initial_replication(cfg_, base);
-  }
-
   /// Draws the decision for handing one result of a still-single-replica WU
   /// to `host`. Consumes a spot-check draw only for trusted hosts.
   AssignmentDecision decide_assignment(HostId host);

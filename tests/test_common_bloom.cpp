@@ -55,6 +55,24 @@ TEST(Bloom, SerializeParseRoundTrip) {
   EXPECT_FALSE(back.maybe_contains("gamma"));
 }
 
+TEST(Bloom, SerializeIsLowercaseZeroPaddedHex) {
+  // Words 0, top nibble only, every nibble value, a small value, and ~0:
+  // each word is 16 lowercase hex digits, most significant first.
+  const std::string wire =
+      "bloom:320:3:"
+      "0000000000000000"
+      "f000000000000000"
+      "0123456789abcdef"
+      "000000000000000a"
+      "ffffffffffffffff";
+  EXPECT_EQ(BloomFilter::parse(wire).serialize(), wire);
+
+  BloomFilter f(128, 2);
+  f.add("x");
+  f.add("y");
+  EXPECT_EQ(f.serialize(), "bloom:128:2:0000a000004000000000000004000000");
+}
+
 TEST(Bloom, ParseRejectsGarbage) {
   EXPECT_THROW(BloomFilter::parse("nonsense"), Error);
   EXPECT_THROW(BloomFilter::parse("bloom:128:4:zz"), Error);

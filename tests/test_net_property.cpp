@@ -9,10 +9,13 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "net/network.h"
 #include "sim/simulation.h"
@@ -346,13 +349,19 @@ std::map<FlowId, double> reference_level(
   return rate;
 }
 
+/// Where run_oracle_star() puts a relay. kThirdClient drops a draw that
+/// lands on an endpoint; kSender and kReceiver relay through that endpoint,
+/// so the flow lists one of its links twice.
+enum class RelayAt { kThirdClient, kSender, kReceiver };
+
 /// Drives a project-server star (every link the same 100 Mbit Emulab
 /// interface, so fair shares tie across links and only the smallest-key
 /// rule picks the bottleneck) plus client-to-client, relayed and
 /// background flows, link degradation and an outage, checking every
 /// active flow's rate against reference_level() after each network
 /// change. Returns the number of (flow, instant) rates compared.
-int run_oracle_star(std::uint64_t seed, AllocMode mode) {
+int run_oracle_star(std::uint64_t seed, AllocMode mode,
+                    RelayAt relay_at = RelayAt::kThirdClient) {
   sim::Simulation sim(seed);
   Network net(sim);
   net.set_alloc_mode(mode);
@@ -399,7 +408,13 @@ int run_oracle_star(std::uint64_t seed, AllocMode mode) {
       } while (f.dst == f.src);
       if (rng.chance(0.5)) {
         NodeId relay = client();
-        if (relay != f.src && relay != f.dst) f.relay = relay;
+        if (relay_at == RelayAt::kSender) {
+          f.relay = f.src;
+        } else if (relay_at == RelayAt::kReceiver) {
+          f.relay = f.dst;
+        } else if (relay != f.src && relay != f.dst) {
+          f.relay = relay;
+        }
       }
     }
     if (rng.chance(0.25)) f.priority = FlowPriority::kBackground;
@@ -448,6 +463,138 @@ TEST_P(AllocOracle, RatesMatchHistoricalFillBitForBit) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AllocOracle,
                          ::testing::Range<std::uint64_t>(1, 13));
+
+// A relay that is also an endpoint puts the flow on one link's index twice:
+// the fill must freeze it once and take its share off that link twice.
+class AllocOracleRelayAtEndpoint
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(AllocOracleRelayAtEndpoint, RatesMatchHistoricalFillBitForBit) {
+  for (const AllocMode mode : {AllocMode::kIncremental, AllocMode::kGlobal}) {
+    for (const RelayAt at : {RelayAt::kSender, RelayAt::kReceiver}) {
+      EXPECT_GT(run_oracle_star(GetParam(), mode, at), 1000);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AllocOracleRelayAtEndpoint,
+                         ::testing::Range<std::uint64_t>(1, 13));
+
+// --- firing order of tied completions --------------------------------------
+//
+// Flows of one size started at one instant on equal links get equal
+// shares, so their completions land on the same microsecond and only the
+// events' sequence numbers order them. Those numbers come from the order in
+// which a re-level (re)schedules the re-rated flows; the digest below pins
+// that order, the rates behind every completion time, and the event count.
+
+/// Runs a batched star workload and hashes every callback in firing order
+/// (flow id, completed or which NetError, now() in µs), then the executed
+/// event count. `tied` counts callbacks that share the previous one's
+/// microsecond.
+std::string completion_order_digest(std::uint64_t seed, int& tied) {
+  sim::Simulation sim(seed);
+  Network net(sim);
+  common::Rng rng = sim.rng_stream("completion-order");
+
+  constexpr int kClients = 9;
+  const NodeId server = net.add_node(NodeConfig{});
+  std::vector<NodeId> clients;
+  for (int i = 0; i < kClients; ++i) clients.push_back(net.add_node(NodeConfig{}));
+  const auto client = [&] {
+    return clients[static_cast<std::size_t>(rng.uniform_int(0, kClients - 1))];
+  };
+  net.set_flow_failure_rate(0.05);
+
+  common::Hasher h;
+  std::int64_t last_us = -1;
+  const auto record = [&](FlowId id, int status) {
+    const std::int64_t us = sim.now().as_micros();
+    if (us == last_us) ++tied;
+    last_us = us;
+    h.update_u64(static_cast<std::uint64_t>(id.value()));
+    h.update_u64(static_cast<std::uint64_t>(status));
+    h.update_u64(static_cast<std::uint64_t>(us));
+  };
+
+  for (int b = 0; b < 20; ++b) {
+    const SimTime start = SimTime::millis(rng.uniform_int(0, 12'000));
+    const Bytes bytes = 1'000'000 * rng.uniform_int(1, 6);
+    const auto n = rng.uniform_int(2, 6);
+    std::vector<FlowSpec> batch;
+    for (std::int64_t k = 0; k < n; ++k) {
+      FlowSpec fs;
+      const double kind = rng.uniform();
+      if (kind < 0.4) {  // download from the server
+        fs.src = server;
+        fs.dst = client();
+      } else if (kind < 0.75) {  // upload to the server
+        fs.src = client();
+        fs.dst = server;
+      } else {  // client to client, half of them relayed
+        fs.src = client();
+        do {
+          fs.dst = client();
+        } while (fs.dst == fs.src);
+        if (rng.chance(0.5)) {
+          const NodeId relay = client();
+          if (relay != fs.src && relay != fs.dst) fs.relay = relay;
+        }
+      }
+      if (rng.chance(0.2)) fs.priority = FlowPriority::kBackground;
+      fs.bytes = bytes;
+      batch.push_back(std::move(fs));
+    }
+    sim.at(start, [&, batch] {
+      for (FlowSpec fs : batch) {
+        auto id = std::make_shared<FlowId>();
+        fs.on_complete = [&record, id] { record(*id, 0); };
+        fs.on_fail = [&record, id](NetError e) {
+          record(*id, 1 + static_cast<int>(e));
+        };
+        *id = net.start_flow(std::move(fs));
+      }
+    });
+  }
+  for (int i = 0; i < 4; ++i) {
+    const NodeId n = rng.chance(0.3) ? server : client();
+    const double scale = rng.chance(0.5) ? 0.5 : 1.0;
+    sim.at(SimTime::millis(rng.uniform_int(1'000, 14'000)),
+           [&net, n, scale] { net.set_link_scale(n, scale); });
+  }
+  const NodeId down = client();
+  const SimTime outage = SimTime::millis(rng.uniform_int(2'000, 10'000));
+  sim.at(outage, [&net, down] { net.set_online(down, false); });
+  sim.at(outage + SimTime::seconds(1), [&net, down] { net.set_online(down, true); });
+
+  sim.run();
+  EXPECT_EQ(net.active_flow_count(), 0u);
+  h.update_u64(static_cast<std::uint64_t>(sim.events_executed()));
+  return h.digest().hex();
+}
+
+TEST(NetProperty, CompletionOrderIsPinned) {
+  const std::vector<std::string> want = {
+      "46216b4aa558ab9f24abe72d649e54f1",  // seed 1
+      "5f2c2e9d7c6b7e91765692b6bb1bad1a",  // seed 2
+      "a78224b63f3c6238bfc3f1306d120fe3",  // seed 3
+      "1dec0cfd5659756b57080b229b9a086c",  // seed 4
+      "cfaf61bd4cd8ff9edd8268fcf8d841c0",  // seed 5
+      "fd4c87db00f98ae87379a65b62c97bd9",  // seed 6
+      "bd6e7be6f1b190ca96f842a5c2c46259",  // seed 7
+      "e6b3042ec2b3a03397e77eb45bff15e1",  // seed 8
+      "4770f01556c44fbae918a18d7278774b",  // seed 9
+      "a1f0926572c2c2c61d5e5ee4822b06f2",  // seed 10
+      "e0ca33b885cb1f7e117ea77730b701ef",  // seed 11
+      "c00ef7e9e959cecd618ad6b6169061ab",  // seed 12
+  };
+  int tied = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    EXPECT_EQ(completion_order_digest(seed, tied), want[seed - 1])
+        << "seed " << seed;
+  }
+  EXPECT_GT(tied, 200);
+}
 
 TEST(NetProperty, AllocationNeverExceedsCapacity) {
   // At every reallocation instant, each node's outgoing allocation must be

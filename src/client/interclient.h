@@ -114,7 +114,6 @@ class MapOutputServer {
 struct PeerFetchConfig {
   int max_attempts = 3;                       ///< then fall back to server
   SimTime retry_delay = SimTime::seconds(5);
-  net::FlowPriority priority = net::FlowPriority::kForeground;
 };
 
 class PeerFetcher {

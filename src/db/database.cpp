@@ -374,6 +374,10 @@ std::string Database::save() const {
     put_i64(n, "n_maps", j.n_maps);
     put_i64(n, "n_reducers", j.n_reducers);
     put_i64(n, "state", static_cast<int>(j.state));
+    put_i64(n, "input_size", j.input_size);
+    put_i64(n, "maps_validated", j.maps_validated);
+    put_i64(n, "reduces_assimilated", j.reduces_assimilated);
+    put_i64(n, "reduce_created", j.reduce_created ? 1 : 0);
     put_i64(n, "created_us", j.created.as_micros());
     put_i64(n, "map_first_sent_us", j.map_first_sent.as_micros());
     put_i64(n, "reduce_first_sent_us", j.reduce_first_sent.as_micros());
@@ -505,6 +509,11 @@ Database Database::load(const std::string& snapshot) {
       j.n_maps = static_cast<int>(n.child_i64("n_maps"));
       j.n_reducers = static_cast<int>(n.child_i64("n_reducers"));
       j.state = static_cast<MrJobState>(n.child_i64("state"));
+      j.input_size = n.child_i64("input_size", 0);
+      j.maps_validated = static_cast<int>(n.child_i64("maps_validated", 0));
+      j.reduces_assimilated =
+          static_cast<int>(n.child_i64("reduces_assimilated", 0));
+      j.reduce_created = n.child_i64("reduce_created", 0) != 0;
       j.created = SimTime::micros(n.child_i64("created_us"));
       j.map_first_sent = SimTime::micros(
           n.child_i64("map_first_sent_us", SimTime::infinity().as_micros()));

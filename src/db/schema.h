@@ -175,6 +175,10 @@ struct MrJobRecord {
   int n_reducers = 0;
   MrJobState state = MrJobState::kMapPhase;
   std::vector<MapOutputLocation> map_outputs;  ///< filled as maps validate
+  Bytes input_size = 0;          ///< total input, recorded at submission
+  int maps_validated = 0;        ///< map WUs with a canonical result
+  int reduces_assimilated = 0;   ///< reduce WUs assimilated
+  bool reduce_created = false;   ///< reduce WUs exist
   SimTime created;
   SimTime map_first_sent = SimTime::infinity();    ///< first map assignment
   SimTime reduce_first_sent = SimTime::infinity(); ///< first reduce assignment

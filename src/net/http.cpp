@@ -12,15 +12,9 @@ void HttpService::listen(Endpoint ep, HttpHandler handler) {
 
 void HttpService::stop_listening(Endpoint ep) { handlers_.erase(ep); }
 
-std::int64_t HttpService::requests_served(Endpoint ep) const {
-  const auto it = served_.find(ep);
-  return it == served_.end() ? 0 : it->second;
-}
-
 void HttpService::request(NodeId client, Endpoint server, HttpRequest req,
                           std::function<void(HttpResponse)> on_done,
-                          std::function<void(NetError)> on_fail,
-                          FlowPriority priority, std::optional<NodeId> relay) {
+                          std::function<void(NetError)> on_fail) {
   req.from = client;
   obs::MetricsRegistry::instance().counter("http", "requests").add();
   obs::MetricsRegistry::instance()
@@ -46,22 +40,21 @@ void HttpService::request(NodeId client, Endpoint server, HttpRequest req,
   net_.send_message(
       client, server.node, kHeaderBytes,
       [this, client, server, req = std::move(req), on_done = std::move(on_done),
-       on_fail, priority, relay]() mutable {
+       on_fail]() mutable {
         // Stage 2: request body as a flow when present.
         auto dispatch = [this, client, server, on_done = std::move(on_done),
-                         on_fail, priority, relay](HttpRequest r) {
+                         on_fail](HttpRequest r) {
           const auto it = handlers_.find(server);
           if (it == handlers_.end()) {
             deliver_response(client, server, HttpResponse::not_found(),
-                             on_done, on_fail, priority, relay);
+                             on_done, on_fail);
             return;
           }
-          ++served_[server];
           // Stage 3: the handler responds when its processing is done.
-          it->second(std::move(r), [this, client, server, on_done, on_fail,
-                                    priority, relay](HttpResponse resp) {
+          it->second(std::move(r), [this, client, server, on_done,
+                                    on_fail](HttpResponse resp) {
             deliver_response(client, server, std::move(resp), on_done,
-                             on_fail, priority, relay);
+                             on_fail);
           });
         };
 
@@ -70,8 +63,6 @@ void HttpService::request(NodeId client, Endpoint server, HttpRequest req,
           fs.src = client;
           fs.dst = server.node;
           fs.bytes = req.body_size;
-          fs.priority = priority;
-          fs.relay = relay;
           fs.on_fail = [this, on_fail](NetError err) {
             if (on_fail) on_fail(err);
           };
@@ -92,8 +83,7 @@ void HttpService::request(NodeId client, Endpoint server, HttpRequest req,
 void HttpService::deliver_response(
     NodeId client, Endpoint server, HttpResponse resp,
     std::function<void(HttpResponse)> on_done,
-    std::function<void(NetError)> on_fail, FlowPriority priority,
-    std::optional<NodeId> relay) {
+    std::function<void(NetError)> on_fail) {
   obs::MetricsRegistry::instance()
       .counter("http", "response_bytes")
       .add(resp.body_size > 0 ? resp.body_size : kHeaderBytes);
@@ -102,8 +92,6 @@ void HttpService::deliver_response(
     fs.src = server.node;
     fs.dst = client;
     fs.bytes = resp.body_size;
-    fs.priority = priority;
-    fs.relay = relay;
     fs.on_fail = [on_fail](NetError err) {
       if (on_fail) on_fail(err);
     };

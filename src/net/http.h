@@ -17,7 +17,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "net/endpoint.h"
@@ -60,16 +59,11 @@ class HttpService {
   void stop_listening(Endpoint ep);
 
   /// Issues a request. `on_fail` fires on connectivity loss at any stage or
-  /// when nothing listens at the endpoint. Body flows use `priority`, and
-  /// traverse `relay` when set (TURN-style relaying of HTTP uploads).
+  /// when nothing listens at the endpoint. Body flows are foreground flows
+  /// on the direct path.
   void request(NodeId client, Endpoint server, HttpRequest req,
                std::function<void(HttpResponse)> on_done,
-               std::function<void(NetError)> on_fail = nullptr,
-               FlowPriority priority = FlowPriority::kForeground,
-               std::optional<NodeId> relay = std::nullopt);
-
-  /// Total requests served per endpoint (scheduler-congestion metric).
-  std::int64_t requests_served(Endpoint ep) const;
+               std::function<void(NetError)> on_fail = nullptr);
 
   Network& network() { return net_; }
 
@@ -78,12 +72,10 @@ class HttpService {
 
   void deliver_response(NodeId client, Endpoint server, HttpResponse resp,
                         std::function<void(HttpResponse)> on_done,
-                        std::function<void(NetError)> on_fail,
-                        FlowPriority priority, std::optional<NodeId> relay);
+                        std::function<void(NetError)> on_fail);
 
   Network& net_;
   std::map<Endpoint, HttpHandler> handlers_;
-  std::map<Endpoint, std::int64_t> served_;
 };
 
 }  // namespace vcmr::net

@@ -4,7 +4,7 @@
 
 namespace vcmr::server {
 
-void Assimilator::pass() {
+int Assimilator::pass() {
   std::vector<WorkUnitId> ready;
   db_.for_each_workunit([&](const db::WorkUnitRecord& wu) {
     if (wu.assimilate_state == db::AssimilateState::kReady) {
@@ -13,9 +13,9 @@ void Assimilator::pass() {
   });
   for (const WorkUnitId wid : ready) {
     db_.workunit(wid).assimilate_state = db::AssimilateState::kDone;
-    ++assimilated_;
     if (on_assimilated_) on_assimilated_(wid);
   }
+  return static_cast<int>(ready.size());
 }
 
 }  // namespace vcmr::server

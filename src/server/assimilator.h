@@ -16,19 +16,17 @@ class Assimilator {
  public:
   explicit Assimilator(db::Database& db) : db_(db) {}
 
-  /// One daemon pass: assimilates every Ready work unit.
-  void pass();
+  /// One daemon pass: assimilates every Ready work unit. Returns how many
+  /// it assimilated.
+  int pass();
 
   void set_assimilated_listener(std::function<void(WorkUnitId)> fn) {
     on_assimilated_ = std::move(fn);
   }
 
-  std::int64_t assimilated() const { return assimilated_; }
-
  private:
   db::Database& db_;
   std::function<void(WorkUnitId)> on_assimilated_;
-  std::int64_t assimilated_ = 0;
 };
 
 }  // namespace vcmr::server

@@ -4,6 +4,7 @@
 
 #include "common/error.h"
 #include "common/logging.h"
+#include "mr/app.h"
 #include "mr/dataset.h"
 
 namespace vcmr::server {
@@ -71,9 +72,7 @@ MrJobId JobTracker::submit(const MrJobSpec& spec) {
   db::AppRecord& app_rec = db_.create_app(spec.app);
   proto.app = app_rec.id;
   db::MrJobRecord& job = db_.create_mr_job(proto);
-
-  JobRuntime& rt = runtime_[job.id];
-  rt.cost = app->cost();
+  const mr::CostModel cost = app->cost();
 
   // Split the input into one chunk per map, or into the single file every
   // map work unit of a parameter sweep reads.
@@ -91,10 +90,10 @@ MrJobId JobTracker::submit(const MrJobSpec& spec) {
                     static_cast<std::uint64_t>(chunks.size())).digest()));
     }
   }
-  rt.input_size = spec.shared_input ? chunks.front().size
-                  : spec.input_text
-                      ? static_cast<Bytes>(spec.input_text->size())
-                      : spec.input_size;
+  job.input_size = spec.shared_input ? chunks.front().size
+                   : spec.input_text
+                       ? static_cast<Bytes>(spec.input_text->size())
+                       : spec.input_size;
 
   // Stage each file on the data server and register it in the db just
   // before the first work unit that reads it.
@@ -113,30 +112,33 @@ MrJobId JobTracker::submit(const MrJobSpec& spec) {
       data_.stage(frec.name, chunk);
     }
     create_wu(job, db::MrPhase::kMap, i,
-              rt.cost.map_flops_per_byte * static_cast<double>(chunk.size),
+              cost.map_flops_per_byte * static_cast<double>(chunk.size),
               {input});
   }
 
   if (spec.shared_input) {
     log_.info("submitted sweep job '", spec.name, "': ", n_maps,
-              " maps over one shared ", rt.input_size, "-byte input");
+              " maps over one shared ", job.input_size, "-byte input");
   } else {
     log_.info("submitted job '", spec.name, "': ", n_maps, " maps, ",
-              n_reducers, " reducers, input ", rt.input_size, " bytes");
+              n_reducers, " reducers, input ", job.input_size, " bytes");
   }
   return job.id;
 }
 
 void JobTracker::create_reduce_wus(db::MrJobRecord& job) {
-  JobRuntime& rt = runtime_.at(job.id);
-  if (rt.reduce_created) return;
-  rt.reduce_created = true;
+  if (job.reduce_created) return;
+  job.reduce_created = true;
 
+  const mr::MapReduceApp* app =
+      mr::AppRegistry::instance().find(db_.app(job.app).name);
+  require(app != nullptr, "JobTracker: job's app is not registered");
+  const mr::CostModel cost = app->cost();
   // Expected reduce input: the whole intermediate volume over R partitions.
   const double inter_bytes =
-      static_cast<double>(rt.input_size) * rt.cost.map_output_ratio;
+      static_cast<double>(job.input_size) * cost.map_output_ratio;
   const double flops =
-      rt.cost.reduce_flops_per_byte * inter_bytes / job.n_reducers;
+      cost.reduce_flops_per_byte * inter_bytes / job.n_reducers;
 
   for (int r = 0; r < job.n_reducers; ++r) {
     create_wu(job, db::MrPhase::kReduce, r, flops, {});
@@ -145,45 +147,10 @@ void JobTracker::create_reduce_wus(db::MrJobRecord& job) {
             " reduce work units");
 }
 
-void JobTracker::rebuild_runtime() {
-  mr::register_builtin_apps();
-  runtime_.clear();
-  db_.for_each_mr_job([this](const db::MrJobRecord& job) {
-    JobRuntime rt;
-    const mr::MapReduceApp* app =
-        mr::AppRegistry::instance().find(db_.app(job.app).name);
-    require(app != nullptr, "rebuild_runtime: unknown app in snapshot");
-    rt.cost = app->cost();
-
-    std::vector<FileId> seen;
-    for (const WorkUnitId wid :
-         db_.workunits_of_job(job.id, db::MrPhase::kMap)) {
-      const db::WorkUnitRecord& wu = db_.workunit(wid);
-      if (wu.canonical_found) ++rt.maps_validated;
-      for (const FileId fid : wu.input_files) {
-        // Shared-input sweeps reference one file from every map WU; count
-        // each staged chunk once.
-        if (std::find(seen.begin(), seen.end(), fid) != seen.end()) continue;
-        seen.push_back(fid);
-        rt.input_size += db_.file(fid).size;
-      }
-    }
-    for (const WorkUnitId wid :
-         db_.workunits_of_job(job.id, db::MrPhase::kReduce)) {
-      rt.reduce_created = true;
-      if (db_.workunit(wid).assimilate_state == db::AssimilateState::kDone) {
-        ++rt.reduces_assimilated;
-      }
-    }
-    runtime_[job.id] = rt;
-  });
-}
-
 void JobTracker::wu_validated(WorkUnitId wid) {
   const db::WorkUnitRecord& wu = db_.workunit(wid);
   if (wu.mr_phase != db::MrPhase::kMap) return;
   db::MrJobRecord& job = db_.mr_job(wu.mr_job);
-  JobRuntime& rt = runtime_.at(job.id);
 
   // Register the canonical replica's outputs as fetchable locations.
   const db::ResultRecord& canonical = db_.result(wu.canonical_result);
@@ -200,13 +167,13 @@ void JobTracker::wu_validated(WorkUnitId wid) {
     job.map_outputs.push_back(loc);
   }
 
-  ++rt.maps_validated;
-  if (cfg_.pipelined_reduce && !rt.reduce_created) {
+  ++job.maps_validated;
+  if (cfg_.pipelined_reduce && !job.reduce_created) {
     create_reduce_wus(job);  // eager creation, mitigation E5
   }
   // The state check keeps this single-shot when a map re-validates after a
   // fetch-failure invalidation brought the count back below n_maps.
-  if (rt.maps_validated == job.n_maps &&
+  if (job.maps_validated == job.n_maps &&
       job.state == db::MrJobState::kMapPhase) {
     job.map_done = sim_.now();
     job.state = db::MrJobState::kReducePhase;
@@ -250,8 +217,7 @@ JobTracker::FetchFailureAction JobTracker::note_fetch_failure(MrJobId jid,
   job->map_outputs.erase(std::remove_if(job->map_outputs.begin(),
                                         job->map_outputs.end(), matches),
                          job->map_outputs.end());
-  JobRuntime& rt = runtime_.at(jid);
-  --rt.maps_validated;
+  --job->maps_validated;
 
   for (const WorkUnitId wid : db_.workunits_of_job(jid, db::MrPhase::kMap)) {
     db::WorkUnitRecord& wu = db_.workunit(wid);
@@ -284,9 +250,8 @@ void JobTracker::wu_assimilated(WorkUnitId wid) {
   const db::WorkUnitRecord& wu = db_.workunit(wid);
   if (wu.mr_phase != db::MrPhase::kReduce) return;
   db::MrJobRecord& job = db_.mr_job(wu.mr_job);
-  JobRuntime& rt = runtime_.at(job.id);
-  ++rt.reduces_assimilated;
-  if (rt.reduces_assimilated == job.n_reducers &&
+  ++job.reduces_assimilated;
+  if (job.reduces_assimilated == job.n_reducers &&
       job.state != db::MrJobState::kFailed) {
     job.state = db::MrJobState::kDone;
     job.finished = sim_.now();
@@ -331,9 +296,8 @@ std::vector<proto::PeerLocation> JobTracker::locations_for(MrJobId jid,
 }
 
 bool JobTracker::locations_complete(MrJobId jid) const {
-  const auto it = runtime_.find(jid);
-  return it != runtime_.end() &&
-         it->second.maps_validated == db_.mr_job(jid).n_maps;
+  const db::MrJobRecord& job = db_.mr_job(jid);
+  return job.maps_validated == job.n_maps;
 }
 
 void JobTracker::note_assignment(MrJobId jid, db::MrPhase phase, SimTime now) {

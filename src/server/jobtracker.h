@@ -10,13 +10,11 @@
 // queries so reduce results carry mapper addresses.
 
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "db/database.h"
-#include "mr/app.h"
 #include "proto/messages.h"
 #include "server/config.h"
 #include "sim/simulation.h"
@@ -51,14 +49,6 @@ class JobTracker {
   void wu_validated(WorkUnitId wu);
   void wu_assimilated(WorkUnitId wu);
   void wu_errored(WorkUnitId wu);
-
-  /// Server crash recovery: drop the in-memory per-job runtime and derive
-  /// it again from the (restored) database — validated-map counts from
-  /// canonical map WUs, assimilated-reduce counts from assimilate states,
-  /// input sizes from the staged chunk files, and cost models from the app
-  /// registry. Everything the JobTracker tracks is a pure function of DB
-  /// state, which is what makes the scheduler tier stateless-restartable.
-  void rebuild_runtime();
 
   /// What a reported peer-fetch failure led to.
   enum class FetchFailureAction {
@@ -103,6 +93,8 @@ class JobTracker {
   static std::string reduce_output_name(const std::string& result_name);
 
  private:
+  /// Creates the reduce work units once, costed from the job's recorded
+  /// input size and its app's cost model.
   void create_reduce_wus(db::MrJobRecord& job);
   /// Writes map `index` / reduce partition `index` of `job` into the
   /// database (`<job>_map_<i>` / `<job>_reduce_<r>`) with the project's
@@ -114,15 +106,6 @@ class JobTracker {
   db::Database& db_;
   store::StorageTier& data_;
   const ProjectConfig& cfg_;
-
-  struct JobRuntime {
-    int maps_validated = 0;
-    int reduces_assimilated = 0;
-    bool reduce_created = false;
-    Bytes input_size = 0;
-    mr::CostModel cost;
-  };
-  std::map<MrJobId, JobRuntime> runtime_;
   std::function<void(MrJobId)> on_finished_;
 };
 

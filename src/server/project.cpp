@@ -71,10 +71,7 @@ void Project::start() {
     note_daemon_pass(sim_, "validator", validator_.pass());
   });
   assimilator_daemon_.emplace(sim_, cfg_.assimilator_period, [this] {
-    const std::int64_t before = assimilator_.assimilated();
-    assimilator_.pass();
-    note_daemon_pass(sim_, "assimilator",
-                     assimilator_.assimilated() - before);
+    note_daemon_pass(sim_, "assimilator", assimilator_.pass());
   });
   if (snapshots_enabled_) {
     take_snapshot();  // a restore point exists from the first instant
@@ -116,7 +113,6 @@ void Project::restore_server() {
           "(enable_snapshots before start)");
   db_.restore_from(last_snapshot_);
   feeder_.clear();
-  jobtracker_.rebuild_runtime();
   crashed_ = false;
   scheduler_.restore();
   start();  // daemons resume on their cadences, snapshots included

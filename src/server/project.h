@@ -1,7 +1,7 @@
 #pragma once
 // Project: the assembled BOINC-MR server.
 //
-// Owns the database, data server, scheduler, JobTracker, and the daemon
+// Owns the database, storage tier, scheduler, JobTracker, and the daemon
 // quartet (feeder / transitioner / validator / assimilator), wires their
 // callbacks together, and runs them on their configured cadences — one
 // object standing in for a whole BOINC project deployment.
@@ -20,7 +20,6 @@
 #include "server/transitioner.h"
 #include "server/validator.h"
 #include "sim/simulation.h"
-#include "store/data_server.h"
 #include "store/store.h"
 
 namespace vcmr::server {
@@ -46,13 +45,14 @@ class Project {
   /// Saves the current DB as the latest restore point.
   void take_snapshot();
   /// Scheduler/daemon state loss: every daemon stops, the scheduler
-  /// answers 503, and all CGI soft state is discarded. The data server is
+  /// answers 503, and all CGI soft state is discarded. The storage tier is
   /// untouched — staged files live on disk, as when a BOINC project's
   /// database host dies but its file servers keep serving.
   void crash_server();
   /// Restore from the latest snapshot: reload the DB (id counters keep
-  /// their floors), clear the feeder cache, rebuild the JobTracker runtime
-  /// from the restored tables, and restart the daemons and scheduler.
+  /// their floors), clear the feeder cache, and restart the daemons and
+  /// scheduler. The JobTracker keeps its job state in the database, so the
+  /// restored tables are all it needs.
   /// Results assigned or reported inside the lost window roll back to
   /// in-progress and reconcile via resend_lost_results.
   void restore_server();

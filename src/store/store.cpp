@@ -4,13 +4,14 @@
 
 #include "common/error.h"
 #include "common/hash.h"
+#include "common/strings.h"
 #include "obs/metrics.h"
 
 namespace vcmr::store {
 
 namespace {
 
-obs::Labels shard_labels(int shard) {
+obs::Labels shard_labels(std::size_t shard) {
   return {{"shard", std::to_string(shard)}};
 }
 
@@ -18,122 +19,148 @@ obs::Labels shard_labels(int shard) {
 
 StorageTier::StorageTier(net::HttpService& http, NodeId primary_node, int port)
     : http_(http), port_(port) {
-  shards_.push_back(std::make_unique<DataServer>(http_, primary_node, port_));
+  add_shard(primary_node);
 }
 
-DataServer& StorageTier::add_shard(NodeId node) {
-  shards_.push_back(std::make_unique<DataServer>(http_, node, port_));
-  if (upload_listener_) shards_.back()->set_upload_listener(upload_listener_);
-  return *shards_.back();
+StorageTier::~StorageTier() {
+  for (const Shard& s : shards_) http_.stop_listening(s.ep);
+}
+
+void StorageTier::add_shard(NodeId node) {
+  require(!placed_,
+          "StorageTier::add_shard: add shards before staging or uploading "
+          "any file");
+  // The handler captures the shard's index: shards_ may reallocate.
+  const std::size_t s = shards_.size();
+  shards_.push_back(Shard{net::Endpoint{node, port_}, {}, true});
+  http_.listen(shards_.back().ep,
+               [this, s](const net::HttpRequest& req,
+                         const net::HttpRespondFn& respond) {
+                 serve(s, req, respond);
+               });
 }
 
 int StorageTier::shard_for(const std::string& name) const {
-  const auto it = placement_.find(name);
-  if (it != placement_.end()) return it->second;
   if (shards_.size() == 1) return 0;
   return static_cast<int>(common::fnv1a64(name) % shards_.size());
 }
 
-void StorageTier::stage(const std::string& name, mr::FilePayload payload) {
-  const int s = shard_for(name);
-  placement_[name] = s;
-  shard(s).stage(name, std::move(payload));
+void StorageTier::serve(std::size_t s, const net::HttpRequest& req,
+                        const net::HttpRespondFn& respond) {
+  const Shard& shard = shards_[s];
+  if (!shard.up) {
+    ++rejected_unavailable_;
+    respond(net::HttpResponse{503, 0, {}});
+    return;
+  }
+  if (req.method == "GET" && common::starts_with(req.path, "/download/")) {
+    const auto it = shard.files.find(req.path.substr(10));
+    if (it == shard.files.end()) {
+      respond(net::HttpResponse::not_found());
+      return;
+    }
+    bytes_served_ += it->second.size;
+    respond(net::HttpResponse{200, it->second.size, {}});
+    return;
+  }
+  if (req.method == "POST" && common::starts_with(req.path, "/upload/")) {
+    // The body flow has already been charged to the network by the time the
+    // handler runs; upload() stores the payload when this answer arrives
+    // (one process, no real bytes to move).
+    respond(net::HttpResponse{});
+    return;
+  }
+  respond(net::HttpResponse{400, 0, {}});
 }
 
-bool StorageTier::has(const std::string& name) const {
-  return shard(shard_for(name)).has(name);
+void StorageTier::stage(const std::string& name, mr::FilePayload payload) {
+  require(!name.empty(), "StorageTier::stage: empty file name");
+  placed_ = true;
+  shards_[static_cast<std::size_t>(shard_for(name))].files[name] =
+      std::move(payload);
 }
 
 const mr::FilePayload* StorageTier::payload(const std::string& name) const {
-  return shard(shard_for(name)).payload(name);
-}
-
-std::size_t StorageTier::file_count() const {
-  std::size_t n = 0;
-  for (const auto& s : shards_) n += s->file_count();
-  return n;
+  const auto& files = shards_[static_cast<std::size_t>(shard_for(name))].files;
+  const auto it = files.find(name);
+  return it == files.end() ? nullptr : &it->second;
 }
 
 void StorageTier::download(NodeId client, const std::string& name,
                            std::function<void(const mr::FilePayload&)> on_done,
-                           std::function<void(std::string)> on_fail,
-                           net::FlowPriority priority) {
-  const int s = shard_for(name);
-  shard(s).download(
-      client, name,
-      [s, on_done = std::move(on_done)](const mr::FilePayload& p) {
+                           std::function<void(std::string)> on_fail) {
+  const auto s = static_cast<std::size_t>(shard_for(name));
+  net::HttpRequest req;
+  req.method = "GET";
+  req.path = "/download/" + name;
+  http_.request(
+      client, shards_[s].ep, std::move(req),
+      [this, s, name, on_done = std::move(on_done),
+       on_fail](const net::HttpResponse& resp) {
+        if (!resp.ok()) {
+          if (on_fail) on_fail("HTTP " + std::to_string(resp.status) +
+                               " for " + name);
+          return;
+        }
+        const auto& files = shards_[s].files;
+        const auto it = files.find(name);
+        if (it == files.end()) {
+          if (on_fail) on_fail("file disappeared mid-download: " + name);
+          return;
+        }
+        const mr::FilePayload& p = it->second;
         auto& reg = obs::MetricsRegistry::instance();
         reg.counter("store", "egress_bytes", shard_labels(s)).add(p.size);
         reg.counter("store", "tier_egress_bytes", {{"tier", "project"}})
             .add(p.size);
         if (on_done) on_done(p);
       },
-      std::move(on_fail), priority);
+      [name, on_fail](net::NetError err) {
+        if (on_fail) on_fail(std::string(net::to_string(err)) + " for " + name);
+      });
 }
 
 void StorageTier::upload(NodeId client, const std::string& name,
                          mr::FilePayload payload, std::function<void()> on_done,
-                         std::function<void(std::string)> on_fail,
-                         net::FlowPriority priority) {
-  const int s = shard_for(name);
-  placement_[name] = s;
-  const Bytes size = payload.size;
-  shard(s).upload(
-      client, name, std::move(payload),
-      [s, size, on_done = std::move(on_done)]() {
+                         std::function<void(std::string)> on_fail) {
+  placed_ = true;
+  const auto s = static_cast<std::size_t>(shard_for(name));
+  net::HttpRequest req;
+  req.method = "POST";
+  req.path = "/upload/" + name;
+  req.body_size = payload.size;
+  http_.request(
+      client, shards_[s].ep, std::move(req),
+      [this, s, name, payload = std::move(payload), on_done = std::move(on_done),
+       on_fail](const net::HttpResponse& resp) mutable {
+        if (!resp.ok()) {
+          // A refused upload (e.g. 503 during an outage) must surface as a
+          // failure, or the client's transfer would hang forever.
+          if (on_fail) on_fail("HTTP " + std::to_string(resp.status) +
+                               " for " + name);
+          return;
+        }
         auto& reg = obs::MetricsRegistry::instance();
-        reg.counter("store", "ingress_bytes", shard_labels(s)).add(size);
+        reg.counter("store", "ingress_bytes", shard_labels(s))
+            .add(payload.size);
         reg.counter("store", "tier_ingress_bytes", {{"tier", "project"}})
-            .add(size);
+            .add(payload.size);
+        shards_[s].files[name] = std::move(payload);
         if (on_done) on_done();
       },
-      std::move(on_fail), priority);
+      [name, on_fail](net::NetError err) {
+        if (on_fail) on_fail(std::string(net::to_string(err)) + " for " + name);
+      });
 }
 
-void StorageTier::set_upload_listener(
-    std::function<void(const std::string&)> listener) {
-  upload_listener_ = std::move(listener);
-  for (auto& s : shards_) s->set_upload_listener(upload_listener_);
-}
-
-void StorageTier::set_available(int shard_index, bool up) {
-  if (shard_index < 0) {
-    for (auto& s : shards_) s->set_available(up);
+void StorageTier::set_available(int shard, bool up) {
+  if (shard < 0) {
+    for (Shard& s : shards_) s.up = up;
     return;
   }
-  require(shard_index < n_shards(),
+  require(shard < static_cast<int>(shards_.size()),
           "StorageTier::set_available: shard out of range");
-  shard(shard_index).set_available(up);
-}
-
-Bytes StorageTier::bytes_served() const {
-  Bytes n = 0;
-  for (const auto& s : shards_) n += s->bytes_served();
-  return n;
-}
-
-Bytes StorageTier::bytes_ingested() const {
-  Bytes n = 0;
-  for (const auto& s : shards_) n += s->bytes_ingested();
-  return n;
-}
-
-std::int64_t StorageTier::downloads() const {
-  std::int64_t n = 0;
-  for (const auto& s : shards_) n += s->downloads();
-  return n;
-}
-
-std::int64_t StorageTier::uploads() const {
-  std::int64_t n = 0;
-  for (const auto& s : shards_) n += s->uploads();
-  return n;
-}
-
-std::int64_t StorageTier::rejected_unavailable() const {
-  std::int64_t n = 0;
-  for (const auto& s : shards_) n += s->rejected_unavailable();
-  return n;
+  shards_[static_cast<std::size_t>(shard)].up = up;
 }
 
 // --- ReplicaDirectory --------------------------------------------------------

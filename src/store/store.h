@@ -1,16 +1,18 @@
 #pragma once
 // vcmr::store — the distributed storage tier.
 //
-// Removes the implicit "one project DataServer" assumption that bounds every
-// E1 result by a single access link. Two pieces:
+// Two pieces:
 //
-//  * StorageTier — N sharded project data servers behind one façade. Files
-//    are routed to a shard by name hash at stage/upload time and the
-//    placement is remembered, so downloads always hit the shard that holds
-//    the file. With n_shards == 1 (the default) every call forwards to the
-//    lone primary and behaviour is bit-identical to the historical single
-//    DataServer. Per-shard and per-tier egress/ingress land in vcmr::obs
-//    (always-on counter bumps: no events, no RNG draws).
+//  * StorageTier — the project's data servers. BOINC projects stage input
+//    files on HTTP file servers and receive output uploads there (§III.B:
+//    "All map input data are saved on the project's data servers"). Each
+//    shard is one such server on its own node: every download and upload is
+//    an HTTP request to the shard that holds the file, so it contends for
+//    that shard's access link — the bottleneck the paper's inter-client
+//    transfers exist to relieve, and the one extra shards widen. A file's
+//    shard is its name hash modulo the shard count. Per-shard and per-tier
+//    egress/ingress land in vcmr::obs (always-on counter bumps: no events,
+//    no RNG draws).
 //
 //  * ReplicaDirectory — the scheduler-side index of the volunteer replica
 //    store. Clients that downloaded or produced a chunk advertise a Bloom
@@ -30,7 +32,6 @@
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -38,7 +39,6 @@
 #include "common/types.h"
 #include "mr/dataset.h"
 #include "net/http.h"
-#include "store/data_server.h"
 
 namespace vcmr::store {
 
@@ -74,69 +74,71 @@ struct VolunteerStoreConfig {
                          const VolunteerStoreConfig&) = default;
 };
 
-/// N sharded project data servers behind the single-DataServer interface.
-///
-/// Shard 0 (the primary) lives on the project server node; extra shards are
-/// added by the deployment (Cluster) on their own nodes, each with its own
-/// access link, so tier egress scales with shard count.
+/// N project data servers. Shard 0 lives on the project server node;
+/// extra shards are added by the deployment (Cluster) on their own nodes,
+/// each with its own access link, so tier egress scales with shard count.
 class StorageTier {
  public:
   StorageTier(net::HttpService& http, NodeId primary_node, int port = 80);
+  ~StorageTier();
 
   StorageTier(const StorageTier&) = delete;
   StorageTier& operator=(const StorageTier&) = delete;
 
-  /// Adds shard n_shards() on `node` (same port). Call before any staging.
-  DataServer& add_shard(NodeId node);
+  /// Adds a shard on `node` (same port). A file's shard depends on the
+  /// shard count, so this throws once a file has been staged or uploaded.
+  void add_shard(NodeId node);
 
-  int n_shards() const { return static_cast<int>(shards_.size()); }
-  DataServer& shard(int i) { return *shards_.at(static_cast<std::size_t>(i)); }
-  const DataServer& shard(int i) const {
-    return *shards_.at(static_cast<std::size_t>(i));
-  }
-  DataServer& primary() { return *shards_.front(); }
-  const DataServer& primary() const { return *shards_.front(); }
-
-  /// Shard that holds (or would receive) `name`: the recorded placement,
-  /// else name-hash modulo shard count.
+  /// Shard that holds (or would receive) `name`: fnv1a64(name) modulo the
+  /// shard count.
   int shard_for(const std::string& name) const;
 
-  // --- the historical DataServer surface, shard-routed ----------------------
+  /// Registers a file for download, replacing any earlier version.
   void stage(const std::string& name, mr::FilePayload payload);
-  bool has(const std::string& name) const;
+  bool has(const std::string& name) const { return payload(name) != nullptr; }
+  /// nullptr when absent.
   const mr::FilePayload* payload(const std::string& name) const;
-  std::size_t file_count() const;
 
+  // --- client-side helpers (model libcurl against the holding shard) --------
+  /// GET: transfers the file's bytes to `client`; delivers the payload.
   void download(NodeId client, const std::string& name,
                 std::function<void(const mr::FilePayload&)> on_done,
-                std::function<void(std::string)> on_fail,
-                net::FlowPriority priority = net::FlowPriority::kForeground);
+                std::function<void(std::string)> on_fail);
+  /// POST: transfers the payload's bytes from `client` and stores it.
   void upload(NodeId client, const std::string& name, mr::FilePayload payload,
               std::function<void()> on_done,
-              std::function<void(std::string)> on_fail,
-              net::FlowPriority priority = net::FlowPriority::kForeground);
+              std::function<void(std::string)> on_fail);
 
-  /// Installed on every shard, current and future.
-  void set_upload_listener(std::function<void(const std::string&)> listener);
-
-  /// Fault injection: shard outage (503s). shard == -1 hits every shard.
+  /// Fault injection: a shard that is down answers every request with 503
+  /// (clients retry under their transfer policies); its files survive the
+  /// outage, as a restarted file server's disk would. shard == -1 hits
+  /// every shard.
   void set_available(int shard, bool up);
-  bool available() const { return primary().available(); }
 
-  // --- tier-wide counters (sums over shards) --------------------------------
-  Bytes bytes_served() const;
-  Bytes bytes_ingested() const;
-  std::int64_t downloads() const;
-  std::int64_t uploads() const;
-  std::int64_t rejected_unavailable() const;
+  /// Bytes the shards answered downloads with, counted when a shard's
+  /// handler answers. store/egress_bytes counts a download when its body
+  /// flow completes, so only a transfer cut short tells the two apart.
+  Bytes bytes_served() const { return bytes_served_; }
+  /// Requests a down shard refused.
+  std::int64_t rejected_unavailable() const { return rejected_unavailable_; }
 
  private:
+  struct Shard {
+    net::Endpoint ep;
+    std::map<std::string, mr::FilePayload> files;
+    bool up = true;
+  };
+
+  /// Shard `s`'s HTTP handler: GET /download/<name>, POST /upload/<name>.
+  void serve(std::size_t s, const net::HttpRequest& req,
+             const net::HttpRespondFn& respond);
+
   net::HttpService& http_;
   int port_;
-  std::vector<std::unique_ptr<DataServer>> shards_;
-  /// name → shard index, recorded at stage/upload.
-  std::map<std::string, int> placement_;
-  std::function<void(const std::string&)> upload_listener_;
+  std::vector<Shard> shards_;
+  bool placed_ = false;  ///< a file has been staged or uploaded
+  Bytes bytes_served_ = 0;
+  std::int64_t rejected_unavailable_ = 0;
 };
 
 /// Scheduler-side index of volunteer replica adverts.

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <regex>
 #include <set>
 
 #include "common/error.h"
@@ -226,6 +227,10 @@ TEST(Database, SnapshotRoundTrip) {
   jp.app = app.id;
   jp.n_maps = 4;
   jp.n_reducers = 2;
+  jp.input_size = 200'000'000;
+  jp.maps_validated = 3;
+  jp.reduces_assimilated = 1;
+  jp.reduce_created = true;
   jp.map_first_sent = SimTime::seconds(12);
   MapOutputLocation loc;
   loc.map_index = 1;
@@ -256,7 +261,8 @@ TEST(Database, SnapshotRoundTrip) {
   rp.output_files.push_back(file.id);
   const ResultRecord& res = db.create_result(rp);
 
-  const Database loaded = Database::load(db.save());
+  const std::string snap = db.save();
+  const Database loaded = Database::load(snap);
 
   EXPECT_EQ(loaded.app(app.id).name, "word_count");
   EXPECT_EQ(loaded.host(host.id).mr_endpoint.port, 31416);
@@ -269,11 +275,29 @@ TEST(Database, SnapshotRoundTrip) {
   EXPECT_EQ(loaded.result(res.id).output_digest, common::Hasher::of("out"));
   EXPECT_EQ(loaded.result(res.id).received_time, SimTime::seconds(80));
   EXPECT_EQ(loaded.mr_job(job.id).n_maps, 4);
+  EXPECT_EQ(loaded.mr_job(job.id).input_size, 200'000'000);
+  EXPECT_EQ(loaded.mr_job(job.id).maps_validated, 3);
+  EXPECT_EQ(loaded.mr_job(job.id).reduces_assimilated, 1);
+  EXPECT_TRUE(loaded.mr_job(job.id).reduce_created);
   EXPECT_EQ(loaded.mr_job(job.id).map_first_sent, SimTime::seconds(12));
   ASSERT_EQ(loaded.mr_job(job.id).map_outputs.size(), 1u);
   EXPECT_EQ(loaded.mr_job(job.id).map_outputs[0].endpoint.port, 31416);
   EXPECT_EQ(loaded.results_of(wu.id).size(), 1u);
   EXPECT_EQ(loaded.find_workunit_by_name("job_map_0"), wu.id);
+
+  // A snapshot written before a job row carried its progress reads it as 0.
+  const std::regex progress(
+      "<(input_size|maps_validated|reduces_assimilated|reduce_created)>"
+      "[^<]*</[a-z_]+>");
+  const std::string old_snap = std::regex_replace(snap, progress, "");
+  ASSERT_NE(old_snap, snap);
+  const Database old_db = Database::load(old_snap);
+  const MrJobRecord& old_job = old_db.mr_job(job.id);
+  EXPECT_EQ(old_job.input_size, 0);
+  EXPECT_EQ(old_job.maps_validated, 0);
+  EXPECT_EQ(old_job.reduces_assimilated, 0);
+  EXPECT_FALSE(old_job.reduce_created);
+  EXPECT_EQ(old_job.n_maps, 4);
 }
 
 TEST(Database, SnapshotPreservesIdAllocation) {

@@ -149,7 +149,7 @@ TEST(FaultRecovery, PartitionHeals) {
   EXPECT_EQ(fault::injections(cluster.metrics(), "partition_heal"), 1);
 }
 
-TEST(FaultRecovery, DataServerOutage) {
+TEST(FaultRecovery, StorageTierOutage) {
   const std::string text = corpus(150 * 1024, 31);
   core::Scenario s = recovery_scenario(text);
   fault::ServerOutage o;
@@ -162,7 +162,7 @@ TEST(FaultRecovery, DataServerOutage) {
   EXPECT_EQ(cluster.collect_output(out.job), oracle(text, 4, 2));
   EXPECT_EQ(fault::injections(cluster.metrics(), "server_down"), 1);
   EXPECT_EQ(fault::injections(cluster.metrics(), "server_up"), 1);
-  EXPECT_GT(cluster.project().storage().primary().rejected_unavailable(), 0);
+  EXPECT_GT(cluster.project().storage().rejected_unavailable(), 0);
 }
 
 TEST(FaultRecovery, ClientCrashAndRestart) {

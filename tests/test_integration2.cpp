@@ -96,7 +96,8 @@ TEST(Integration2, HashOnlyModeCorrectOutput) {
   EXPECT_GT(out.interclient_bytes, 0);
   // Server never saw a map partition: its ingress is only reduce outputs
   // and RPC bodies, far below the intermediate volume.
-  EXPECT_LT(cluster.project().storage().primary().bytes_ingested(),
+  EXPECT_LT(cluster.metrics().counter_value("store", "ingress_bytes",
+                                            {{"shard", "0"}}),
             out.interclient_bytes);
 }
 

@@ -27,7 +27,9 @@ struct Fixture {
 TEST(Http, RoundTripWithBody) {
   Fixture f;
   const Endpoint ep{f.server, 80};
-  f.http.listen(ep, [](const HttpRequest& req, HttpRespondFn respond) {
+  int served = 0;
+  f.http.listen(ep, [&](const HttpRequest& req, HttpRespondFn respond) {
+    ++served;
     EXPECT_EQ(req.method, "GET");
     EXPECT_EQ(req.path, "/hello");
     // The payload arrives as the typed value the client sent.
@@ -47,7 +49,7 @@ TEST(Http, RoundTripWithBody) {
   });
   f.sim.run();
   EXPECT_EQ(got, "world");
-  EXPECT_EQ(f.http.requests_served(ep), 1);
+  EXPECT_EQ(served, 1);
 }
 
 TEST(Http, NotListeningGives404) {
@@ -141,7 +143,9 @@ TEST(Http, OfflineServerFails) {
 TEST(Http, ConcurrentRequestsAllServed) {
   Fixture f;
   const Endpoint ep{f.server, 80};
-  f.http.listen(ep, [](const HttpRequest&, HttpRespondFn respond) {
+  int served = 0;
+  f.http.listen(ep, [&](const HttpRequest&, HttpRespondFn respond) {
+    ++served;
     HttpResponse resp;
     resp.body_size = 1'250'000;
     respond(std::move(resp));
@@ -153,7 +157,7 @@ TEST(Http, ConcurrentRequestsAllServed) {
   }
   f.sim.run();
   EXPECT_EQ(done, 10);
-  EXPECT_EQ(f.http.requests_served(ep), 10);
+  EXPECT_EQ(served, 10);
 }
 
 }  // namespace

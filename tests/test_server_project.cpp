@@ -102,7 +102,7 @@ TEST(JobTracker, SubmitStagesInputsAndWorkUnits) {
   EXPECT_EQ(db.workunits_of_job(job, db::MrPhase::kMap).size(), 3u);
   EXPECT_EQ(db.workunits_of_job(job, db::MrPhase::kReduce).size(), 0u);
   EXPECT_EQ(db.file_count(), 3u);
-  EXPECT_TRUE(f.project->storage().primary().has("job_map_0_input"));
+  EXPECT_TRUE(f.project->storage().has("job_map_0_input"));
   // Chunk sizes partition the input.
   Bytes total = 0;
   db.for_each_workunit([&](const db::WorkUnitRecord& wu) {

@@ -3,12 +3,14 @@
 // results via resend_lost_results.
 //
 // The crash model: every daemon stops, the scheduler answers 503, and all
-// CGI soft state is discarded; the data server keeps serving staged files.
+// CGI soft state is discarded; the storage tier keeps serving staged files.
 // Restore reloads the last periodic DB snapshot (id counters keep their
-// floors so post-snapshot ids are never recycled), rebuilds the JobTracker
-// runtime from the restored tables, and restarts the daemons.
+// floors so post-snapshot ids are never recycled) and restarts the daemons;
+// the JobTracker keeps its job state in those tables.
 
 #include <gtest/gtest.h>
+
+#include <map>
 
 #include "common/error.h"
 #include "core/cluster.h"
@@ -135,6 +137,41 @@ TEST(ServerRestore, CrashWithoutRestoreHitsTimeLimit) {
   EXPECT_EQ(fault::injections(cluster.metrics(), "server_crash"), 1);
   EXPECT_EQ(fault::injections(cluster.metrics(), "server_restore"), 0);
   EXPECT_TRUE(cluster.project().crashed());
+}
+
+TEST(ServerRestore, RestoredJobKeepsItsReduceCost) {
+  // The t = 60 snapshot predates the reduce work units, so the restored
+  // server creates them from the job's restored record. They must cost what
+  // they cost in a crash-free run of the same job.
+  struct Run {
+    std::map<std::string, double> reduce_flops;
+    SimTime map_done;
+  };
+  const auto run = [](const core::Scenario& s) {
+    core::Cluster cluster(s);
+    const core::RunOutcome out = cluster.run_job();
+    EXPECT_TRUE(out.metrics.completed);
+    const db::Database& db = cluster.project().database();
+    Run r;
+    for (const WorkUnitId wid :
+         db.workunits_of_job(out.job, db::MrPhase::kReduce)) {
+      r.reduce_flops[db.workunit(wid).name] = db.workunit(wid).flops_est;
+    }
+    r.map_done = db.mr_job(out.job).map_done;
+    return r;
+  };
+  const std::string text = corpus(150 * 1024, 31);
+  core::Scenario crashed = crash_scenario(text);
+  crashed.project.resend_lost_results = true;
+  core::Scenario clean = crashed;
+  clean.faults.server_crashes.clear();
+  const Run want = run(clean);
+  const Run got = run(crashed);
+  // The map phase ended after the t = 85 restore, so the restored server
+  // created every reduce work unit.
+  EXPECT_GT(got.map_done, SimTime::seconds(85));
+  ASSERT_EQ(want.reduce_flops.size(), 2u);
+  EXPECT_EQ(got.reduce_flops, want.reduce_flops);
 }
 
 // --- snapshot/restore unit behaviour ----------------------------------------

@@ -1,8 +1,8 @@
 // Tests for vcmr::store — the distributed storage tier.
 //
 // Five families:
-//  1. StorageTier unit tests: shard routing, placement stickiness, per-shard
-//     outage, counter aggregation.
+//  1. StorageTier unit tests: shard routing by name hash, per-shard outage,
+//     per-shard and tier counters.
 //  2. ReplicaDirectory unit tests: advert lifecycle, TTL eviction, trust
 //     gate, requester exclusion, Bloom membership.
 //  3. Default-off regression: a scenario that carries storage-tier config
@@ -20,6 +20,8 @@
 #include <vector>
 
 #include "common/bloom.h"
+#include "common/error.h"
+#include "common/hash.h"
 #include "core/cluster.h"
 #include "fault/fault.h"
 #include "mr/apps.h"
@@ -35,6 +37,7 @@ namespace {
 // --- 1. StorageTier ---------------------------------------------------------
 
 struct TierFixture {
+  obs::ScopedMetricsRegistry metrics;  ///< first: outlives everything below
   sim::Simulation sim{7};
   net::Network net{sim};
   net::HttpService http{net};
@@ -53,39 +56,47 @@ struct TierFixture {
       tier.add_shard(n);
     }
   }
+
+  std::int64_t egress(int shard) const {
+    return metrics.registry().counter_value(
+        "store", "egress_bytes", {{"shard", std::to_string(shard)}});
+  }
 };
 
-TEST(StorageTier, SingleShardForwardsToPrimary) {
+TEST(StorageTier, SingleShardHoldsEveryFile) {
   TierFixture f;
-  EXPECT_EQ(f.tier.n_shards(), 1);
   f.tier.stage("chunk0", mr::FilePayload::of_content("hello"));
   EXPECT_EQ(f.tier.shard_for("chunk0"), 0);
   EXPECT_EQ(f.tier.shard_for("never-staged"), 0);
   EXPECT_TRUE(f.tier.has("chunk0"));
-  EXPECT_TRUE(f.tier.primary().has("chunk0"));
   ASSERT_NE(f.tier.payload("chunk0"), nullptr);
   EXPECT_EQ(*f.tier.payload("chunk0")->content, "hello");
 }
 
-TEST(StorageTier, ShardsFilesAndRemembersPlacement) {
+TEST(StorageTier, ShardsFilesByNameHash) {
   TierFixture f(3);
-  ASSERT_EQ(f.tier.n_shards(), 3);
   std::vector<int> used(3, 0);
   for (int i = 0; i < 24; ++i) {
     const std::string name = "chunk" + std::to_string(i);
     f.tier.stage(name, mr::FilePayload::of_content("payload"));
     const int s = f.tier.shard_for(name);
-    ASSERT_GE(s, 0);
-    ASSERT_LT(s, 3);
-    // Placement is sticky: the holder shard has the file, the others don't.
-    for (int j = 0; j < 3; ++j) {
-      EXPECT_EQ(f.tier.shard(j).has(name), j == s);
-    }
+    EXPECT_EQ(s, static_cast<int>(common::fnv1a64(name) % 3)) << name;
+    EXPECT_TRUE(f.tier.has(name)) << name;
     ++used[static_cast<std::size_t>(s)];
   }
   // The name hash actually spreads files across the tier.
   for (int s = 0; s < 3; ++s) EXPECT_GT(used[static_cast<std::size_t>(s)], 0);
-  EXPECT_EQ(f.tier.file_count(), 24u);
+  // Each file is served by its hash shard and by no other.
+  for (int i = 0; i < 24; ++i) {
+    f.tier.download(f.client_node, "chunk" + std::to_string(i), nullptr,
+                    [](const std::string& why) { FAIL() << why; });
+  }
+  f.sim.run();
+  for (int s = 0; s < 3; ++s) {
+    EXPECT_EQ(f.egress(s), 7 * used[static_cast<std::size_t>(s)]) << s;
+  }
+  // A fourth shard would move files already placed by the three-shard hash.
+  EXPECT_THROW(f.tier.add_shard(f.net.add_node(net::NodeConfig{})), Error);
 }
 
 TEST(StorageTier, DownloadRoutesToHolderShard) {
@@ -98,28 +109,31 @@ TEST(StorageTier, DownloadRoutesToHolderShard) {
                   [](const std::string& why) { FAIL() << why; });
   f.sim.run();
   EXPECT_EQ(got, "bytes here");
-  EXPECT_EQ(f.tier.shard(holder).downloads(), 1);
   for (int s = 0; s < 3; ++s) {
-    if (s != holder) {
-      EXPECT_EQ(f.tier.shard(s).downloads(), 0);
-    }
+    EXPECT_EQ(f.egress(s), s == holder ? static_cast<Bytes>(got.size()) : 0);
   }
   EXPECT_EQ(f.tier.bytes_served(), static_cast<Bytes>(got.size()));
 }
 
-TEST(StorageTier, UploadRecordsPlacementAndAggregates) {
+TEST(StorageTier, UploadLandsOnItsHashShard) {
   TierFixture f(2);
   bool done = false;
   f.tier.upload(f.client_node, "map_out_3",
                 mr::FilePayload::of_content("reduced"), [&] { done = true; },
                 [](const std::string& why) { FAIL() << why; });
+  // The upload is routed by the two-shard hash while it is still in flight.
+  EXPECT_THROW(f.tier.add_shard(f.net.add_node(net::NodeConfig{})), Error);
   f.sim.run();
   ASSERT_TRUE(done);
   const int holder = f.tier.shard_for("map_out_3");
-  EXPECT_TRUE(f.tier.shard(holder).has("map_out_3"));
   EXPECT_TRUE(f.tier.has("map_out_3"));
-  EXPECT_EQ(f.tier.uploads(), 1);
-  EXPECT_EQ(f.tier.bytes_ingested(), 7);
+  const obs::MetricsRegistry& reg = f.metrics.registry();
+  EXPECT_EQ(reg.counter_value("store", "ingress_bytes",
+                              {{"shard", std::to_string(holder)}}),
+            7);
+  EXPECT_EQ(reg.counter_value("store", "tier_ingress_bytes",
+                              {{"tier", "project"}}),
+            7);
 }
 
 TEST(StorageTier, PerShardOutage) {
@@ -148,9 +162,14 @@ TEST(StorageTier, PerShardOutage) {
 
   // -1 downs the whole tier; restoring brings every shard back.
   f.tier.set_available(-1, false);
-  EXPECT_FALSE(f.tier.available());
+  std::string why0;
+  f.tier.download(f.client_node, on0,
+                  [](const mr::FilePayload&) { FAIL() << "tier is down"; },
+                  [&](const std::string& w) { why0 = w; });
+  f.sim.run();
+  EXPECT_NE(why0.find("503"), std::string::npos);
+  EXPECT_EQ(f.tier.rejected_unavailable(), 2);
   f.tier.set_available(-1, true);
-  EXPECT_TRUE(f.tier.available());
   std::string got1;
   f.tier.download(f.client_node, on1,
                   [&](const mr::FilePayload& p) { got1 = *p.content; },
@@ -415,7 +434,11 @@ TEST(StoreEndToEnd, VolunteerStoreMatchesSingleServerOracle) {
   // Egress convergence: 12 map results run, but only the handful of hosts
   // that were released server-sourced ever hit the project tier — everyone
   // else self-serves from the advertised local copy.
-  EXPECT_LT(cluster.project().storage().downloads(), 12);
+  const Bytes chunk =
+      cluster.project().storage().payload("shared_shared_input")->size;
+  EXPECT_LT(cluster.metrics().counter_value("store", "tier_egress_bytes",
+                                            {{"tier", "project"}}),
+            12 * chunk);
   // Bloom misses (if any) redirect; they never report failed fetches and
   // never invalidate holders.
   EXPECT_EQ(out.fetch_failures_reported, 0);
@@ -447,7 +470,11 @@ TEST(StoreEndToEnd, VolunteerStoreServesChunkOffTheProjectTier) {
   EXPECT_EQ(cluster.collect_output(out.job), single_server_output(s, spec));
   EXPECT_GT(out.store_fetches, 0);
   EXPECT_GT(out.store_bytes, 0);
-  EXPECT_EQ(cluster.project().storage().downloads(), 1);
+  // The project tier served the shared chunk exactly once.
+  EXPECT_EQ(
+      cluster.metrics().counter_value("store", "tier_egress_bytes",
+                                      {{"tier", "project"}}),
+      cluster.project().storage().payload("shared-trusted_shared_input")->size);
   EXPECT_EQ(out.fetch_failures_reported, 0);
   EXPECT_EQ(out.maps_invalidated, 0);
 }

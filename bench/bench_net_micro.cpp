@@ -3,6 +3,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "common/xml.h"
 #include "core/cluster.h"
 #include "net/network.h"
@@ -23,6 +25,26 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10000);
 }
 BENCHMARK(BM_EventQueueScheduleRun);
+
+// The keep_serving pattern: n pending far-future timeouts, every one
+// re-armed to one later instant per iteration, as
+// MapOutputServer::reset_timeouts does on each scheduler reply; none fires.
+void BM_RescheduleLater(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  sim::Simulation sim(1);
+  std::vector<sim::EventHandle> timeouts;
+  for (std::size_t i = 0; i < n; ++i) {
+    timeouts.push_back(sim.after(SimTime::hours(1), [] {}));
+  }
+  SimTime at = SimTime::hours(1);
+  for (auto _ : state) {
+    at += SimTime::seconds(1);
+    for (sim::EventHandle& h : timeouts) h = sim.reschedule(h, at);
+    benchmark::DoNotOptimize(timeouts.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_RescheduleLater)->Arg(1024)->Arg(4096);
 
 void BM_FairShareReallocation(benchmark::State& state) {
   const int n_flows = static_cast<int>(state.range(0));

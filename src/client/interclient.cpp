@@ -111,7 +111,7 @@ bool MapOutputServer::start_serving(
   // Activity resets the file's timeout.
   arm_timeout(name, it->second, SimTime::zero());
 
-  const mr::FilePayload payload = it->second.payload;
+  mr::FilePayload payload = it->second.payload;
   net::FlowSpec fs;
   fs.src = node_;
   fs.dst = requester;
@@ -119,7 +119,8 @@ bool MapOutputServer::start_serving(
   fs.priority = cfg_.background_priority ? net::FlowPriority::kBackground
                                          : net::FlowPriority::kForeground;
   fs.relay = relay;
-  fs.on_complete = [this, payload, on_done = std::move(on_done)] {
+  fs.on_complete = [this, payload = std::move(payload),
+                    on_done = std::move(on_done)] {
     --active_;
     ic_counter("files_served").add();
     ic_counter("bytes_served").add(payload.size);
@@ -146,10 +147,29 @@ PeerFetcher::PeerFetcher(sim::Simulation& sim, net::Network& net,
       establisher_(establisher),
       cfg_(cfg) {}
 
+std::uint64_t PeerFetcher::add(Fetch f) {
+  const std::uint64_t id = next_fetch_++;
+  fetches_.emplace(id, std::move(f));
+  return id;
+}
+
+PeerFetcher::Fetch& PeerFetcher::record(std::uint64_t id) {
+  const auto it = fetches_.find(id);
+  require(it != fetches_.end(), "PeerFetcher: the fetch already ended");
+  return it->second;
+}
+
+PeerFetcher::Fetches::node_type PeerFetcher::take(std::uint64_t id) {
+  auto node = fetches_.extract(id);
+  require(!node.empty(), "PeerFetcher: the fetch already ended");
+  return node;
+}
+
 void PeerFetcher::fetch(net::Endpoint ep, const std::string& name,
                         std::function<void(const mr::FilePayload&)> on_done,
                         std::function<void(std::string)> on_fail) {
-  attempt(ep, name, cfg_.max_attempts, std::move(on_done), std::move(on_fail));
+  attempt(add(Fetch{ep, name, cfg_.max_attempts, false, std::move(on_done),
+                    std::move(on_fail)}));
 }
 
 void PeerFetcher::fetch_store(
@@ -157,84 +177,87 @@ void PeerFetcher::fetch_store(
     std::function<void(const mr::FilePayload&)> on_done,
     std::function<void(std::string)> on_miss) {
   ic_counter("fetch_attempts").add();
-
-  auto miss = [name, on_miss](const std::string& why) {
-    ic_counter("store_misses").add();
-    log_.debug("store fetch of ", name, " missed (", why, ")");
-    if (on_miss) on_miss(why);
-  };
-
+  const std::uint64_t id =
+      add(Fetch{ep, name, 1, true, std::move(on_done), std::move(on_miss)});
   if (establisher_ == nullptr && !net_.online(ep.node)) {
     // Even a dead probe costs a handshake RTT before it comes back empty.
-    sim_.after(net_.rtt(node_, ep.node), [miss] { miss("peer offline"); });
+    sim_.after(net_.rtt(node_, ep.node),
+               [this, id] { failed(id, "peer offline"); });
     return;
   }
-  connect(ep, name, std::move(on_done), miss);
+  connect(id);
 }
 
-void PeerFetcher::attempt(net::Endpoint ep, std::string name, int tries_left,
-                          std::function<void(const mr::FilePayload&)> on_done,
-                          std::function<void(std::string)> on_fail) {
-  if (tries_left <= 0) {
+void PeerFetcher::attempt(std::uint64_t id) {
+  Fetch& f = record(id);
+  if (f.tries_left <= 0) {
     ic_counter("fetch_failures").add();
-    if (on_fail) on_fail("peer fetch attempts exhausted for " + name);
+    auto node = take(id);
+    Fetch& done = node.mapped();
+    if (done.on_fail) {
+      done.on_fail("peer fetch attempts exhausted for " + done.name);
+    }
     return;
   }
   ic_counter("fetch_attempts").add();
-
-  auto retry = [this, ep, name, tries_left, on_done,
-                on_fail](const std::string& why) {
-    log_.debug("peer fetch of ", name, " failed (", why, "); ",
-               tries_left - 1, " attempts left");
-    sim_.after(cfg_.retry_delay, [this, ep, name, tries_left, on_done,
-                                  on_fail] {
-      attempt(ep, name, tries_left - 1, on_done, on_fail);
-    });
-  };
-
-  if (establisher_ == nullptr && !net_.online(ep.node)) {
-    retry("peer offline");
+  if (establisher_ == nullptr && !net_.online(f.ep.node)) {
+    failed(id, "peer offline");
     return;
   }
-  connect(ep, name, on_done, retry);
+  connect(id);
 }
 
-void PeerFetcher::connect(net::Endpoint ep, const std::string& name,
-                          std::function<void(const mr::FilePayload&)> on_done,
-                          std::function<void(const std::string&)> fail) {
-  auto transfer = [this, ep, name, on_done,
-                   fail](std::optional<NodeId> relay) {
-    MapOutputServer* server = registry_.find(ep);
-    if (server == nullptr) {
-      fail("no listener at " + ep.str());
-      return;
-    }
-    const bool accepted = server->start_serving(
-        node_, name, relay,
-        [on_done](const mr::FilePayload& p) {
-          ic_counter("fetch_ok").add();
-          ic_counter("bytes_fetched").add(p.size);
-          if (on_done) on_done(p);
-        },
-        [fail](net::NetError err) { fail(net::to_string(err)); });
-    if (!accepted) fail("peer refused (busy or file withdrawn)");
-  };
-
-  if (establisher_ == nullptr) {
-    // Open-ports deployment: direct connection after one handshake RTT.
-    sim_.after(net_.rtt(node_, ep.node),
-               [transfer] { transfer(std::nullopt); });
+void PeerFetcher::failed(std::uint64_t id, const std::string& why) {
+  Fetch& f = record(id);
+  if (f.store) {
+    ic_counter("store_misses").add();
+    log_.debug("store fetch of ", f.name, " missed (", why, ")");
+    auto node = take(id);
+    if (node.mapped().on_fail) node.mapped().on_fail(why);
     return;
   }
+  log_.debug("peer fetch of ", f.name, " failed (", why, "); ",
+             f.tries_left - 1, " attempts left");
+  --f.tries_left;
+  sim_.after(cfg_.retry_delay, [this, id] { attempt(id); });
+}
 
-  establisher_->establish(node_, ep.node,
-                          [transfer, fail](net::ConnectResult r) {
-                            if (!r.ok()) {
-                              fail("connection establishment failed");
-                              return;
-                            }
-                            transfer(r.relay);
-                          });
+void PeerFetcher::connect(std::uint64_t id) {
+  const NodeId peer = record(id).ep.node;
+  if (establisher_ == nullptr) {
+    // Open-ports deployment: direct connection after one handshake RTT.
+    sim_.after(net_.rtt(node_, peer),
+               [this, id] { transfer(id, std::nullopt); });
+    return;
+  }
+  establisher_->establish(node_, peer, [this, id](net::ConnectResult r) {
+    if (!r.ok()) {
+      failed(id, "connection establishment failed");
+      return;
+    }
+    transfer(id, r.relay);
+  });
+}
+
+void PeerFetcher::transfer(std::uint64_t id, std::optional<NodeId> relay) {
+  const Fetch& f = record(id);
+  MapOutputServer* server = registry_.find(f.ep);
+  if (server == nullptr) {
+    failed(id, "no listener at " + f.ep.str());
+    return;
+  }
+  const bool accepted = server->start_serving(
+      node_, f.name, relay,
+      [this, id](const mr::FilePayload& p) { fetched(id, p); },
+      [this, id](net::NetError err) { failed(id, net::to_string(err)); });
+  if (!accepted) failed(id, "peer refused (busy or file withdrawn)");
+}
+
+void PeerFetcher::fetched(std::uint64_t id, const mr::FilePayload& p) {
+  ic_counter("fetch_ok").add();
+  ic_counter("bytes_fetched").add(p.size);
+  auto node = take(id);
+  if (node.mapped().on_done) node.mapped().on_done(p);
 }
 
 }  // namespace vcmr::client

@@ -16,10 +16,12 @@
 // to the project server ("After n failed attempts, the user resorts to
 // downloading the file from the server").
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "mr/dataset.h"
@@ -139,15 +141,30 @@ class PeerFetcher {
                    std::function<void(std::string)> on_miss);
 
  private:
-  void attempt(net::Endpoint ep, std::string name, int tries_left,
-               std::function<void(const mr::FilePayload&)> on_done,
-               std::function<void(std::string)> on_fail);
+  /// One fetch, retries included: its caller's callbacks are held here
+  /// once, and every stage's closure names the record by id.
+  struct Fetch {
+    net::Endpoint ep;
+    std::string name;
+    int tries_left = 0;  ///< attempts left, the current one included
+    bool store = false;  ///< a store probe: one try, any failure a miss
+    std::function<void(const mr::FilePayload&)> on_done;
+    std::function<void(std::string)> on_fail;  ///< on_miss for a probe
+  };
+  using Fetches = std::unordered_map<std::uint64_t, Fetch>;
+
+  std::uint64_t add(Fetch f);
+  void attempt(std::uint64_t id);
   /// The one connect path: reach the peer (one handshake RTT, or the
-  /// traversal ladder), then transfer `name`. Any failure on the way calls
-  /// `fail` with the reason; callers handle an offline peer themselves.
-  void connect(net::Endpoint ep, const std::string& name,
-               std::function<void(const mr::FilePayload&)> on_done,
-               std::function<void(const std::string&)> fail);
+  /// traversal ladder), then transfer(). Any failure on the way calls
+  /// failed(); callers handle an offline peer themselves.
+  void connect(std::uint64_t id);
+  void transfer(std::uint64_t id, std::optional<NodeId> relay);
+  void fetched(std::uint64_t id, const mr::FilePayload& p);
+  /// A store probe ends as a miss; a fetch retries after retry_delay.
+  void failed(std::uint64_t id, const std::string& why);
+  Fetch& record(std::uint64_t id);
+  Fetches::node_type take(std::uint64_t id);
 
   sim::Simulation& sim_;
   net::Network& net_;
@@ -155,6 +172,8 @@ class PeerFetcher {
   PeerRegistry& registry_;
   net::ConnectionEstablisher* establisher_;
   PeerFetchConfig cfg_;
+  Fetches fetches_;
+  std::uint64_t next_fetch_ = 0;
 };
 
 }  // namespace vcmr::client

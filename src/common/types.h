@@ -25,6 +25,10 @@ class SimTime {
   static constexpr SimTime minutes(double m) { return seconds(m * 60.0); }
   static constexpr SimTime hours(double h) { return seconds(h * 3600.0); }
   static constexpr SimTime zero() { return SimTime{0}; }
+  /// Largest |s| a time read from outside the program may have (about
+  /// 31,700 years). seconds() is undefined for NaN, infinities and |s|
+  /// beyond ~9.2e12; the margin leaves room to add such times together.
+  static constexpr double kMaxInputSeconds = 1e12;
   /// A sentinel later than any reachable simulation instant.
   static constexpr SimTime infinity() {
     return SimTime{std::numeric_limits<std::int64_t>::max()};

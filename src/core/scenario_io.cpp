@@ -26,8 +26,6 @@ Scenario scenario_from_xml(const std::string& xml) {
   s.app = root->child_text("app", s.app);
   s.boinc_mr = root->child_i64("boinc_mr", s.boinc_mr ? 1 : 0) != 0;
   s.record_trace = root->child_i64("record_trace", 0) != 0;
-  s.time_limit = SimTime::seconds(
-      root->child_double("time_limit_s", s.time_limit.as_seconds()));
   s.flow_failure_rate =
       root->child_double("flow_failure_rate", s.flow_failure_rate);
 
@@ -41,16 +39,38 @@ Scenario scenario_from_xml(const std::string& xml) {
                                   c != nullptr ? c->line() : block.line(),
                                   why));
   };
+  // Every second-valued field is read here: a value SimTime cannot hold
+  // (NaN, an infinity, beyond SimTime::kMaxInputSeconds) or below `min`
+  // fails at its element's line. Fault instants pass min = 0.
+  const auto seconds_of = [&fail_at](const XmlNode& block,
+                                     std::string_view key, double fallback,
+                                     double min = -SimTime::kMaxInputSeconds) {
+    const double v = block.child_double(key, fallback);
+    if (!(v >= min && v <= SimTime::kMaxInputSeconds)) {
+      fail_at(block, key,
+              common::strprintf("<%s><%s> must be a number of seconds in "
+                                "[%g, %g]",
+                                block.name().c_str(), std::string(key).c_str(),
+                                min, SimTime::kMaxInputSeconds)
+                  .c_str());
+    }
+    return v;
+  };
+  const auto time_of = [&seconds_of](const XmlNode& block,
+                                     std::string_view key, SimTime fallback) {
+    return SimTime::seconds(seconds_of(block, key, fallback.as_seconds()));
+  };
+
+  s.time_limit = time_of(*root, "time_limit_s", s.time_limit);
 
   if (const XmlNode* p = root->child("project")) {
     auto& cfg = s.project;
     server::read_project_fields(*p, "scenario xml", cfg);
-    cfg.delay_bound = SimTime::seconds(
-        p->child_double("delay_bound_s", cfg.delay_bound.as_seconds()));
+    cfg.delay_bound = time_of(*p, "delay_bound_s", cfg.delay_bound);
     cfg.max_wus_in_progress = static_cast<int>(
         p->child_i64("max_wus_in_progress", cfg.max_wus_in_progress));
-    cfg.snapshot_period = SimTime::seconds(p->child_double(
-        "snapshot_period_s", cfg.snapshot_period.as_seconds()));
+    cfg.snapshot_period =
+        time_of(*p, "snapshot_period_s", cfg.snapshot_period);
     if (!(cfg.snapshot_period > SimTime::zero())) {
       fail_at(*p, "snapshot_period_s",
               "<project><snapshot_period_s> must be positive");
@@ -64,11 +84,9 @@ Scenario scenario_from_xml(const std::string& xml) {
   if (const XmlNode* c = root->child("client")) {
     auto& cfg = s.client;
     cfg.work_buf_min_seconds =
-        c->child_double("work_buf_min_s", cfg.work_buf_min_seconds);
-    cfg.backoff_min = SimTime::seconds(
-        c->child_double("backoff_min_s", cfg.backoff_min.as_seconds()));
-    cfg.backoff_max = SimTime::seconds(
-        c->child_double("backoff_max_s", cfg.backoff_max.as_seconds()));
+        seconds_of(*c, "work_buf_min_s", cfg.work_buf_min_seconds);
+    cfg.backoff_min = time_of(*c, "backoff_min_s", cfg.backoff_min);
+    cfg.backoff_max = time_of(*c, "backoff_max_s", cfg.backoff_max);
     cfg.max_file_xfers =
         static_cast<int>(c->child_i64("max_file_xfers", cfg.max_file_xfers));
     cfg.report_results_immediately =
@@ -95,8 +113,7 @@ Scenario scenario_from_xml(const std::string& xml) {
         static_cast<int>(v->child_i64("filter_hashes", vc.filter_hashes));
     vc.max_store_peers =
         static_cast<int>(v->child_i64("max_store_peers", vc.max_store_peers));
-    vc.advert_ttl = SimTime::seconds(
-        v->child_double("advert_ttl_s", vc.advert_ttl.as_seconds()));
+    vc.advert_ttl = time_of(*v, "advert_ttl_s", vc.advert_ttl);
     vc.dispatch_gate_width = static_cast<int>(
         v->child_i64("dispatch_gate_width", vc.dispatch_gate_width));
     vc.dispatch_max_skips = static_cast<int>(
@@ -140,8 +157,8 @@ Scenario scenario_from_xml(const std::string& xml) {
 
   if (const XmlNode* c = root->child("churn")) {
     volunteer::ChurnConfig churn;
-    churn.mean_on = SimTime::seconds(c->child_double("mean_on_s", 28800));
-    churn.mean_off = SimTime::seconds(c->child_double("mean_off_s", 3600));
+    churn.mean_on = time_of(*c, "mean_on_s", SimTime::seconds(28800));
+    churn.mean_off = time_of(*c, "mean_off_s", SimTime::seconds(3600));
     require(churn.mean_on.as_seconds() > 0 && churn.mean_off.as_seconds() > 0,
             "scenario xml: churn means must be positive");
     s.churn = churn;
@@ -170,15 +187,16 @@ Scenario scenario_from_xml(const std::string& xml) {
   if (const XmlNode* f = root->child("faults")) {
     // Times are seconds; an absent up/heal/restart element means the fault
     // is never recovered. Host indices are 0-based volunteer indices.
-    const auto when = [](const XmlNode& n, std::string_view name) {
-      return n.has_child(name)
-                 ? SimTime::seconds(n.child_double(name, 0))
-                 : SimTime::infinity();
+    const auto at = [&seconds_of](const XmlNode& n, std::string_view name) {
+      return SimTime::seconds(seconds_of(n, name, 0, 0));
+    };
+    const auto when = [&at](const XmlNode& n, std::string_view name) {
+      return n.has_child(name) ? at(n, name) : SimTime::infinity();
     };
     for (const XmlNode* lf : f->children("link_fault")) {
       fault::LinkFault x;
       x.host = static_cast<int>(lf->child_i64("host", -1));
-      x.down_at = SimTime::seconds(lf->child_double("down_s", 0));
+      x.down_at = at(*lf, "down_s");
       x.up_at = when(*lf, "up_s");
       s.faults.link_faults.push_back(x);
     }
@@ -191,13 +209,13 @@ Scenario scenario_from_xml(const std::string& xml) {
                 "scenario xml: bad <partition><hosts> list");
         x.hosts.push_back(static_cast<int>(v));
       }
-      x.at = SimTime::seconds(p->child_double("at_s", 0));
+      x.at = at(*p, "at_s");
       x.heal_at = when(*p, "heal_s");
       s.faults.partitions.push_back(std::move(x));
     }
     for (const XmlNode* o : f->children("server_outage")) {
       fault::ServerOutage x;
-      x.down_at = SimTime::seconds(o->child_double("down_s", 0));
+      x.down_at = at(*o, "down_s");
       x.up_at = when(*o, "up_s");
       // Optional shard index; absent (-1) downs the whole tier, which is
       // the historical single-data-server outage.
@@ -207,7 +225,7 @@ Scenario scenario_from_xml(const std::string& xml) {
     for (const XmlNode* c : f->children("crash")) {
       fault::ClientCrash x;
       x.host = static_cast<int>(c->child_i64("host", -1));
-      x.at = SimTime::seconds(c->child_double("at_s", 0));
+      x.at = at(*c, "at_s");
       x.restart_at = when(*c, "restart_s");
       s.faults.crashes.push_back(x);
     }
@@ -229,7 +247,7 @@ Scenario scenario_from_xml(const std::string& xml) {
     for (const XmlNode* gf : f->children("group_fault")) {
       fault::GroupFault x;
       x.group = gf->child_text("group");
-      x.down_at = SimTime::seconds(gf->child_double("down_s", 0));
+      x.down_at = at(*gf, "down_s");
       x.up_at = when(*gf, "up_s");
       s.faults.group_faults.push_back(std::move(x));
     }
@@ -237,13 +255,13 @@ Scenario scenario_from_xml(const std::string& xml) {
       fault::LinkDegrade x;
       x.host = static_cast<int>(d->child_i64("host", -1));
       x.factor = d->child_double("factor", x.factor);
-      x.at = SimTime::seconds(d->child_double("at_s", 0));
+      x.at = at(*d, "at_s");
       x.until = when(*d, "until_s");
       s.faults.degrades.push_back(x);
     }
     for (const XmlNode* sc : f->children("server_crash")) {
       fault::ServerCrash x;
-      x.at = SimTime::seconds(sc->child_double("at_s", 0));
+      x.at = at(*sc, "at_s");
       x.restore_at = when(*sc, "restore_s");
       s.faults.server_crashes.push_back(x);
     }
@@ -255,8 +273,8 @@ Scenario scenario_from_xml(const std::string& xml) {
     }
     if (const XmlNode* fl = f->child("link_flap")) {
       fault::LinkFlap x;
-      x.mean_up = SimTime::seconds(fl->child_double("mean_up_s", 1800));
-      x.mean_down = SimTime::seconds(fl->child_double("mean_down_s", 60));
+      x.mean_up = time_of(*fl, "mean_up_s", SimTime::seconds(1800));
+      x.mean_down = time_of(*fl, "mean_down_s", SimTime::seconds(60));
       s.faults.link_flap = x;
     }
     s.faults.upload_corruption_rate =

@@ -11,7 +11,10 @@
 namespace vcmr::core {
 
 /// Parses a `<scenario>` document; unspecified fields keep Scenario
-/// defaults. Throws vcmr::Error on malformed input. Recognised children:
+/// defaults. Throws vcmr::Error on malformed input, and on any `*_s` time
+/// outside [-SimTime::kMaxInputSeconds, SimTime::kMaxInputSeconds] (NaN and
+/// infinities included) or, for a fault instant, below 0, naming the
+/// element's line. Recognised children:
 ///
 ///   <seed> <nodes> <maps> <reducers> <input_mb> <app>
 ///   <boinc_mr> <record_trace> <time_limit_s>

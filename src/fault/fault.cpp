@@ -1,6 +1,7 @@
 #include "fault/fault.h"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <map>
 #include <span>
@@ -47,6 +48,13 @@ std::vector<LinkFault> compile_availability_trace(const std::string& csv,
     if (!common::parse_double(common::trim(fields[1]), &on) ||
         !common::parse_double(common::trim(fields[2]), &off)) {
       fail(line, "bad on_at/off_at");
+    }
+    // NaN and infinities fail these comparisons too.
+    if (!(std::abs(on) <= SimTime::kMaxInputSeconds &&
+          std::abs(off) <= SimTime::kMaxInputSeconds)) {
+      fail(line, common::strprintf("on_at/off_at must be finite and within "
+                                   "%g s",
+                                   SimTime::kMaxInputSeconds));
     }
     if (host < 0 || host >= n_hosts) {
       fail(line, common::strprintf("host %lld out of range [0, %d)",

@@ -148,9 +148,10 @@ struct FaultPlan {
 /// Each row `host_id,on_at_s,off_at_s` declares one availability window;
 /// a host is *down* outside its windows (before the first, between windows,
 /// and after the last — a host with no rows is always up). Per-host windows
-/// must be sorted and non-overlapping; violations, malformed fields, and
-/// out-of-range hosts raise vcmr::Error naming the offending line. Lines
-/// that are blank or start with '#' are skipped.
+/// must be sorted and non-overlapping; violations, malformed fields,
+/// out-of-range hosts, and times that are not finite or exceed
+/// SimTime::kMaxInputSeconds raise vcmr::Error naming the offending line.
+/// Lines that are blank or start with '#' are skipped.
 std::vector<LinkFault> compile_availability_trace(const std::string& csv,
                                                   int n_hosts);
 

@@ -21,96 +21,103 @@ void HttpService::request(NodeId client, Endpoint server, HttpRequest req,
       .counter("http", "request_bytes")
       .add(kHeaderBytes + req.body_size);
 
-  auto fail = [this, on_fail](NetError err) {
-    net_.sim().after(SimTime::zero(), [on_fail, err] {
-      if (on_fail) on_fail(err);
-    });
-  };
+  const ExchangeId x = next_exchange_++;
+  exchanges_.emplace(x, Exchange{client, server, std::move(req), {}, false,
+                                 std::move(on_done), std::move(on_fail)});
 
+  const auto fail_later = [this, x](NetError err) {
+    net_.sim().after(SimTime::zero(), [this, x, err] { fail(x, err); });
+  };
   if (!net_.online(client) || !net_.online(server.node)) {
-    fail(NetError::kNodeOffline);
+    fail_later(NetError::kNodeOffline);
     return;
   }
   if (!net_.reachable(client, server.node)) {
-    fail(NetError::kPartitioned);
+    fail_later(NetError::kPartitioned);
     return;
   }
 
   // Stage 1: connection + request headers (latency-bound).
   net_.send_message(
-      client, server.node, kHeaderBytes,
-      [this, client, server, req = std::move(req), on_done = std::move(on_done),
-       on_fail]() mutable {
-        // Stage 2: request body as a flow when present.
-        auto dispatch = [this, client, server, on_done = std::move(on_done),
-                         on_fail](HttpRequest r) {
-          const auto it = handlers_.find(server);
-          if (it == handlers_.end()) {
-            deliver_response(client, server, HttpResponse::not_found(),
-                             on_done, on_fail);
-            return;
-          }
-          // Stage 3: the handler responds when its processing is done.
-          it->second(std::move(r), [this, client, server, on_done,
-                                    on_fail](HttpResponse resp) {
-            deliver_response(client, server, std::move(resp), on_done,
-                             on_fail);
-          });
-        };
-
-        if (req.body_size > 0) {
-          FlowSpec fs;
-          fs.src = client;
-          fs.dst = server.node;
-          fs.bytes = req.body_size;
-          fs.on_fail = [this, on_fail](NetError err) {
-            if (on_fail) on_fail(err);
-          };
-          fs.on_complete = [dispatch = std::move(dispatch),
-                            req = std::move(req)]() mutable {
-            dispatch(std::move(req));
-          };
-          net_.start_flow(std::move(fs));
-        } else {
-          dispatch(std::move(req));
-        }
-      },
-      [on_fail](NetError err) {
-        if (on_fail) on_fail(err);
-      });
+      client, server.node, kHeaderBytes, [this, x] { send_body(x); },
+      [this, x](NetError err) { fail(x, err); });
 }
 
-void HttpService::deliver_response(
-    NodeId client, Endpoint server, HttpResponse resp,
-    std::function<void(HttpResponse)> on_done,
-    std::function<void(NetError)> on_fail) {
+void HttpService::send_body(ExchangeId x) {
+  const Exchange& e = exchange(x);
+  if (e.req.body_size <= 0) {
+    dispatch(x);
+    return;
+  }
+  FlowSpec fs;
+  fs.src = e.client;
+  fs.dst = e.server.node;
+  fs.bytes = e.req.body_size;
+  fs.on_fail = [this, x](NetError err) { fail(x, err); };
+  fs.on_complete = [this, x] { dispatch(x); };
+  net_.start_flow(std::move(fs));
+}
+
+void HttpService::dispatch(ExchangeId x) {
+  Exchange& e = exchange(x);
+  const auto it = handlers_.find(e.server);
+  if (it == handlers_.end()) {
+    deliver_response(x, HttpResponse::not_found());
+    return;
+  }
+  it->second(std::move(e.req), [this, x](HttpResponse resp) {
+    deliver_response(x, std::move(resp));
+  });
+}
+
+void HttpService::deliver_response(ExchangeId x, HttpResponse resp) {
+  Exchange& e = exchange(x);
+  require(!e.answered, "HttpService: a handler responded twice");
+  e.answered = true;
   obs::MetricsRegistry::instance()
       .counter("http", "response_bytes")
       .add(resp.body_size > 0 ? resp.body_size : kHeaderBytes);
-  if (resp.body_size > 0) {
+  const Bytes body_size = resp.body_size;
+  e.resp = std::move(resp);
+  if (body_size > 0) {
     FlowSpec fs;
-    fs.src = server.node;
-    fs.dst = client;
-    fs.bytes = resp.body_size;
-    fs.on_fail = [on_fail](NetError err) {
-      if (on_fail) on_fail(err);
-    };
-    fs.on_complete = [resp = std::move(resp),
-                      on_done = std::move(on_done)]() mutable {
-      if (on_done) on_done(std::move(resp));
-    };
+    fs.src = e.server.node;
+    fs.dst = e.client;
+    fs.bytes = body_size;
+    fs.on_fail = [this, x](NetError err) { fail(x, err); };
+    fs.on_complete = [this, x] { finish(x); };
     net_.start_flow(std::move(fs));
   } else {
     // Response headers only: latency-bound.
     net_.send_message(
-        server.node, client, kHeaderBytes,
-        [resp = std::move(resp), on_done = std::move(on_done)]() mutable {
-          if (on_done) on_done(std::move(resp));
-        },
-        [on_fail](NetError err) {
-          if (on_fail) on_fail(err);
-        });
+        e.server.node, e.client, kHeaderBytes, [this, x] { finish(x); },
+        [this, x](NetError err) { fail(x, err); });
   }
+}
+
+HttpService::Exchange& HttpService::exchange(ExchangeId x) {
+  const auto it = exchanges_.find(x);
+  require(it != exchanges_.end(), "HttpService: the exchange already ended");
+  return it->second;
+}
+
+HttpService::Exchanges::node_type HttpService::take(ExchangeId x) {
+  auto node = exchanges_.extract(x);
+  require(!node.empty(), "HttpService: the exchange already ended");
+  return node;
+}
+
+void HttpService::finish(ExchangeId x) {
+  // Detached first: on_done may start new exchanges.
+  auto node = take(x);
+  Exchange& e = node.mapped();
+  if (e.on_done) e.on_done(std::move(e.resp));
+}
+
+void HttpService::fail(ExchangeId x, NetError err) {
+  auto node = take(x);
+  Exchange& e = node.mapped();
+  if (e.on_fail) e.on_fail(err);
 }
 
 }  // namespace vcmr::net

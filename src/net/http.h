@@ -12,12 +12,20 @@
 // A body is modelled, not serialized: `body_size` is what the network
 // charges, and `body` carries the payload to the other side untouched as a
 // typed value (a scheduler RPC's proto struct, sized by proto::wire_size).
+//
+// One record per exchange holds the caller's callbacks, the request until
+// the handler takes it, and the response until its body lands. The service
+// owns the records and names each by id; every stage's closure captures
+// only (service, id), so no stage copies a caller's callable, and each
+// closure fits std::function's local buffer. The record goes when on_done
+// or on_fail runs.
 
 #include <any>
 #include <functional>
+#include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
+#include <unordered_map>
 
 #include "net/endpoint.h"
 #include "net/network.h"
@@ -43,8 +51,10 @@ struct HttpResponse {
 
 /// Handlers respond asynchronously: call `respond` exactly once, now or at
 /// any later simulated time (lets a scheduler model per-RPC service time).
-/// Handler and response callback receive their message by value, so they
-/// may move its payload out.
+/// A second call throws vcmr::Error; a handler that never responds leaves
+/// its exchange's record held until the service is destroyed. Handler and
+/// response callback receive their message by value, so they may move its
+/// payload out.
 using HttpRespondFn = std::function<void(HttpResponse)>;
 using HttpHandler = std::function<void(HttpRequest, HttpRespondFn)>;
 
@@ -65,17 +75,41 @@ class HttpService {
                std::function<void(HttpResponse)> on_done,
                std::function<void(NetError)> on_fail = nullptr);
 
-  Network& network() { return net_; }
-
  private:
   static constexpr Bytes kHeaderBytes = 256;
 
-  void deliver_response(NodeId client, Endpoint server, HttpResponse resp,
-                        std::function<void(HttpResponse)> on_done,
-                        std::function<void(NetError)> on_fail);
+  struct Exchange {
+    NodeId client;
+    Endpoint server;
+    HttpRequest req;    ///< until the handler takes it
+    HttpResponse resp;  ///< from the handler's answer until it lands
+    bool answered = false;
+    std::function<void(HttpResponse)> on_done;
+    std::function<void(NetError)> on_fail;
+  };
+  using ExchangeId = std::uint64_t;
+  using Exchanges = std::unordered_map<ExchangeId, Exchange>;
+
+  /// Stage 2: the request body as a flow when present, then dispatch().
+  void send_body(ExchangeId x);
+  /// Stage 3: hands the request to the endpoint's handler (404 when none).
+  void dispatch(ExchangeId x);
+  /// Stage 4: the handler's answer travels back, as a flow when it has a
+  /// body, else as a header message. Throws when `x` already answered.
+  void deliver_response(ExchangeId x, HttpResponse resp);
+  /// Ends the exchange: detaches its record, runs on_done / on_fail, and
+  /// frees the record when that returns.
+  void finish(ExchangeId x);
+  void fail(ExchangeId x, NetError err);
+  /// The live record `x` names; throws vcmr::Error once it has ended.
+  Exchange& exchange(ExchangeId x);
+  /// Detaches the live record `x` names; throws like exchange().
+  Exchanges::node_type take(ExchangeId x);
 
   Network& net_;
   std::map<Endpoint, HttpHandler> handlers_;
+  Exchanges exchanges_;
+  ExchangeId next_exchange_ = 0;
 };
 
 }  // namespace vcmr::net

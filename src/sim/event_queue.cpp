@@ -65,8 +65,10 @@ EventHandle EventQueue::schedule(SimTime at, EventFn fn) {
     free_.pop_back();
   }
   const Key k{at, next_seq_++, slot};
-  slots_[slot].fn = std::move(fn);
-  slots_[slot].seq = k.seq;
+  Slot& s = slots_[slot];
+  s.fn = std::move(fn);
+  s.at = at;
+  s.seq = k.seq;
   heap_.push_back(k);
   sift_up(heap_.size() - 1, k);
   return EventHandle(slot, k.seq);
@@ -90,13 +92,27 @@ EventHandle EventQueue::reschedule(EventHandle h, SimTime at) {
   // cancel() would free the slot and schedule() take it straight back, so
   // the event keeps its slot and only draws the next sequence number.
   const Key k{at, next_seq_++, h.slot_};
+  s.at = at;
   s.seq = k.seq;
-  fill(s.pos, k);
+  // The new seq is the largest yet, so k sorts before the entry's heap key
+  // only when it is earlier. A later k waits in the slot: the stale key
+  // sorts no later, and settle_top() re-keys it if it surfaces.
+  if (before(k, heap_[s.pos])) fill(s.pos, k);
   return EventHandle(k.slot, k.seq);
+}
+
+void EventQueue::settle_top() {
+  for (;;) {
+    const std::uint32_t slot = heap_.front().slot;
+    const Slot& s = slots_[slot];
+    if (heap_.front().seq == s.seq) return;
+    sift_down(0, Key{s.at, s.seq, slot});
+  }
 }
 
 SimTime EventQueue::pop_and_run() {
   require(!heap_.empty(), "EventQueue::pop_and_run on empty queue");
+  settle_top();
   const Key top = heap_.front();
   remove_at(0);
   // The slot is free before the callback runs, so the callback may

@@ -13,6 +13,15 @@
 // (slot, seq), and the sequence check keeps a stale handle from touching
 // the slot's next occupant. reschedule() moves a pending entry in place and
 // keeps its callback.
+//
+// A slot also holds its event's true (time, seq). A move to a later time
+// only rewrites those and leaves the entry's heap key behind, so the key
+// may be stale, but never later than the true one. next_time() and
+// pop_and_run() re-key a stale top with one sift_down until the top is
+// current; that top is then the true earliest event, because every other
+// key is no later than its own event. A serve timeout re-armed on every
+// reply therefore costs a store, and at most one sift when it surfaces,
+// instead of a sift per move. A move to an earlier time sifts at once.
 
 #include <cstdint>
 #include <functional>
@@ -51,15 +60,20 @@ class EventQueue {
   /// Moves a pending event to time `at`, keeping its callback. The event
   /// takes the slot and sequence number cancel-then-schedule would give
   /// it, so firing order and handles are the same as that pair's; only the
-  /// callback is not rebuilt. Throws vcmr::Error when `h` is not pending.
+  /// callback is not rebuilt. A move no earlier than the entry's heap key
+  /// leaves the key stale (see the file comment). Throws vcmr::Error when
+  /// `h` is not pending.
   EventHandle reschedule(EventHandle h, SimTime at);
 
   bool empty() const { return heap_.empty(); }
   std::size_t size() const { return heap_.size(); }
 
-  /// Time of the earliest pending event; infinity when empty.
-  SimTime next_time() const {
-    return heap_.empty() ? SimTime::infinity() : heap_.front().at;
+  /// Time of the earliest pending event; infinity when empty. Re-keys a
+  /// stale top first.
+  SimTime next_time() {
+    if (heap_.empty()) return SimTime::infinity();
+    settle_top();
+    return heap_.front().at;
   }
 
   /// Pops and runs the earliest event. Requires !empty().
@@ -74,7 +88,8 @@ class EventQueue {
   };
   struct Slot {
     EventFn fn;
-    std::uint64_t seq = 0;  ///< 0 while the slot is free
+    SimTime at;             ///< the event's true time
+    std::uint64_t seq = 0;  ///< the event's true seq; 0 while the slot is free
     std::uint32_t pos = 0;  ///< index of this slot's key in heap_
   };
 
@@ -90,6 +105,9 @@ class EventQueue {
   void fill(std::size_t i, Key k);
   /// Removes heap_[i], refilling the hole with the last entry.
   void remove_at(std::size_t i);
+  /// Re-keys the top from its slot until the top's key is current.
+  /// Requires !empty().
+  void settle_top();
   /// Frees the slot and hands back its callback for the caller to run or
   /// destroy once the queue is consistent again.
   EventFn release(std::uint32_t slot);

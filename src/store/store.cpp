@@ -89,68 +89,89 @@ const mr::FilePayload* StorageTier::payload(const std::string& name) const {
 void StorageTier::download(NodeId client, const std::string& name,
                            std::function<void(const mr::FilePayload&)> on_done,
                            std::function<void(std::string)> on_fail) {
-  const auto s = static_cast<std::size_t>(shard_for(name));
   net::HttpRequest req;
   req.method = "GET";
   req.path = "/download/" + name;
-  http_.request(
-      client, shards_[s].ep, std::move(req),
-      [this, s, name, on_done = std::move(on_done),
-       on_fail](const net::HttpResponse& resp) {
-        if (!resp.ok()) {
-          if (on_fail) on_fail("HTTP " + std::to_string(resp.status) +
-                               " for " + name);
-          return;
-        }
-        const auto& files = shards_[s].files;
-        const auto it = files.find(name);
-        if (it == files.end()) {
-          if (on_fail) on_fail("file disappeared mid-download: " + name);
-          return;
-        }
-        const mr::FilePayload& p = it->second;
-        auto& reg = obs::MetricsRegistry::instance();
-        reg.counter("store", "egress_bytes", shard_labels(s)).add(p.size);
-        reg.counter("store", "tier_egress_bytes", {{"tier", "project"}})
-            .add(p.size);
-        if (on_done) on_done(p);
-      },
-      [name, on_fail](net::NetError err) {
-        if (on_fail) on_fail(std::string(net::to_string(err)) + " for " + name);
-      });
+  Transfer t;
+  t.shard = static_cast<std::size_t>(shard_for(name));
+  t.name = name;
+  t.on_downloaded = std::move(on_done);
+  t.on_fail = std::move(on_fail);
+  start(client, std::move(req), std::move(t));
 }
 
 void StorageTier::upload(NodeId client, const std::string& name,
                          mr::FilePayload payload, std::function<void()> on_done,
                          std::function<void(std::string)> on_fail) {
   placed_ = true;
-  const auto s = static_cast<std::size_t>(shard_for(name));
   net::HttpRequest req;
   req.method = "POST";
   req.path = "/upload/" + name;
   req.body_size = payload.size;
+  Transfer t;
+  t.upload = true;
+  t.shard = static_cast<std::size_t>(shard_for(name));
+  t.name = name;
+  t.payload = std::move(payload);
+  t.on_uploaded = std::move(on_done);
+  t.on_fail = std::move(on_fail);
+  start(client, std::move(req), std::move(t));
+}
+
+void StorageTier::start(NodeId client, net::HttpRequest req, Transfer t) {
+  const std::uint64_t id = next_transfer_++;
+  const net::Endpoint ep = shards_[t.shard].ep;
+  transfers_.emplace(id, std::move(t));
   http_.request(
-      client, shards_[s].ep, std::move(req),
-      [this, s, name, payload = std::move(payload), on_done = std::move(on_done),
-       on_fail](const net::HttpResponse& resp) mutable {
-        if (!resp.ok()) {
-          // A refused upload (e.g. 503 during an outage) must surface as a
-          // failure, or the client's transfer would hang forever.
-          if (on_fail) on_fail("HTTP " + std::to_string(resp.status) +
-                               " for " + name);
-          return;
-        }
-        auto& reg = obs::MetricsRegistry::instance();
-        reg.counter("store", "ingress_bytes", shard_labels(s))
-            .add(payload.size);
-        reg.counter("store", "tier_ingress_bytes", {{"tier", "project"}})
-            .add(payload.size);
-        shards_[s].files[name] = std::move(payload);
-        if (on_done) on_done();
-      },
-      [name, on_fail](net::NetError err) {
-        if (on_fail) on_fail(std::string(net::to_string(err)) + " for " + name);
-      });
+      client, ep, std::move(req),
+      [this, id](const net::HttpResponse& resp) { answered(id, resp); },
+      [this, id](net::NetError err) { failed(id, err); });
+}
+
+StorageTier::Transfers::node_type StorageTier::take(std::uint64_t id) {
+  auto node = transfers_.extract(id);
+  require(!node.empty(), "StorageTier: the transfer already ended");
+  return node;
+}
+
+void StorageTier::answered(std::uint64_t id, const net::HttpResponse& resp) {
+  auto node = take(id);
+  Transfer& t = node.mapped();
+  if (!resp.ok()) {
+    // A refused upload (e.g. 503 during an outage) must surface as a
+    // failure, or the client's transfer would hang forever.
+    if (t.on_fail) {
+      t.on_fail("HTTP " + std::to_string(resp.status) + " for " + t.name);
+    }
+    return;
+  }
+  auto& reg = obs::MetricsRegistry::instance();
+  if (t.upload) {
+    reg.counter("store", "ingress_bytes", shard_labels(t.shard))
+        .add(t.payload.size);
+    reg.counter("store", "tier_ingress_bytes", {{"tier", "project"}})
+        .add(t.payload.size);
+    shards_[t.shard].files[t.name] = std::move(t.payload);
+    if (t.on_uploaded) t.on_uploaded();
+    return;
+  }
+  const auto& files = shards_[t.shard].files;
+  const auto it = files.find(t.name);
+  if (it == files.end()) {
+    if (t.on_fail) t.on_fail("file disappeared mid-download: " + t.name);
+    return;
+  }
+  const mr::FilePayload& p = it->second;
+  reg.counter("store", "egress_bytes", shard_labels(t.shard)).add(p.size);
+  reg.counter("store", "tier_egress_bytes", {{"tier", "project"}})
+      .add(p.size);
+  if (t.on_downloaded) t.on_downloaded(p);
+}
+
+void StorageTier::failed(std::uint64_t id, net::NetError err) {
+  auto node = take(id);
+  Transfer& t = node.mapped();
+  if (t.on_fail) t.on_fail(std::string(net::to_string(err)) + " for " + t.name);
 }
 
 void StorageTier::set_available(int shard, bool up) {

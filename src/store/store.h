@@ -30,9 +30,11 @@
 // Both are default-off: a scenario with no <data_servers>/<volunteer_store>
 // block stays bit-identical to the seed golden traces.
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/bloom.h"
@@ -100,6 +102,8 @@ class StorageTier {
   const mr::FilePayload* payload(const std::string& name) const;
 
   // --- client-side helpers (model libcurl against the holding shard) --------
+  // Each transfer holds its caller's callbacks once, in a record the tier
+  // keeps until the shard's answer (or a network failure) ends it.
   /// GET: transfers the file's bytes to `client`; delivers the payload.
   void download(NodeId client, const std::string& name,
                 std::function<void(const mr::FilePayload&)> on_done,
@@ -129,13 +133,32 @@ class StorageTier {
     bool up = true;
   };
 
+  /// One download or upload in flight.
+  struct Transfer {
+    bool upload = false;
+    std::size_t shard = 0;
+    std::string name;
+    mr::FilePayload payload;  ///< an upload's file, stored on the answer
+    std::function<void(const mr::FilePayload&)> on_downloaded;
+    std::function<void()> on_uploaded;
+    std::function<void(std::string)> on_fail;
+  };
+  using Transfers = std::unordered_map<std::uint64_t, Transfer>;
+
   /// Shard `s`'s HTTP handler: GET /download/<name>, POST /upload/<name>.
   void serve(std::size_t s, const net::HttpRequest& req,
              const net::HttpRespondFn& respond);
+  /// Sends `req` to the transfer's shard; answered() or failed() ends it.
+  void start(NodeId client, net::HttpRequest req, Transfer t);
+  void answered(std::uint64_t id, const net::HttpResponse& resp);
+  void failed(std::uint64_t id, net::NetError err);
+  Transfers::node_type take(std::uint64_t id);
 
   net::HttpService& http_;
   int port_;
   std::vector<Shard> shards_;
+  Transfers transfers_;
+  std::uint64_t next_transfer_ = 0;
   bool placed_ = false;  ///< a file has been staged or uploaded
   Bytes bytes_served_ = 0;
   std::int64_t rejected_unavailable_ = 0;

@@ -9,6 +9,7 @@
 
 #include "client/backoff.h"
 #include "client/interclient.h"
+#include "copy_counter.h"
 #include "obs/metrics.h"
 #include "sim/simulation.h"
 
@@ -282,6 +283,30 @@ TEST(PeerFetcher, RecoversOnRetryAfterBusy) {
   f.sim.run();
   EXPECT_TRUE(ok);
   EXPECT_GE(f.ic("fetch_attempts"), 2);
+}
+
+TEST(PeerFetcher, NeverCopiesCallbacks) {
+  IcFixture f;
+  MapOutputServer srv(f.sim, f.net, f.mapper, {f.mapper, 31416}, f.registry,
+                      f.serve_cfg());
+  srv.offer("f", mr::FilePayload::of_content("data"));
+  PeerFetchConfig cfg;
+  cfg.max_attempts = 3;
+  cfg.retry_delay = SimTime::seconds(1);
+  PeerFetcher fetcher(f.sim, f.net, f.reducer, f.registry, nullptr, cfg);
+  CopyCount ok_done, ok_failed, gone_done, gone_failed;
+  fetcher.fetch({f.mapper, 31416}, "f", CountingFn(ok_done),
+                CountingFn(ok_failed));
+  fetcher.fetch({f.mapper, 31416}, "gone", CountingFn(gone_done),
+                CountingFn(gone_failed));
+  f.sim.run();
+  EXPECT_EQ(ok_done.calls, 1);
+  EXPECT_EQ(gone_failed.calls, 1);
+  EXPECT_EQ(f.ic("fetch_attempts"), 4);  // one, then three for "gone"
+  for (const CopyCount* c : {&ok_done, &ok_failed, &gone_done, &gone_failed}) {
+    EXPECT_EQ(c->copies, 0);
+  }
+  EXPECT_EQ(ok_failed.calls + gone_done.calls, 0);
 }
 
 }  // namespace

@@ -211,6 +211,36 @@ TEST(ScenarioIo, RejectsInvalid) {
               "positive")
         << period;
   }
+  // Times SimTime cannot hold are refused at their element's line, and so
+  // are fault instants before the run starts; each used to fail mid-run or
+  // end the run at once.
+  const auto at_line_2 = [&](const std::string& element) {
+    return message_of("<scenario>\n  " + element + "\n</scenario>");
+  };
+  const std::string any = "must be a number of seconds in [-1e+12, 1e+12]";
+  const std::string instant = "must be a number of seconds in [0, 1e+12]";
+  for (const std::string v : {"nan", "inf", "-inf", "1e300"}) {
+    EXPECT_EQ(at_line_2("<time_limit_s>" + v + "</time_limit_s>"),
+              "scenario xml line 2: <scenario><time_limit_s> " + any)
+        << v;
+    EXPECT_EQ(at_line_2("<client><backoff_max_s>" + v +
+                        "</backoff_max_s></client>"),
+              "scenario xml line 2: <client><backoff_max_s> " + any)
+        << v;
+    EXPECT_EQ(at_line_2("<churn><mean_on_s>" + v + "</mean_on_s></churn>"),
+              "scenario xml line 2: <churn><mean_on_s> " + any)
+        << v;
+  }
+  for (const std::string v : {"nan", "inf", "1e300", "-5"}) {
+    EXPECT_EQ(at_line_2("<faults><link_fault><host>0</host><down_s>" + v +
+                        "</down_s></link_fault></faults>"),
+              "scenario xml line 2: <link_fault><down_s> " + instant)
+        << v;
+    EXPECT_EQ(at_line_2("<faults><crash><host>0</host><at_s>1</at_s>"
+                        "<restart_s>" + v + "</restart_s></crash></faults>"),
+              "scenario xml line 2: <crash><restart_s> " + instant)
+        << v;
+  }
 }
 
 TEST(ScenarioIo, ParsedScenarioRuns) {

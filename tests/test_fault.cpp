@@ -15,6 +15,8 @@
 #include <fstream>
 
 #include "common/error.h"
+#include "common/rng.h"
+#include "common/strings.h"
 #include "core/cluster.h"
 #include "core/scenario_io.h"
 #include "fault/fault.h"
@@ -526,6 +528,105 @@ TEST(TraceCompile, RejectsMalformedRowsWithLineNumbers) {
   expect_trace_error("9,1,2\n", "host 9 out of range [0, 6)");
   expect_trace_error("0,-5,2\n", "negative on_at");
   expect_trace_error("0,5,5\n", "interval is empty");
+  // Times SimTime cannot hold; NaN used to slip past every comparison.
+  for (const char* row : {"0,0,1e300\n", "0,0,inf\n", "0,nan,100\n",
+                          "0,-inf,5\n", "0,1,nan\n"}) {
+    expect_trace_error(row, "line 1: on_at/off_at must be finite and within "
+                            "1e+12 s");
+  }
+  expect_trace_error("0,1,2\n0,3,1e13\n", "line 2: on_at/off_at");
+}
+
+/// One seeded mutant of a trace: a digit changed, a field replaced by a
+/// non-finite or oversized token, a field or a row dropped or duplicated.
+std::string mutate_trace(const std::string& csv, common::Rng& rng) {
+  std::vector<std::string> rows = common::split(csv, '\n');
+  rows.pop_back();  // the text ends in a newline
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  const std::size_t r = pick(rows.size());
+  std::vector<std::string> fields = common::split(rows[r], ',');
+  const std::size_t f = pick(fields.size());
+  switch (rng.uniform_int(0, 5)) {
+    case 0: {
+      std::string& field = fields[f];
+      const std::size_t at = pick(field.size() + 1);
+      if (at < field.size()) {
+        field[at] = static_cast<char>('0' + rng.uniform_int(0, 9));
+      }
+      break;
+    }
+    case 1: {
+      static const char* const kTokens[] = {"nan", "inf", "-inf", "1e300",
+                                            "-1e300", "9.3e12"};
+      fields[f] = kTokens[pick(std::size(kTokens))];
+      break;
+    }
+    case 2:
+      fields.erase(fields.begin() + static_cast<std::ptrdiff_t>(f));
+      break;
+    case 3:
+      fields.insert(fields.begin() + static_cast<std::ptrdiff_t>(f),
+                    fields[f]);
+      break;
+    case 4:
+      rows.erase(rows.begin() + static_cast<std::ptrdiff_t>(r));
+      fields.clear();
+      break;
+    default:
+      rows.insert(rows.begin() + static_cast<std::ptrdiff_t>(r), rows[r]);
+      fields.clear();
+      break;
+  }
+  if (!fields.empty()) {
+    rows[r].clear();
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+      rows[r] += (i > 0 ? "," : "") + fields[i];
+    }
+  }
+  std::string out;
+  for (const std::string& row : rows) out += row + '\n';
+  return out;
+}
+
+// Seeded-mutation fuzz of the trace CSV reader: every mutant compiles to
+// link faults SimTime can hold, or throws vcmr::Error.
+TEST(TraceCompile, MutatedTraceCompilesOrThrowsError) {
+  const std::string base =
+      "# host_id,on_at,off_at\n"
+      "0,10,20\n"
+      "0,30,40.25\n"
+      "1,0,50\n"
+      "2,5,15\n"
+      "2,15,60\n"
+      "5,100,2000\n";
+  int compiled = 0, rejected = 0;
+  for (std::uint64_t seed = 1; seed <= 500; ++seed) {
+    common::Rng rng(seed);
+    std::string csv = base;
+    for (auto n = rng.uniform_int(1, 3); n > 0; --n) {
+      csv = mutate_trace(csv, rng);
+    }
+    std::vector<fault::LinkFault> faults;
+    try {
+      faults = fault::compile_availability_trace(csv, 6);
+      ++compiled;
+    } catch (const Error&) {
+      ++rejected;
+      continue;
+    }
+    for (const fault::LinkFault& lf : faults) {
+      EXPECT_TRUE(lf.host >= 0 && lf.host < 6) << csv;
+      EXPECT_GE(lf.down_at, SimTime::zero()) << csv;
+      EXPECT_GT(lf.up_at, lf.down_at) << csv;
+      EXPECT_LE(lf.down_at, SimTime::seconds(SimTime::kMaxInputSeconds))
+          << csv;
+    }
+  }
+  EXPECT_GT(compiled, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(TraceCompile, RejectsUnsortedAndOverlappingIntervals) {

@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "common/error.h"
+#include "copy_counter.h"
 #include "net/http.h"
 #include "sim/simulation.h"
 
@@ -138,6 +140,48 @@ TEST(Http, OfflineServerFails) {
       [&](NetError) { failed = true; });
   f.sim.run();
   EXPECT_TRUE(failed);
+}
+
+TEST(Http, CallbacksAreNeverCopied) {
+  Fixture f;
+  const Endpoint ep{f.server, 80};
+  f.http.listen(ep, [](const HttpRequest&, HttpRespondFn respond) {
+    HttpResponse resp;
+    resp.body_size = 1000;
+    respond(std::move(resp));
+  });
+  CopyCount done, failed;
+  f.http.request(f.client, ep, HttpRequest{}, CountingFn(done),
+                 CountingFn(failed));
+  f.sim.run();
+  EXPECT_EQ(done.calls, 1);
+  EXPECT_EQ(failed.calls, 0);
+
+  f.net.set_online(f.server, false);
+  CopyCount offline_done, offline_failed;
+  f.http.request(f.client, ep, HttpRequest{}, CountingFn(offline_done),
+                 CountingFn(offline_failed));
+  f.sim.run();
+  EXPECT_EQ(offline_done.calls, 0);
+  EXPECT_EQ(offline_failed.calls, 1);
+
+  for (const CopyCount* c : {&done, &failed, &offline_done, &offline_failed}) {
+    EXPECT_EQ(c->copies, 0);
+  }
+}
+
+TEST(Http, RespondingTwiceThrows) {
+  Fixture f;
+  const Endpoint ep{f.server, 80};
+  f.http.listen(ep, [](const HttpRequest&, HttpRespondFn respond) {
+    respond(HttpResponse{});
+    respond(HttpResponse{});
+  });
+  int done = 0;
+  f.http.request(f.client, ep, HttpRequest{},
+                 [&](const HttpResponse&) { ++done; });
+  EXPECT_THROW(f.sim.run(), Error);
+  EXPECT_EQ(done, 0);
 }
 
 TEST(Http, ConcurrentRequestsAllServed) {

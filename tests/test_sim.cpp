@@ -220,34 +220,37 @@ TEST(EventQueue, RescheduleRejectsFiredOrCancelled) {
   EXPECT_EQ(q.next_time(), SimTime::seconds(3));
 }
 
-// Differential test: random schedule/cancel/reschedule/pop scripts drive two
-// queues. One moves events with reschedule(); its twin cancels them and
-// schedules the same callback anew. Both must hand out the same handles
-// (slot, seq) and fire the same (time, label, handle) sequence.
-TEST(EventQueue, RescheduleMatchesCancelThenSchedule) {
-  struct Fired {
-    SimTime at;
-    int label = -1;
-    EventHandle handle;
-    bool operator==(const Fired&) const = default;
-  };
-  struct Twin {
-    Twin() = default;
-    Twin(const Twin&) = delete;  // callbacks hold `this`
-    Twin& operator=(const Twin&) = delete;
+// Twin queues for the differential tests below: one moves events with
+// reschedule(); its twin cancels them and schedules the same callback anew.
+// Both must hand out the same handles (slot, seq) and fire the same
+// (time, label, handle) sequence.
+struct Fired {
+  SimTime at;
+  int label = -1;
+  EventHandle handle;
+  bool operator==(const Fired&) const = default;
+};
+struct Twin {
+  Twin() = default;
+  Twin(const Twin&) = delete;  // callbacks hold `this`
+  Twin& operator=(const Twin&) = delete;
 
-    EventQueue q;
-    std::vector<EventHandle> handle;  // by label
-    std::vector<Fired> fired;
-    int last = -1;
-    EventFn callback(int label) {
-      return [this, label] { last = label; };
-    }
-    void pop() {
-      const SimTime at = q.pop_and_run();
-      fired.push_back({at, last, handle[static_cast<std::size_t>(last)]});
-    }
-  };
+  EventQueue q;
+  std::vector<EventHandle> handle;  // by label
+  std::vector<Fired> fired;
+  int last = -1;
+  EventFn callback(int label) {
+    return [this, label] { last = label; };
+  }
+  void pop() {
+    const SimTime at = q.pop_and_run();
+    fired.push_back({at, last, handle[static_cast<std::size_t>(last)]});
+  }
+};
+
+// Random schedule/cancel/reschedule/pop scripts, asking next_time() after
+// every step.
+TEST(EventQueue, RescheduleMatchesCancelThenSchedule) {
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
     common::Rng rng(seed);
     Twin moved, rebuilt;
@@ -294,6 +297,84 @@ TEST(EventQueue, RescheduleMatchesCancelThenSchedule) {
           << "seed " << seed << " op " << op;
       ASSERT_EQ(moved.q.size(), pending.size());
       ASSERT_EQ(moved.q.next_time(), rebuilt.q.next_time());
+    }
+    while (!moved.q.empty()) {
+      moved.pop();
+      rebuilt.pop();
+    }
+    EXPECT_TRUE(rebuilt.q.empty());
+    EXPECT_EQ(moved.fired, rebuilt.fired) << "seed " << seed;
+  }
+}
+
+// Bursts of moves with no next_time() between them leave stale heap keys
+// behind: moves later, to the same time, and earlier than a stale key, and
+// cancels of stale entries. Between bursts the twins pop one event, asking
+// next_time() first only half the time, and the final drain pops without
+// asking, so both ways of re-keying a stale top are driven.
+TEST(EventQueue, RescheduleBurstsMatchCancelThenSchedule) {
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    common::Rng rng(seed);
+    Twin moved, rebuilt;
+    std::vector<int> pending;  // labels
+    std::vector<SimTime> due;  // each label's current time
+    SimTime now = SimTime::zero();
+    const auto seconds = [&](std::int64_t lo, std::int64_t hi) {
+      return SimTime::seconds(static_cast<double>(rng.uniform_int(lo, hi)));
+    };
+    const auto schedule = [&] {
+      const int label = static_cast<int>(moved.handle.size());
+      const SimTime at = now + seconds(0, 8);
+      moved.handle.push_back(moved.q.schedule(at, moved.callback(label)));
+      rebuilt.handle.push_back(rebuilt.q.schedule(at, rebuilt.callback(label)));
+      due.push_back(at);
+      pending.push_back(label);
+    };
+    for (int i = 0; i < 24; ++i) schedule();
+
+    for (int burst = 0; burst < 40; ++burst) {
+      for (std::int64_t op = rng.uniform_int(1, 12); op > 0; --op) {
+        const std::int64_t kind = rng.uniform_int(0, 9);
+        if (kind == 0 || pending.empty()) {
+          schedule();
+          continue;
+        }
+        const auto i = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(pending.size()) - 1));
+        const auto l = static_cast<std::size_t>(pending[i]);
+        if (kind == 1) {
+          moved.q.cancel(moved.handle[l]);
+          rebuilt.q.cancel(rebuilt.handle[l]);
+          pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
+          continue;
+        }
+        SimTime at = due[l];             // kind 2-3: the same time
+        if (kind >= 7) {
+          at = due[l] + seconds(1, 4);   // later
+        } else if (kind >= 4) {
+          at = std::max(now, due[l] - seconds(1, 4));  // earlier
+        }
+        due[l] = at;
+        moved.handle[l] = moved.q.reschedule(moved.handle[l], at);
+        rebuilt.q.cancel(rebuilt.handle[l]);
+        rebuilt.handle[l] =
+            rebuilt.q.schedule(at, rebuilt.callback(static_cast<int>(l)));
+        ASSERT_EQ(moved.handle, rebuilt.handle)
+            << "seed " << seed << " burst " << burst;
+      }
+      ASSERT_EQ(moved.q.size(), pending.size());
+      if (pending.empty()) continue;
+      if (rng.chance(0.5)) {
+        ASSERT_EQ(moved.q.next_time(), rebuilt.q.next_time())
+            << "seed " << seed << " burst " << burst;
+      }
+      moved.pop();
+      rebuilt.pop();
+      ASSERT_EQ(moved.fired.back(), rebuilt.fired.back())
+          << "seed " << seed << " burst " << burst;
+      now = moved.fired.back().at;
+      pending.erase(std::find(pending.begin(), pending.end(),
+                              moved.fired.back().label));
     }
     while (!moved.q.empty()) {
       moved.pop();

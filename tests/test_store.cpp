@@ -22,6 +22,7 @@
 #include "common/bloom.h"
 #include "common/error.h"
 #include "common/hash.h"
+#include "copy_counter.h"
 #include "core/cluster.h"
 #include "fault/fault.h"
 #include "mr/apps.h"
@@ -176,6 +177,44 @@ TEST(StorageTier, PerShardOutage) {
                   [](const std::string& w) { FAIL() << w; });
   f.sim.run();
   EXPECT_EQ(got1, "one");
+}
+
+TEST(StorageTier, TransfersNeverCopyCallbacks) {
+  TierFixture f;
+  f.tier.stage("present", mr::FilePayload::of_content("x"));
+  struct Outcome {
+    CopyCount done, failed;
+  };
+  Outcome got, missing, down, put, put_down;
+  const auto download = [&](const char* name, Outcome& o) {
+    f.tier.download(f.client_node, name, CountingFn(o.done),
+                    CountingFn(o.failed));
+    f.sim.run();
+  };
+  const auto upload = [&](const char* name, Outcome& o) {
+    f.tier.upload(f.client_node, name, mr::FilePayload::of_content("y"),
+                  CountingFn(o.done), CountingFn(o.failed));
+    f.sim.run();
+  };
+  download("present", got);
+  download("absent", missing);  // 404
+  upload("fresh", put);
+  f.tier.set_available(0, false);  // 503 outage
+  download("present", down);
+  upload("refused", put_down);
+
+  EXPECT_EQ(got.done.calls, 1);
+  EXPECT_EQ(put.done.calls, 1);
+  for (const Outcome* o : {&missing, &down, &put_down}) {
+    EXPECT_EQ(o->done.calls, 0);
+    EXPECT_EQ(o->failed.calls, 1);
+  }
+  for (const Outcome* o : {&got, &missing, &down, &put, &put_down}) {
+    EXPECT_EQ(o->done.copies, 0);
+    EXPECT_EQ(o->failed.copies, 0);
+  }
+  EXPECT_TRUE(f.tier.has("fresh"));
+  EXPECT_FALSE(f.tier.has("refused"));
 }
 
 // --- 2. ReplicaDirectory ----------------------------------------------------

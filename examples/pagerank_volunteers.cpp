@@ -1,5 +1,5 @@
 // Iterative PageRank on volunteers: K power iterations, each a full
-// BOINC-MR job, chained with core::run_chain (§II: "there are several
+// BOINC-MR job, chained as a linear workflow (§II: "there are several
 // examples of MapReduce workflows"; §VI: MapReduce as the gateway to more
 // complex applications). Every iteration goes through the whole machinery
 // — replication, quorum validation, inter-client shuffles — and the final
@@ -10,9 +10,10 @@
 #include <map>
 
 #include "common/strings.h"
-#include "core/workflow.h"
+#include "core/cluster.h"
 #include "mr/apps.h"
 #include "mr/dataset.h"
+#include "workflow/workflow.h"
 
 namespace {
 
@@ -65,19 +66,27 @@ int main() {
   s.input_text = graph;
   core::Cluster cluster(s);
 
-  const std::vector<core::ChainStage> stages(
-      kIterations, core::ChainStage{"page_rank", 5, 3});
-  const core::ChainResult chain =
-      core::run_chain(cluster, "pagerank", graph, stages);
+  // One job per iteration; each reads the previous iteration's output.
+  std::vector<server::MrJobSpec> stages(kIterations);
+  for (std::size_t k = 0; k < stages.size(); ++k) {
+    stages[k].name = "pagerank_stage" + std::to_string(k);
+    stages[k].app = "page_rank";
+    stages[k].n_maps = 5;
+    stages[k].n_reducers = 3;
+  }
+  stages[0].input_text = graph;
+  const core::WorkflowRunResult chain =
+      cluster.run_workflow(wf::linear_workflow(stages));
   if (!chain.completed) {
     std::printf("chain FAILED\n");
     return 1;
   }
-  for (std::size_t k = 0; k < chain.stages.size(); ++k) {
+  for (std::size_t k = 0; k < chain.nodes.size(); ++k) {
+    const core::JobMetrics m = core::compute_job_metrics(
+        cluster.project().database(), chain.nodes[k].runs.back().job);
     std::printf("  iteration %zu: %.0f simulated s (map %.0f, reduce %.0f)\n",
-                k + 1, chain.stages[k].metrics.total_seconds,
-                chain.stages[k].metrics.map.span_seconds,
-                chain.stages[k].metrics.reduce.span_seconds);
+                k + 1, m.total_seconds, m.map.span_seconds,
+                m.reduce.span_seconds);
   }
 
   // Compare with the reference power iteration.

@@ -12,10 +12,11 @@
 
 #include <cstdio>
 
-#include "core/workflow.h"
+#include "core/cluster.h"
 #include "mr/apps.h"
 #include "mr/dataset.h"
 #include "mr/local_runtime.h"
+#include "workflow/workflow.h"
 
 int main() {
   using namespace vcmr;
@@ -32,20 +33,32 @@ int main() {
   s.seed = 21;
   s.n_nodes = 10;
   s.boinc_mr = true;
-  s.input_text = corpus;  // placeholder; run_chain supplies stage inputs
+  s.input_text = corpus;  // placeholder; the workflow supplies stage inputs
   core::Cluster cluster(s);
 
-  const std::vector<core::ChainStage> stages = {
-      {"word_count", 8, 4},
-      {"count_range", 4, 2},
-  };
-  const core::ChainResult chain =
-      core::run_chain(cluster, "freqfreq", corpus, stages);
+  // A linear workflow: stage 1 reads the corpus, stage 2 reads stage 1's
+  // merged, key-sorted reduce output.
+  std::vector<server::MrJobSpec> stages(2);
+  stages[0].app = "word_count";
+  stages[0].n_maps = 8;
+  stages[0].n_reducers = 4;
+  stages[0].input_text = corpus;
+  stages[1].app = "count_range";
+  stages[1].n_maps = 4;
+  stages[1].n_reducers = 2;
+  for (std::size_t k = 0; k < stages.size(); ++k) {
+    stages[k].name = "freqfreq_stage" + std::to_string(k);
+  }
+  const core::WorkflowRunResult chain =
+      cluster.run_workflow(wf::linear_workflow(stages));
 
-  std::printf("workflow: %zu stages, %s\n", chain.stages.size(),
+  std::size_t ran = 0;  // stages submitted; a failed stage skips the rest
+  while (ran < chain.nodes.size() && !chain.nodes[ran].runs.empty()) ++ran;
+  std::printf("workflow: %zu stages, %s\n", ran,
               chain.completed ? "completed" : "FAILED");
-  for (std::size_t k = 0; k < chain.stages.size(); ++k) {
-    const auto& m = chain.stages[k].metrics;
+  for (std::size_t k = 0; k < ran; ++k) {
+    const core::JobMetrics m = core::compute_job_metrics(
+        cluster.project().database(), chain.nodes[k].runs.back().job);
     std::printf("  stage %zu (%s): %.0f s (map %.0f s, reduce %.0f s)\n", k,
                 stages[k].app.c_str(), m.total_seconds, m.map.span_seconds,
                 m.reduce.span_seconds);

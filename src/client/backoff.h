@@ -5,6 +5,7 @@
 // not attempt to contact the server, not even to report a finished
 // computation" — with the paper observing the 600 s cap).
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "common/types.h"
 
@@ -12,10 +13,18 @@ namespace vcmr::client {
 
 class ExponentialBackoff {
  public:
-  /// Jitter draws the delay uniformly from [(1-jitter)·d, d].
+  /// Jitter draws the delay uniformly from [(1-jitter)·d, d]. Requires
+  /// 0 < min_delay <= max_delay and jitter in [0, 1): scenario XML refuses
+  /// other bounds at load, and this catches a Scenario built in code.
   ExponentialBackoff(SimTime min_delay, SimTime max_delay, common::Rng rng,
                      double jitter = 0.3)
-      : min_(min_delay), max_(max_delay), rng_(rng), jitter_(jitter) {}
+      : min_(min_delay), max_(max_delay), rng_(rng), jitter_(jitter) {
+    require(min_ > SimTime::zero(),
+            "ExponentialBackoff: min delay must be > 0");
+    require(max_ >= min_, "ExponentialBackoff: max delay must be >= min delay");
+    require(jitter_ >= 0 && jitter_ < 1,
+            "ExponentialBackoff: jitter must be in [0, 1)");
+  }
 
   /// Next delay; escalates the failure count until the cap is reached.
   SimTime next() {

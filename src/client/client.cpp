@@ -16,10 +16,16 @@ namespace vcmr::client {
 
 namespace {
 common::Logger log_("client");
+
+/// Server-transfer attempts per input or output file, and the pause
+/// before each retry.
+constexpr int kTransferRetries = 6;
+constexpr SimTime kTransferRetryDelay = SimTime::seconds(10);
 }
 
 Client::Client(sim::Simulation& sim, net::Network& net, net::HttpService& http,
                store::StorageTier& data, net::Endpoint scheduler_ep,
+               const server::ProjectConfig& project,
                const db::HostRecord& host_rec, const HostSpec& spec,
                PeerRegistry& registry, net::ConnectionEstablisher* establisher,
                ClientConfig cfg)
@@ -28,8 +34,10 @@ Client::Client(sim::Simulation& sim, net::Network& net, net::HttpService& http,
       http_(http),
       data_(data),
       scheduler_ep_(scheduler_ep),
+      project_(project),
       host_id_(host_rec.id),
       node_(host_rec.node),
+      mr_capable_(host_rec.mr_capable),
       spec_(spec),
       cfg_(cfg),
       actor_(host_rec.name),
@@ -158,17 +166,17 @@ void Client::do_rpc() {
 
   proto::SchedulerRequest req;
   req.host_id = host_id_.value();
-  req.mr_capable = cfg_.mr_capable;
+  req.mr_capable = mr_capable_;
   req.serving_endpoint = serve_.endpoint();
-  if (cfg_.cache_inputs) req.cached_files = cached_input_names_;
-  if (cfg_.volunteer_store.enabled && cfg_.mr_capable) {
+  if (project_.peer_input_distribution) req.cached_files = cached_input_names_;
+  if (project_.volunteer_store.enabled && mr_capable_) {
     // Volunteer replica store: advertise everything we can serve as a Bloom
     // filter. Serving nothing sends no filter at all, which tells the
     // scheduler to drop our directory entry (e.g. after a crash).
     const std::vector<std::string> names = serve_.served_names();
     if (!names.empty()) {
-      common::BloomFilter filter(cfg_.volunteer_store.filter_bits,
-                                 cfg_.volunteer_store.filter_hashes);
+      common::BloomFilter filter(project_.volunteer_store.filter_bits,
+                                 project_.volunteer_store.filter_hashes);
       for (const std::string& n : names) filter.add(n);
       req.store_filter = filter.serialize();
     }
@@ -207,7 +215,7 @@ void Client::do_rpc() {
     trace_point("report", t.assign.result_name);
   }
 
-  if (cfg_.report_known_results) {
+  if (project_.resend_lost_results) {
     // Fast lost-work recovery: tell the scheduler every result this client
     // still holds (any state). After a crash the list is empty, so the
     // scheduler can re-issue the wiped work at this very RPC.
@@ -215,7 +223,7 @@ void Client::do_rpc() {
     for (const auto& [id, t] : tasks_) req.known_results.push_back(id);
   }
   std::vector<proto::FetchFailureReport> sent_fetch_failures;
-  if (cfg_.report_fetch_failures && !pending_fetch_failures_.empty()) {
+  if (project_.report_fetch_failures && !pending_fetch_failures_.empty()) {
     sent_fetch_failures = std::move(pending_fetch_failures_);
     pending_fetch_failures_.clear();
     req.failed_fetches = sent_fetch_failures;
@@ -290,7 +298,7 @@ void Client::on_reply(const proto::SchedulerReply& reply, bool requested_work,
     // must outlive our silence: the next chance to re-arm is the next
     // scheduler reply, which backoff can push out by up to backoff_max.
     serve_.reset_timeouts(cfg_.backoff_max + SimTime::minutes(2));
-  } else if (cfg_.mr_capable && serve_.serving()) {
+  } else if (mr_capable_ && serve_.serving()) {
     // Nothing unfinished references our map outputs: stop serving them
     // ("This happens when the MapReduce job has finished"). Cached input
     // seeds (E15) stay up for other replicas and expire by timeout.
@@ -340,7 +348,7 @@ void Client::accept_task(const proto::AssignedTask& assign) {
   for (const auto& spec : assign.inputs) {
     TaskInput in;
     in.spec = spec;
-    in.server_retries_left = cfg_.transfer_retries;
+    in.server_retries_left = kTransferRetries;
     t.inputs.push_back(std::move(in));
   }
   const std::int64_t id = assign.result_id;
@@ -367,7 +375,7 @@ void Client::apply_location_update(const proto::LocationUpdate& upd) {
     in.spec.size = peer.size;
     in.spec.on_server = peer.on_server;
     in.spec.peers.push_back(peer);
-    in.server_retries_left = cfg_.transfer_retries;
+    in.server_retries_left = kTransferRetries;
     t->inputs.push_back(std::move(in));
     download_queue_.emplace_back(upd.result_id, peer.file_name);
   }
@@ -428,7 +436,7 @@ void Client::start_input_fetch(Task& task, TaskInput& input) {
   const std::size_t span = trace_begin("download", name);
 
   const bool via_peer =
-      cfg_.mr_capable && !input.use_server &&
+      mr_capable_ && !input.use_server &&
       input.next_peer < static_cast<int>(input.spec.peers.size());
   if (via_peer) {
     const proto::PeerLocation& loc =
@@ -494,7 +502,8 @@ void Client::input_done(std::int64_t result_id, const std::string& name,
                         const mr::FilePayload& payload) {
   --downloads_active_;
   local_files_[name] = payload;
-  if ((cfg_.cache_inputs || cfg_.volunteer_store.enabled) && cfg_.mr_capable) {
+  if ((project_.peer_input_distribution || project_.volunteer_store.enabled) &&
+      mr_capable_) {
     Task* t = find_task(result_id);
     if (t != nullptr && t->assign.phase == proto::TaskPhase::kMap) {
       // E15 / volunteer store: become a serve point for this input chunk.
@@ -579,7 +588,7 @@ void Client::input_failed(std::int64_t result_id, const std::string& name,
       // failure — the reduce-side failed_fetch machinery stays out of it.
       obs::MetricsRegistry::instance().counter("client", "store_misses").add();
       trace_point("store_miss", name);
-    } else if (cfg_.report_fetch_failures && !it->spec.peers.empty() &&
+    } else if (project_.report_fetch_failures && !it->spec.peers.empty() &&
                t->assign.phase == proto::TaskPhase::kReduce) {
       // The holder is unreachable after all retries: queue a report so the
       // jobtracker can invalidate its locations and re-run the map early.
@@ -604,7 +613,7 @@ void Client::input_failed(std::int64_t result_id, const std::string& name,
       }
     }
     ++it->next_peer;
-    if (cfg_.volunteer_store.enabled &&
+    if (project_.volunteer_store.enabled &&
         it->next_peer < static_cast<int>(it->spec.peers.size())) {
       // More advertised sources remain: redirect to the next one.
       download_queue_.emplace_back(result_id, name);
@@ -623,7 +632,7 @@ void Client::input_failed(std::int64_t result_id, const std::string& name,
   } else {
     if (--it->server_retries_left > 0) {
       const std::int64_t id = result_id;
-      sim_.after(cfg_.transfer_retry_delay, [this, id, name] {
+      sim_.after(kTransferRetryDelay, [this, id, name] {
         if (Task* task = find_task(id); task != nullptr &&
             task->state == TaskState::kDownloading) {
           download_queue_.emplace_back(id, name);
@@ -779,7 +788,7 @@ void Client::finish_execution(Task& task) {
   }
 
   // BOINC-MR: serve map outputs to reducers from this client.
-  if (cfg_.mr_capable && task.assign.phase == proto::TaskPhase::kMap) {
+  if (mr_capable_ && task.assign.phase == proto::TaskPhase::kMap) {
     for (const auto& [name, payload] : task.pending_uploads) {
       serve_.offer(name, payload);
     }
@@ -792,9 +801,9 @@ void Client::finish_execution(Task& task) {
 void Client::start_uploads(Task& task) {
   task.state = TaskState::kUploading;
 
-  const bool skip_server_upload = cfg_.mr_capable &&
+  const bool skip_server_upload = mr_capable_ &&
                                   task.assign.phase == proto::TaskPhase::kMap &&
-                                  !cfg_.mirror_map_outputs;
+                                  !project_.mirror_map_outputs;
   if (skip_server_upload || task.pending_uploads.empty()) {
     // BOINC-MR without mirroring reports digests only (§III.B: "map
     // outputs should not be uploaded to the server; instead, each
@@ -845,7 +854,7 @@ void Client::upload_output(std::int64_t result_id, const std::string& name,
         trace_end(span);
         log_.debug(actor_, ": upload of ", name, " failed (", why,
                    "); retrying");
-        sim_.after(cfg_.transfer_retry_delay,
+        sim_.after(kTransferRetryDelay,
                    [this, result_id, name,
                     payload = std::move(payload)]() mutable {
                      if (find_task(result_id) != nullptr) {

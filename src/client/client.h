@@ -31,6 +31,7 @@
 #include "net/http.h"
 #include "net/traversal.h"
 #include "proto/messages.h"
+#include "server/config.h"
 #include "sim/simulation.h"
 #include "sim/trace.h"
 #include "store/store.h"
@@ -46,9 +47,13 @@ inline std::vector<double> backoff_histogram_bounds() {
   return {30, 60, 120, 240, 480, 600, 1200, 2400, 3600};
 }
 
-struct ClientConfig {
-  bool mr_capable = false;   ///< BOINC-MR build vs plain 6.13.0 client
+inline constexpr int kMrPort = 31416;  ///< BOINC-MR inter-client listener
 
+/// Per-client knobs. The project's protocol switches (mirroring, peer input
+/// distribution, the recovery gates, the volunteer store) are read from the
+/// project's own server::ProjectConfig, and the BOINC-MR build from the
+/// host record, so a client cannot disagree with its project.
+struct ClientConfig {
   // --- work fetch --------------------------------------------------------
   /// Ask for work when the buffered estimate falls below this.
   double work_buf_min_seconds = 600;
@@ -65,8 +70,6 @@ struct ClientConfig {
 
   // --- transfers -----------------------------------------------------------
   int max_file_xfers = 4;           ///< libcurl-style concurrent transfers
-  int transfer_retries = 6;         ///< server-transfer attempts per file
-  SimTime transfer_retry_delay = SimTime::seconds(10);
 
   // --- reporting -------------------------------------------------------------
   /// Mitigation E4 client side; the server can also switch this on via the
@@ -74,10 +77,6 @@ struct ClientConfig {
   bool report_results_immediately = false;
 
   // --- BOINC-MR ---------------------------------------------------------------
-  int mr_port = 31416;
-  /// Upload map outputs to the server as well (must match the project's
-  /// mirror_map_outputs; enables plain clients and the fetch fallback).
-  bool mirror_map_outputs = true;
   /// Serve/fetch tuning.
   MapOutputServerConfig serve;
   PeerFetchConfig peer_fetch;
@@ -88,28 +87,6 @@ struct ClientConfig {
   /// Credit-claim inflation factor (1.0 = honest; cheaters claim more, the
   /// validator's min-of-quorum grant clips them).
   double credit_claim_inflation = 1.0;
-
-  /// E15 client side: serve downloaded map inputs to other volunteers and
-  /// advertise them in scheduler RPCs (matches the project's
-  /// peer_input_distribution).
-  bool cache_inputs = false;
-
-  // --- fast lost-work recovery (matches the project-side gates) ---------------
-  /// Attach the list of results this client still holds to every scheduler
-  /// request so the scheduler can reconcile (resend_lost_results). Off by
-  /// default: the extra fields change RPC sizes.
-  bool report_known_results = false;
-  /// Report exhausted peer fetches `(job, map_index, holder)` on the next
-  /// scheduler RPC (report_fetch_failures).
-  bool report_fetch_failures = false;
-
-  // --- volunteer replica store (matches the project's volunteer_store) --------
-  /// When enabled, every scheduler RPC advertises the files this client can
-  /// serve as a Bloom filter (geometry below), downloaded map input chunks
-  /// are offered to the inter-client server, and assigned tasks walk their
-  /// peer list — volunteer serve points first, project shard as the final
-  /// fallback — treating a store miss as a cheap redirect.
-  store::VolunteerStoreConfig volunteer_store;
 };
 
 /// The two per-client byte counts with no registry twin; every other
@@ -123,9 +100,9 @@ class Client {
  public:
   Client(sim::Simulation& sim, net::Network& net, net::HttpService& http,
          store::StorageTier& data, net::Endpoint scheduler_ep,
-         const db::HostRecord& host_rec, const HostSpec& spec,
-         PeerRegistry& registry, net::ConnectionEstablisher* establisher,
-         ClientConfig cfg = {});
+         const server::ProjectConfig& project, const db::HostRecord& host_rec,
+         const HostSpec& spec, PeerRegistry& registry,
+         net::ConnectionEstablisher* establisher, ClientConfig cfg = {});
   ~Client();
 
   Client(const Client&) = delete;
@@ -259,8 +236,12 @@ class Client {
   net::HttpService& http_;
   store::StorageTier& data_;
   net::Endpoint scheduler_ep_;
+  /// The project's switches; outlives the client (Cluster declares the
+  /// Project first).
+  const server::ProjectConfig& project_;
   HostId host_id_;
   NodeId node_;
+  bool mr_capable_;  ///< BOINC-MR build vs plain 6.13.0 client
   HostSpec spec_;
   ClientConfig cfg_;
   std::string actor_;

@@ -36,7 +36,6 @@ LogConfig& LogConfig::instance() {
 }
 
 void LogConfig::set_sink(LogSink sink) { sink_ = std::move(sink); }
-void LogConfig::reset_sink() { sink_ = default_sink; }
 
 void LogConfig::emit(const LogRecord& rec) const {
   if (sink_) sink_(rec);

@@ -38,7 +38,6 @@ class LogConfig {
   LogLevel level() const { return level_; }
 
   void set_sink(LogSink sink);
-  void reset_sink();
   /// The currently installed sink (for save/restore guards).
   LogSink sink() const { return sink_; }
   void emit(const LogRecord& rec) const;

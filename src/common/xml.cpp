@@ -55,18 +55,27 @@ std::string XmlNode::child_text(std::string_view name, std::string fallback) con
   return c ? c->text() : fallback;
 }
 
+namespace {
+[[noreturn]] void not_a(const XmlNode& c, const char* what) {
+  throw Error(strprintf("xml line %d: <%s> is not %s: \"%s\"", c.line(),
+                        c.name().c_str(), what, c.text().c_str()));
+}
+}  // namespace
+
 std::int64_t XmlNode::child_i64(std::string_view name, std::int64_t fallback) const {
   const XmlNode* c = child(name);
   if (!c) return fallback;
   std::int64_t v = 0;
-  return parse_i64(c->text(), &v) ? v : fallback;
+  if (!parse_i64(c->text(), &v)) not_a(*c, "an integer");
+  return v;
 }
 
 double XmlNode::child_double(std::string_view name, double fallback) const {
   const XmlNode* c = child(name);
   if (!c) return fallback;
   double v = 0;
-  return parse_double(c->text(), &v) ? v : fallback;
+  if (!parse_double(c->text(), &v)) not_a(*c, "a number");
+  return v;
 }
 
 std::string xml_escape(std::string_view s) {

@@ -1,10 +1,9 @@
 #pragma once
 // Minimal XML document model.
 //
-// BOINC's on-disk formats — scheduler RPC bodies and BOINC-MR's
-// `mr_jobtracker.xml` job configuration — are plain XML, and so are the
-// simulator's scenario files and database snapshots. This is a small,
-// strict-enough reader/writer for that dialect:
+// BOINC's wire and on-disk formats are plain XML: scheduler RPC bodies
+// here, and the simulator's scenario files and database snapshots. This is
+// a small, strict-enough reader/writer for that dialect:
 // elements, attributes, text content, comments; no namespaces, DTDs, or
 // processing instructions.
 
@@ -50,8 +49,10 @@ class XmlNode {
     return children_;
   }
 
-  /// Typed accessors over a child's text; return fallback when absent or
-  /// malformed.
+  /// Typed accessors over a child's text; return fallback when the child is
+  /// absent. child_i64 and child_double throw vcmr::Error naming the child
+  /// and its line when its text is present but does not parse (an empty
+  /// element included).
   std::string child_text(std::string_view name, std::string fallback = "") const;
   std::int64_t child_i64(std::string_view name, std::int64_t fallback = 0) const;
   double child_double(std::string_view name, double fallback = 0.0) const;

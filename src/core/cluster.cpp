@@ -90,12 +90,6 @@ Cluster::Cluster(Scenario scenario) : scenario_(std::move(scenario)) {
     const NodeId node = net_->add_node(ncfg);
 
     client::ClientConfig ccfg = scenario_.client;
-    ccfg.mr_capable = scenario_.boinc_mr && i >= scenario_.n_plain_clients;
-    ccfg.mirror_map_outputs = scenario_.project.mirror_map_outputs;
-    ccfg.cache_inputs = scenario_.project.peer_input_distribution;
-    ccfg.report_known_results = scenario_.project.resend_lost_results;
-    ccfg.report_fetch_failures = scenario_.project.report_fetch_failures;
-    ccfg.volunteer_store = scenario_.project.volunteer_store;
     if (i < static_cast<int>(scenario_.error_probabilities.size())) {
       ccfg.error_probability =
           scenario_.error_probabilities[static_cast<std::size_t>(i)];
@@ -106,8 +100,8 @@ Cluster::Cluster(Scenario scenario) : scenario_(std::move(scenario)) {
     hproto.node = node;
     hproto.flops = spec.flops;
     hproto.cores = spec.cores;
-    hproto.mr_capable = ccfg.mr_capable;
-    hproto.mr_endpoint = net::Endpoint{node, ccfg.mr_port};
+    hproto.mr_capable = scenario_.boinc_mr && i >= scenario_.n_plain_clients;
+    hproto.mr_endpoint = net::Endpoint{node, client::kMrPort};
     hproto.error_rate = scenario_.project.reputation.error_rate_prior;
     const db::HostRecord& hrec = project_->database().create_host(hproto);
 
@@ -121,8 +115,8 @@ Cluster::Cluster(Scenario scenario) : scenario_(std::move(scenario)) {
 
     clients_.push_back(std::make_unique<client::Client>(
         *sim_, *net_, *http_, project_->storage(),
-        project_->scheduler_endpoint(), hrec, spec, registry_,
-        establisher_.get(), ccfg));
+        project_->scheduler_endpoint(), project_->config(), hrec, spec,
+        registry_, establisher_.get(), ccfg));
   }
 
   // Extra storage shards: project infrastructure on the server's link

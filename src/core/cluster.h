@@ -57,7 +57,7 @@ struct Scenario {
 
   // --- component configuration --------------------------------------------
   server::ProjectConfig project;
-  client::ClientConfig client;  ///< base; mr flags derived from the above
+  client::ClientConfig client;  ///< every client's own knobs
   std::vector<client::HostSpec> hosts;  ///< empty → derived from host_preset
   /// Used when `hosts` is empty: "emulab" (default) or "internet"
   /// (heterogeneous broadband volunteers drawn from the scenario seed).

@@ -1,14 +1,23 @@
 #include "core/scenario_io.h"
 
+#include <limits>
+
 #include "common/error.h"
 #include "common/strings.h"
 #include "common/xml.h"
-#include "server/config.h"
 #include "workflow/workflow.h"
 
 namespace vcmr::core {
 
 using common::XmlNode;
+
+namespace {
+/// Largest <input_mb> whose byte count still fits in Bytes.
+constexpr std::int64_t kMaxInputMb =
+    std::numeric_limits<Bytes>::max() / 1000000;
+/// Largest <server_link><latency_ms>: the longest time SimTime accepts.
+constexpr double kMaxLatencyMs = SimTime::kMaxInputSeconds * 1000;
+}  // namespace
 
 Scenario scenario_from_xml(const std::string& xml) {
   const auto root = common::xml_parse(xml);
@@ -16,28 +25,26 @@ Scenario scenario_from_xml(const std::string& xml) {
           "scenario xml: root element must be <scenario>");
   Scenario s;
 
-  s.seed = static_cast<std::uint64_t>(
-      root->child_i64("seed", static_cast<std::int64_t>(s.seed)));
-  s.n_nodes = static_cast<int>(root->child_i64("nodes", s.n_nodes));
-  s.n_maps = static_cast<int>(root->child_i64("maps", s.n_maps));
-  s.n_reducers = static_cast<int>(root->child_i64("reducers", s.n_reducers));
-  s.input_size =
-      root->child_i64("input_mb", s.input_size / 1000000) * 1000000;
-  s.app = root->child_text("app", s.app);
-  s.boinc_mr = root->child_i64("boinc_mr", s.boinc_mr ? 1 : 0) != 0;
-  s.record_trace = root->child_i64("record_trace", 0) != 0;
-  s.flow_failure_rate =
-      root->child_double("flow_failure_rate", s.flow_failure_rate);
-
-  // Storage-tier and project blocks carry line-numbered validation errors
-  // (the trace loader's style): a bad value points at the element that
-  // holds it, or at the block's open tag when the element is absent.
+  // Validation errors carry line numbers (the trace loader's style): a bad
+  // value points at the element that holds it, or at the block's open tag
+  // when the element is absent.
   const auto fail_at = [](const XmlNode& block, std::string_view key,
-                          const char* why) {
+                          const std::string& why) {
     const XmlNode* c = block.child(key);
-    throw Error(common::strprintf("scenario xml line %d: %s",
-                                  c != nullptr ? c->line() : block.line(),
-                                  why));
+    throw Error(common::strprintf(
+        "scenario xml line %d: <%s><%s> %s",
+        c != nullptr ? c->line() : block.line(), block.name().c_str(),
+        std::string(key).c_str(), why.c_str()));
+  };
+  const auto flag = [](const XmlNode& block, std::string_view key, bool& v) {
+    v = block.child_i64(key, v ? 1 : 0) != 0;
+  };
+  const auto int_of = [&fail_at](const XmlNode& block, std::string_view key,
+                                 int fallback,
+                                 int min = std::numeric_limits<int>::min()) {
+    const int v = static_cast<int>(block.child_i64(key, fallback));
+    if (v < min) fail_at(block, key, "must be >= " + std::to_string(min));
+    return v;
   };
   // Every second-valued field is read here: a value SimTime cannot hold
   // (NaN, an infinity, beyond SimTime::kMaxInputSeconds) or below `min`
@@ -48,11 +55,8 @@ Scenario scenario_from_xml(const std::string& xml) {
     const double v = block.child_double(key, fallback);
     if (!(v >= min && v <= SimTime::kMaxInputSeconds)) {
       fail_at(block, key,
-              common::strprintf("<%s><%s> must be a number of seconds in "
-                                "[%g, %g]",
-                                block.name().c_str(), std::string(key).c_str(),
-                                min, SimTime::kMaxInputSeconds)
-                  .c_str());
+              common::strprintf("must be a number of seconds in [%g, %g]",
+                                min, SimTime::kMaxInputSeconds));
     }
     return v;
   };
@@ -60,93 +64,125 @@ Scenario scenario_from_xml(const std::string& xml) {
                                      std::string_view key, SimTime fallback) {
     return SimTime::seconds(seconds_of(block, key, fallback.as_seconds()));
   };
+  // Durations with a floor: limits, cadences, deadlines and backoffs.
+  const auto positive_time_of = [&fail_at, &time_of](const XmlNode& block,
+                                                     std::string_view key,
+                                                     SimTime fallback) {
+    const SimTime t = time_of(block, key, fallback);
+    if (!(t > SimTime::zero())) fail_at(block, key, "must be positive");
+    return t;
+  };
+  // A byte count in megabytes, refused where it would overflow Bytes.
+  const auto megabytes_of = [&fail_at](const XmlNode& block,
+                                       std::string_view key, Bytes fallback) {
+    const std::int64_t mb = block.child_i64(key, fallback / 1000000);
+    if (mb < 0 || mb > kMaxInputMb) {
+      fail_at(block, key,
+              common::strprintf("must be in [0, %lld]",
+                                static_cast<long long>(kMaxInputMb)));
+    }
+    return mb * 1000000;
+  };
 
-  s.time_limit = time_of(*root, "time_limit_s", s.time_limit);
+  s.seed = static_cast<std::uint64_t>(
+      root->child_i64("seed", static_cast<std::int64_t>(s.seed)));
+  s.n_nodes = int_of(*root, "nodes", s.n_nodes);
+  s.n_maps = int_of(*root, "maps", s.n_maps);
+  s.n_reducers = int_of(*root, "reducers", s.n_reducers);
+  s.input_size = megabytes_of(*root, "input_mb", s.input_size);
+  s.app = root->child_text("app", s.app);
+  flag(*root, "boinc_mr", s.boinc_mr);
+  flag(*root, "record_trace", s.record_trace);
+  s.flow_failure_rate =
+      root->child_double("flow_failure_rate", s.flow_failure_rate);
+  s.time_limit = positive_time_of(*root, "time_limit_s", s.time_limit);
 
   if (const XmlNode* p = root->child("project")) {
     auto& cfg = s.project;
-    server::read_project_fields(*p, "scenario xml", cfg);
-    cfg.delay_bound = time_of(*p, "delay_bound_s", cfg.delay_bound);
-    cfg.max_wus_in_progress = static_cast<int>(
-        p->child_i64("max_wus_in_progress", cfg.max_wus_in_progress));
+    cfg.target_nresults = int_of(*p, "target_nresults", cfg.target_nresults);
+    cfg.min_quorum = int_of(*p, "min_quorum", cfg.min_quorum);
+    flag(*p, "mirror_map_outputs", cfg.mirror_map_outputs);
+    flag(*p, "report_map_results_immediately",
+         cfg.report_map_results_immediately);
+    flag(*p, "pipelined_reduce", cfg.pipelined_reduce);
+    flag(*p, "resend_lost_results", cfg.resend_lost_results);
+    flag(*p, "report_fetch_failures", cfg.report_fetch_failures);
+    require(cfg.min_quorum >= 1 && cfg.min_quorum <= cfg.target_nresults,
+            "scenario xml: need 1 <= min_quorum <= target_nresults");
+    cfg.delay_bound = positive_time_of(*p, "delay_bound_s", cfg.delay_bound);
+    cfg.max_wus_in_progress =
+        int_of(*p, "max_wus_in_progress", cfg.max_wus_in_progress);
     cfg.snapshot_period =
-        time_of(*p, "snapshot_period_s", cfg.snapshot_period);
-    if (!(cfg.snapshot_period > SimTime::zero())) {
-      fail_at(*p, "snapshot_period_s",
-              "<project><snapshot_period_s> must be positive");
-    }
+        positive_time_of(*p, "snapshot_period_s", cfg.snapshot_period);
   }
 
   if (const XmlNode* r = root->child("replication")) {
-    server::read_replication(*r, "scenario xml", s.project.reputation);
+    auto& rc = s.project.reputation;
+    if (const std::string* mode = r->attr("policy")) {
+      rc.mode = rep::policy_mode_from_string(*mode);
+    }
+    rc.min_consecutive_valid =
+        int_of(*r, "min_consecutive_valid", rc.min_consecutive_valid);
+    rc.max_error_rate = r->child_double("max_error_rate", rc.max_error_rate);
+    rc.spot_check_probability =
+        r->child_double("spot_check_probability", rc.spot_check_probability);
+    rc.error_rate_prior =
+        r->child_double("error_rate_prior", rc.error_rate_prior);
+    rc.error_rate_decay =
+        r->child_double("error_rate_decay", rc.error_rate_decay);
+    rc.trust_max_skips = int_of(*r, "trust_max_skips", rc.trust_max_skips);
+    require(rc.min_consecutive_valid >= 1,
+            "scenario xml: min_consecutive_valid must be >= 1");
+    require(rc.spot_check_probability >= 0 && rc.spot_check_probability <= 1,
+            "scenario xml: spot_check_probability must be in [0,1]");
+    require(rc.error_rate_decay > 0 && rc.error_rate_decay < 1,
+            "scenario xml: error_rate_decay must be in (0,1)");
+    require(rc.trust_max_skips >= 0,
+            "scenario xml: trust_max_skips must be >= 0");
   }
 
   if (const XmlNode* c = root->child("client")) {
     auto& cfg = s.client;
     cfg.work_buf_min_seconds =
         seconds_of(*c, "work_buf_min_s", cfg.work_buf_min_seconds);
-    cfg.backoff_min = time_of(*c, "backoff_min_s", cfg.backoff_min);
+    cfg.backoff_min = positive_time_of(*c, "backoff_min_s", cfg.backoff_min);
     cfg.backoff_max = time_of(*c, "backoff_max_s", cfg.backoff_max);
-    cfg.max_file_xfers =
-        static_cast<int>(c->child_i64("max_file_xfers", cfg.max_file_xfers));
-    cfg.report_results_immediately =
-        c->child_i64("report_results_immediately",
-                     cfg.report_results_immediately ? 1 : 0) != 0;
-    cfg.peer_fetch.max_attempts = static_cast<int>(
-        c->child_i64("peer_fetch_attempts", cfg.peer_fetch.max_attempts));
+    if (cfg.backoff_max < cfg.backoff_min) {
+      fail_at(*c, "backoff_max_s", "must be >= <backoff_min_s>");
+    }
+    cfg.max_file_xfers = int_of(*c, "max_file_xfers", cfg.max_file_xfers);
+    flag(*c, "report_results_immediately", cfg.report_results_immediately);
+    cfg.peer_fetch.max_attempts =
+        int_of(*c, "peer_fetch_attempts", cfg.peer_fetch.max_attempts);
   }
 
   if (const XmlNode* d = root->child("data_servers")) {
-    auto& dc = s.data_servers;
-    dc.n_shards = static_cast<int>(d->child_i64("shards", dc.n_shards));
-    if (dc.n_shards < 1) {
-      fail_at(*d, "shards", "<data_servers><shards> must be >= 1");
-    }
+    s.data_servers.n_shards =
+        int_of(*d, "shards", s.data_servers.n_shards, 1);
   }
 
   if (const XmlNode* v = root->child("volunteer_store")) {
     auto& vc = s.project.volunteer_store;
-    vc.enabled = v->child_i64("enabled", vc.enabled ? 1 : 0) != 0;
-    vc.filter_bits =
-        static_cast<int>(v->child_i64("filter_bits", vc.filter_bits));
-    vc.filter_hashes =
-        static_cast<int>(v->child_i64("filter_hashes", vc.filter_hashes));
-    vc.max_store_peers =
-        static_cast<int>(v->child_i64("max_store_peers", vc.max_store_peers));
-    vc.advert_ttl = time_of(*v, "advert_ttl_s", vc.advert_ttl);
-    vc.dispatch_gate_width = static_cast<int>(
-        v->child_i64("dispatch_gate_width", vc.dispatch_gate_width));
-    vc.dispatch_max_skips = static_cast<int>(
-        v->child_i64("dispatch_max_skips", vc.dispatch_max_skips));
-    if (vc.filter_bits < 8) {
-      fail_at(*v, "filter_bits", "<volunteer_store><filter_bits> must be >= 8");
-    }
-    if (vc.filter_hashes < 1) {
-      fail_at(*v, "filter_hashes",
-              "<volunteer_store><filter_hashes> must be >= 1");
-    }
-    if (vc.max_store_peers < 1) {
-      fail_at(*v, "max_store_peers",
-              "<volunteer_store><max_store_peers> must be >= 1");
-    }
-    if (!(vc.advert_ttl > SimTime::zero())) {
-      fail_at(*v, "advert_ttl_s",
-              "<volunteer_store><advert_ttl_s> must be positive");
-    }
-    if (vc.dispatch_gate_width < 1) {
-      fail_at(*v, "dispatch_gate_width",
-              "<volunteer_store><dispatch_gate_width> must be >= 1");
-    }
-    if (vc.dispatch_max_skips < 0) {
-      fail_at(*v, "dispatch_max_skips",
-              "<volunteer_store><dispatch_max_skips> must be >= 0");
-    }
+    flag(*v, "enabled", vc.enabled);
+    vc.filter_bits = int_of(*v, "filter_bits", vc.filter_bits, 8);
+    vc.filter_hashes = int_of(*v, "filter_hashes", vc.filter_hashes, 1);
+    vc.max_store_peers = int_of(*v, "max_store_peers", vc.max_store_peers, 1);
+    vc.advert_ttl = positive_time_of(*v, "advert_ttl_s", vc.advert_ttl);
+    vc.dispatch_gate_width =
+        int_of(*v, "dispatch_gate_width", vc.dispatch_gate_width, 1);
+    vc.dispatch_max_skips =
+        int_of(*v, "dispatch_max_skips", vc.dispatch_max_skips, 0);
   }
 
   if (const XmlNode* l = root->child("server_link")) {
     s.server_up_bps = l->child_double("up_mbps", 100) * 1e6 / 8;
     s.server_down_bps = l->child_double("down_mbps", 100) * 1e6 / 8;
-    s.server_latency = SimTime::millis(l->child_i64("latency_ms", 1));
+    const std::int64_t latency_ms = l->child_i64("latency_ms", 1);
+    if (latency_ms < 0 || static_cast<double>(latency_ms) > kMaxLatencyMs) {
+      fail_at(*l, "latency_ms",
+              common::strprintf("must be in [0, %g]", kMaxLatencyMs));
+    }
+    s.server_latency = SimTime::millis(latency_ms);
   }
 
   if (const XmlNode* h = root->child("hosts")) {
@@ -195,7 +231,7 @@ Scenario scenario_from_xml(const std::string& xml) {
     };
     for (const XmlNode* lf : f->children("link_fault")) {
       fault::LinkFault x;
-      x.host = static_cast<int>(lf->child_i64("host", -1));
+      x.host = int_of(*lf, "host", -1);
       x.down_at = at(*lf, "down_s");
       x.up_at = when(*lf, "up_s");
       s.faults.link_faults.push_back(x);
@@ -219,12 +255,12 @@ Scenario scenario_from_xml(const std::string& xml) {
       x.up_at = when(*o, "up_s");
       // Optional shard index; absent (-1) downs the whole tier, which is
       // the historical single-data-server outage.
-      x.shard = static_cast<int>(o->child_i64("shard", x.shard));
+      x.shard = int_of(*o, "shard", x.shard);
       s.faults.server_outages.push_back(x);
     }
     for (const XmlNode* c : f->children("crash")) {
       fault::ClientCrash x;
-      x.host = static_cast<int>(c->child_i64("host", -1));
+      x.host = int_of(*c, "host", -1);
       x.at = at(*c, "at_s");
       x.restart_at = when(*c, "restart_s");
       s.faults.crashes.push_back(x);
@@ -253,7 +289,7 @@ Scenario scenario_from_xml(const std::string& xml) {
     }
     for (const XmlNode* d : f->children("link_degrade")) {
       fault::LinkDegrade x;
-      x.host = static_cast<int>(d->child_i64("host", -1));
+      x.host = int_of(*d, "host", -1);
       x.factor = d->child_double("factor", x.factor);
       x.at = at(*d, "at_s");
       x.until = when(*d, "until_s");
@@ -298,28 +334,30 @@ Scenario scenario_from_xml(const std::string& xml) {
       }
       node.job.name = *name;
       node.job.app = n->child_text("app", node.job.app);
-      node.job.n_maps = static_cast<int>(n->child_i64("maps", 0));
-      node.job.n_reducers = static_cast<int>(n->child_i64("reducers", 0));
-      node.job.input_size = n->child_i64("input_mb", 0) * 1000000;
+      node.job.n_maps = int_of(*n, "maps", 0);
+      node.job.n_reducers = int_of(*n, "reducers", 0);
+      node.job.input_size = megabytes_of(*n, "input_mb", 0);
       if (n->has_child("input_text")) {
         node.job.input_text = n->child_text("input_text");
       }
-      node.job.shared_input = n->child_i64("shared_input", 0) != 0;
+      flag(*n, "shared_input", node.job.shared_input);
       for (const std::string& tok :
            common::split(n->child_text("deps"), ',')) {
         const std::string dep(common::trim(tok));
         if (!dep.empty()) node.deps.push_back(dep);
       }
       if (const XmlNode* it = n->child("iterate")) {
-        node.iterate.max_iterations = static_cast<int>(it->child_i64(
-            "max_iterations", node.iterate.max_iterations));
+        node.iterate.max_iterations =
+            int_of(*it, "max_iterations", node.iterate.max_iterations);
         node.iterate.threshold =
             it->child_double("threshold", node.iterate.threshold);
       }
       s.workflow.push_back(std::move(node));
     }
     if (s.workflow.empty()) {
-      fail_at(*w, "node", "<workflow> has no <node> children");
+      throw Error(common::strprintf(
+          "scenario xml line %d: <workflow> has no <node> children",
+          w->line()));
     }
     const wf::WorkflowGraph validate(s.workflow);  // throws, line-numbered
     (void)validate;
@@ -351,7 +389,18 @@ std::string scenario_to_xml(const Scenario& s) {
   }
 
   XmlNode& p = root.add_child("project");
-  server::write_project_fields(p, s.project);
+  const auto flag = [&p](const char* name, bool v) {
+    p.add_child_text(name, v ? "1" : "0");
+  };
+  p.add_child_text("target_nresults",
+                   std::to_string(s.project.target_nresults));
+  p.add_child_text("min_quorum", std::to_string(s.project.min_quorum));
+  flag("mirror_map_outputs", s.project.mirror_map_outputs);
+  flag("report_map_results_immediately",
+       s.project.report_map_results_immediately);
+  flag("pipelined_reduce", s.project.pipelined_reduce);
+  flag("resend_lost_results", s.project.resend_lost_results);
+  flag("report_fetch_failures", s.project.report_fetch_failures);
   p.add_child_text("delay_bound_s",
                    common::strprintf("%.0f", s.project.delay_bound.as_seconds()));
   p.add_child_text("max_wus_in_progress",
@@ -360,7 +409,20 @@ std::string scenario_to_xml(const Scenario& s) {
       "snapshot_period_s",
       common::strprintf("%.0f", s.project.snapshot_period.as_seconds()));
 
-  server::write_replication(root, s.project.reputation);
+  const auto& rc = s.project.reputation;
+  XmlNode& r = root.add_child("replication");
+  r.set_attr("policy", rep::to_string(rc.mode));
+  r.add_child_text("min_consecutive_valid",
+                   std::to_string(rc.min_consecutive_valid));
+  r.add_child_text("max_error_rate",
+                   common::strprintf("%.6f", rc.max_error_rate));
+  r.add_child_text("spot_check_probability",
+                   common::strprintf("%.6f", rc.spot_check_probability));
+  r.add_child_text("error_rate_prior",
+                   common::strprintf("%.6f", rc.error_rate_prior));
+  r.add_child_text("error_rate_decay",
+                   common::strprintf("%.6f", rc.error_rate_decay));
+  r.add_child_text("trust_max_skips", std::to_string(rc.trust_max_skips));
 
   XmlNode& c = root.add_child("client");
   c.add_child_text("work_buf_min_s",

@@ -94,8 +94,9 @@ class GrepBloomApp : public MapReduceApp {
 /// One PageRank iteration over an adjacency-list input (lines of
 /// "node rank|n1,n2,..."). Map re-emits each node's link list and sends a
 /// rank share to every neighbour; reduce recombines them with damping 0.85
-/// and emits the next iteration's input — so running the app K times
-/// through core::run_chain performs K power iterations on volunteers.
+/// and emits the next iteration's input — so K page_rank jobs chained as a
+/// linear workflow (wf::linear_workflow) perform K power iterations on
+/// volunteers.
 /// This is the §II/§VI "more complex applications as MapReduce sequences"
 /// workload (the classic iterative-MapReduce example).
 class PageRankApp : public MapReduceApp {

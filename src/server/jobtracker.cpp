@@ -60,9 +60,9 @@ MrJobId JobTracker::submit(const MrJobSpec& spec) {
   require(spec.input_text.has_value() || spec.input_size > 0,
           "JobTracker::submit: job needs input text or a modelled size");
 
-  const int n_maps = spec.n_maps > 0 ? spec.n_maps : cfg_.default_n_maps;
+  const int n_maps = spec.n_maps > 0 ? spec.n_maps : kDefaultMaps;
   const int n_reducers =
-      spec.n_reducers > 0 ? spec.n_reducers : cfg_.default_n_reducers;
+      spec.n_reducers > 0 ? spec.n_reducers : kDefaultReducers;
 
   db::MrJobRecord proto;
   proto.name = spec.name;

@@ -25,8 +25,8 @@ namespace vcmr::server {
 struct MrJobSpec {
   std::string name;
   std::string app = "word_count";
-  int n_maps = 0;      ///< 0 → ProjectConfig::default_n_maps
-  int n_reducers = 0;  ///< 0 → ProjectConfig::default_n_reducers
+  int n_maps = 0;      ///< 0 → JobTracker::kDefaultMaps
+  int n_reducers = 0;  ///< 0 → JobTracker::kDefaultReducers
   /// Modelled mode: total input bytes (the paper's fixed 1 GB file).
   Bytes input_size = 0;
   /// Materialised mode: real corpus text (overrides input_size).
@@ -39,6 +39,10 @@ struct MrJobSpec {
 
 class JobTracker {
  public:
+  /// Map / reduce task counts of a job whose spec leaves them at 0.
+  static constexpr int kDefaultMaps = 20;
+  static constexpr int kDefaultReducers = 5;
+
   JobTracker(sim::Simulation& sim, db::Database& db, store::StorageTier& data,
              const ProjectConfig& cfg);
 

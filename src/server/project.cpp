@@ -10,6 +10,16 @@ namespace vcmr::server {
 
 namespace {
 
+/// Daemon cadences: the feeder refills its cache every 5 s, the other
+/// daemons poll the database every 10 s.
+constexpr SimTime kFeederPeriod = SimTime::seconds(5);
+constexpr SimTime kTransitionerPeriod = SimTime::seconds(10);
+constexpr SimTime kValidatorPeriod = SimTime::seconds(10);
+constexpr SimTime kAssimilatorPeriod = SimTime::seconds(10);
+/// Slots in the feeder's cache of ready-to-send results (BOINC's
+/// shared-memory segment between feeder and scheduler).
+constexpr int kFeederCacheSize = 200;
+
 /// Telemetry for one daemon wakeup: pass count, rows-touched counter and
 /// per-pass distribution, plus a "server" point when a traced pass did real
 /// work.
@@ -45,7 +55,7 @@ Project::Project(sim::Simulation& sim, net::HttpService& http,
       rep_policy_(cfg_.reputation, rep_store_,
                   sim.rng_stream("rep.spotcheck")),
       data_(http, server_node, kDataPort),
-      feeder_(db_, cfg_.feeder_cache_size),
+      feeder_(db_, kFeederCacheSize),
       transitioner_(db_, cfg_, &rep_store_),
       validator_(db_, cfg_, &rep_store_),
       assimilator_(db_),
@@ -61,16 +71,16 @@ Project::Project(sim::Simulation& sim, net::HttpService& http,
 }
 
 void Project::start() {
-  feeder_daemon_.emplace(sim_, cfg_.feeder_period, [this] {
+  feeder_daemon_.emplace(sim_, kFeederPeriod, [this] {
     note_daemon_pass(sim_, "feeder", feeder_.refill());
   });
-  transitioner_daemon_.emplace(sim_, cfg_.transitioner_period, [this] {
+  transitioner_daemon_.emplace(sim_, kTransitionerPeriod, [this] {
     note_daemon_pass(sim_, "transitioner", transitioner_.pass(sim_.now()));
   });
-  validator_daemon_.emplace(sim_, cfg_.validator_period, [this] {
+  validator_daemon_.emplace(sim_, kValidatorPeriod, [this] {
     note_daemon_pass(sim_, "validator", validator_.pass());
   });
-  assimilator_daemon_.emplace(sim_, cfg_.assimilator_period, [this] {
+  assimilator_daemon_.emplace(sim_, kAssimilatorPeriod, [this] {
     note_daemon_pass(sim_, "assimilator", assimilator_.pass());
   });
   if (snapshots_enabled_) {

@@ -28,6 +28,19 @@ void trace_point(const sim::Simulation& sim, const char* label,
 /// Registry counter per Deferral reason, in enum order.
 constexpr const char* kDeferralCounters[] = {"trust_skips", "store_gate_skips",
                                              "locality_skips"};
+
+/// Simulated CPU time the scheduler spends on one RPC.
+constexpr SimTime kRpcServiceTime = SimTime::millis(200);
+/// Minimum delay a client must leave between scheduler RPCs
+/// (BOINC's min_sendwork_interval).
+constexpr SimTime kMinRequestDelay = SimTime::seconds(6);
+/// Max results handed out in a single RPC.
+constexpr int kMaxResultsPerRpc = 8;
+/// Max cacher endpoints attached per input file (E15).
+constexpr int kMaxInputPeers = 3;
+/// Deferrals before a locality-held reduce result (E14) is released to any
+/// host, so locality never starves work.
+constexpr int kLocalityMaxSkips = 3;
 }
 
 Scheduler::Scheduler(sim::Simulation& sim, db::Database& db, Feeder& feeder,
@@ -56,7 +69,7 @@ Scheduler::Scheduler(sim::Simulation& sim, db::Database& db, Feeder& feeder,
     // Take the request off the wire, then model the CGI's processing time
     // before the reply is produced.
     sched_counter("wire_bytes_in").add(req.body_size);
-    sim_.after(cfg_.rpc_service_time,
+    sim_.after(kRpcServiceTime,
                [this, request = std::move(*payload),
                 respond = std::move(respond)] {
                  if (down_) {
@@ -119,7 +132,7 @@ proto::SchedulerReply Scheduler::process(const proto::SchedulerRequest& req) {
   }
 
   proto::SchedulerReply reply;
-  reply.request_delay = cfg_.min_request_delay;
+  reply.request_delay = kMinRequestDelay;
   reply.report_map_results_immediately = cfg_.report_map_results_immediately;
   reply.keep_serving = req.mr_capable && host_may_be_needed(host);
   reply.had_work = true;  // only meaningful when work was requested
@@ -290,7 +303,7 @@ void Scheduler::assign_work(const proto::SchedulerRequest& req,
   // Snapshot: assignment mutates the cache through feeder_.remove().
   const std::vector<ResultId> cache = feeder_.cache();
   for (const ResultId rid : cache) {
-    if (static_cast<int>(reply.tasks.size()) >= cfg_.max_results_per_rpc) break;
+    if (static_cast<int>(reply.tasks.size()) >= kMaxResultsPerRpc) break;
     if (filled_seconds >= req.work_request_seconds) break;
     if (host_in_progress >= cfg_.max_wus_in_progress) break;
 
@@ -308,18 +321,18 @@ void Scheduler::assign_work(const proto::SchedulerRequest& req,
       continue;
     }
 
-    if (cfg_.one_result_per_host_per_wu) {
-      bool host_has_sibling = false;
-      for (const ResultId sid : db_.results_of(wu.id)) {
-        const db::ResultRecord& s = db_.result(sid);
-        if (s.host == host && s.server_state != db::ServerState::kUnsent &&
-            s.server_state != db::ServerState::kInactive) {
-          host_has_sibling = true;
-          break;
-        }
+    // Never hand two results of one WU to the same host (BOINC's "one
+    // result per user per WU" rule; required for honest quorums).
+    bool host_has_sibling = false;
+    for (const ResultId sid : db_.results_of(wu.id)) {
+      const db::ResultRecord& s = db_.result(sid);
+      if (s.host == host && s.server_state != db::ServerState::kUnsent &&
+          s.server_state != db::ServerState::kInactive) {
+        host_has_sibling = true;
+        break;
       }
-      if (host_has_sibling) continue;
     }
+    if (host_has_sibling) continue;
 
     if (wu.mr_phase == db::MrPhase::kReduce && !req.mr_capable &&
         !cfg_.mirror_map_outputs) {
@@ -328,13 +341,14 @@ void Scheduler::assign_work(const proto::SchedulerRequest& req,
       continue;
     }
 
-    if (cfg_.deadline_check) {
-      // Estimated turnaround on this host: its queued work plus this task.
-      const double est_seconds = req.remaining_work_seconds +
-                                 filled_seconds +
-                                 wu.flops_est / hrec.flops;
-      if (est_seconds > wu.delay_bound.as_seconds()) continue;
-    }
+    // Deadline check: skip a host too slow to finish a result before its
+    // report deadline given the work already queued on it ("The scheduler
+    // takes into account the workload of each requester, as well as its
+    // hardware ... information", §III.B). Estimated turnaround on this
+    // host: its queued work plus this task.
+    const double est_seconds = req.remaining_work_seconds + filled_seconds +
+                               wu.flops_est / hrec.flops;
+    if (est_seconds > wu.delay_bound.as_seconds()) continue;
 
     if (!apply_trust_policy(r, wu, host)) continue;
 
@@ -383,7 +397,7 @@ void Scheduler::assign_work(const proto::SchedulerRequest& req,
     if (cfg_.locality_aware_reduce && wu.mr_phase == db::MrPhase::kReduce) {
       // Delay scheduling with a best-holder criterion: every mapper holds
       // one file of each partition, so "holds anything" is vacuous. Hold
-      // the result (up to locality_max_skips deferrals) for a requester
+      // the result (up to kLocalityMaxSkips deferrals) for a requester
       // that stores at least as much of this partition as any other host.
       std::map<std::int64_t, Bytes> held;
       for (const auto& loc :
@@ -396,7 +410,7 @@ void Scheduler::assign_work(const proto::SchedulerRequest& req,
       const Bytes my_bytes = mine == held.end() ? 0 : mine->second;
       if (best > 0 && my_bytes >= best) {
         sched_counter("locality_hits").add();
-      } else if (defer(rid, Deferral::kLocality, cfg_.locality_max_skips)) {
+      } else if (defer(rid, Deferral::kLocality, kLocalityMaxSkips)) {
         continue;
       }
     }
@@ -547,7 +561,7 @@ proto::AssignedTask Scheduler::build_task(const db::ResultRecord& r,
           int attached = 0;
           for (const HostId cacher : it->second) {
             if (cacher == r.host) continue;  // don't point a host at itself
-            if (attached >= cfg_.max_input_peers) break;
+            if (attached >= kMaxInputPeers) break;
             const db::HostRecord& ch = db_.host(cacher);
             proto::PeerLocation p;
             p.map_index = wu.mr_index;

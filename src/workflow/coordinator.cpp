@@ -86,9 +86,9 @@ void WorkflowCoordinator::submit_node(int node) {
   const std::vector<int>& ups = graph_.upstream()[i];
   if (!ups.empty()) {
     // Input = the merged canonical reduce outputs of every upstream.
-    // All-materialised upstreams chain real text (the run_chain contract:
-    // merged, key-sorted, line-serialized); otherwise the node runs
-    // modelled on the summed upstream output bytes.
+    // All-materialised upstreams chain real text (merged, key-sorted,
+    // line-serialized, as the local multi-stage oracles expect); otherwise
+    // the node runs modelled on the summed upstream output bytes.
     bool all_mat = true;
     for (const int up : ups) {
       if (!materialised_[static_cast<std::size_t>(up)]) all_mat = false;

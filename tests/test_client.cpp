@@ -9,6 +9,7 @@
 
 #include "client/backoff.h"
 #include "client/interclient.h"
+#include "common/error.h"
 #include "copy_counter.h"
 #include "obs/metrics.h"
 #include "sim/simulation.h"
@@ -54,6 +55,24 @@ TEST(Backoff, JitterStaysInBand) {
     EXPECT_GE(d, 70.0 - 1e-9);
     EXPECT_LE(d, 1000.0 + 1e-9);
   }
+}
+
+// A backoff must wait: a zero or negative floor, a cap below the floor or
+// a jitter outside [0, 1) re-polled the scheduler without pause.
+TEST(Backoff, RejectsBoundsThatDoNotWait) {
+  sim::Simulation sim(1);
+  const auto make = [&sim](double min_s, double max_s, double jitter) {
+    const ExponentialBackoff b(SimTime::seconds(min_s),
+                               SimTime::seconds(max_s), sim.rng_stream("b"),
+                               jitter);
+    (void)b;
+  };
+  EXPECT_THROW(make(0, 600, 0.3), Error);
+  EXPECT_THROW(make(-50, -10, 0.3), Error);
+  EXPECT_THROW(make(100, 50, 0.3), Error);
+  EXPECT_THROW(make(60, 600, 1.0), Error);
+  EXPECT_THROW(make(60, 600, -0.1), Error);
+  EXPECT_NO_THROW(make(60, 60, 0.0));
 }
 
 struct IcFixture {

@@ -25,6 +25,9 @@ struct Fixture {
   net::Network net{sim};
   net::HttpService http{net};
   NodeId server_node;
+  /// The project's switches the client reads; the defaults (mirroring on,
+  /// every other switch off) are the plain BOINC-MR protocol.
+  server::ProjectConfig project;
   std::unique_ptr<store::StorageTier> data;
   PeerRegistry registry;
   net::Endpoint sched_ep;
@@ -72,10 +75,10 @@ struct Fixture {
     h.name = "host1";
     h.node = node;
     h.flops = spec.flops;
-    h.mr_endpoint = {node, cfg.mr_port};
+    h.mr_endpoint = {node, kMrPort};
     cfg.initial_rpc_jitter = SimTime::zero();  // deterministic first RPC
-    return std::make_unique<Client>(sim, net, http, *data, sched_ep, h, spec,
-                                    registry, nullptr, cfg);
+    return std::make_unique<Client>(sim, net, http, *data, sched_ep, project,
+                                    h, spec, registry, nullptr, cfg);
   }
 
   std::int64_t tasks_completed() const {

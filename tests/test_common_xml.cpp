@@ -78,8 +78,18 @@ TEST(Xml, BuildAndReparse) {
 }
 
 TEST(Xml, TypedAccessorFallbacks) {
-  const auto root = xml_parse("<a><n>notanumber</n></a>");
-  EXPECT_EQ(root->child_i64("n", -7), -7);
+  // A present but malformed number is an error naming the element and its
+  // line; only an absent element falls back.
+  const auto root = xml_parse("<a>\n<n>notanumber</n><e/></a>");
+  try {
+    root->child_i64("n", -7);
+    ADD_FAILURE() << "malformed integer fell back";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "xml line 2: <n> is not an integer: \"notanumber\"");
+  }
+  EXPECT_THROW(root->child_double("n", 2.5), Error);
+  EXPECT_THROW(root->child_i64("e", 3), Error);  // empty text
   EXPECT_EQ(root->child_i64("missing", 3), 3);
   EXPECT_DOUBLE_EQ(root->child_double("missing", 2.5), 2.5);
   EXPECT_EQ(root->child_text("missing", "dflt"), "dflt");

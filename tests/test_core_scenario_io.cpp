@@ -1,13 +1,21 @@
-// Tests for scenario XML parsing/serialization and the workflow chain.
+// Tests for scenario XML parsing/serialization and linear workflows.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <regex>
+#include <sstream>
+
 #include "common/error.h"
+#include "common/rng.h"
 #include "core/scenario_io.h"
-#include "core/workflow.h"
 #include "mr/apps.h"
 #include "mr/dataset.h"
 #include "mr/local_runtime.h"
+#include "workflow/workflow.h"
 
 namespace vcmr::core {
 namespace {
@@ -40,6 +48,7 @@ TEST(ScenarioIo, FullDocument) {
     <project>
       <target_nresults>3</target_nresults><min_quorum>2</min_quorum>
       <mirror_map_outputs>0</mirror_map_outputs>
+      <report_map_results_immediately>1</report_map_results_immediately>
       <pipelined_reduce>1</pipelined_reduce>
       <resend_lost_results>1</resend_lost_results>
       <report_fetch_failures>1</report_fetch_failures>
@@ -67,6 +76,7 @@ TEST(ScenarioIo, FullDocument) {
   EXPECT_EQ(s.time_limit, SimTime::seconds(7200));
   EXPECT_EQ(s.project.target_nresults, 3);
   EXPECT_FALSE(s.project.mirror_map_outputs);
+  EXPECT_TRUE(s.project.report_map_results_immediately);
   EXPECT_TRUE(s.project.pipelined_reduce);
   EXPECT_TRUE(s.project.resend_lost_results);
   EXPECT_TRUE(s.project.report_fetch_failures);
@@ -89,6 +99,7 @@ TEST(ScenarioIo, FullDocument) {
   EXPECT_EQ(back.n_nodes, 12);
   EXPECT_EQ(back.host_preset, "internet");
   EXPECT_TRUE(back.use_overlay);
+  EXPECT_TRUE(back.project.report_map_results_immediately);
   EXPECT_TRUE(back.project.resend_lost_results);
   EXPECT_TRUE(back.project.report_fetch_failures);
   ASSERT_TRUE(back.nat_mix.has_value());
@@ -241,6 +252,154 @@ TEST(ScenarioIo, RejectsInvalid) {
               "scenario xml line 2: <crash><restart_s> " + instant)
         << v;
   }
+  EXPECT_EQ(message_of("<scenario><replication><trust_max_skips>-1"
+                       "</trust_max_skips></replication></scenario>"),
+            "scenario xml: trust_max_skips must be >= 0");
+  // Durations have floors: a non-positive time limit ended the run at once
+  // (TIME LIMIT, 0 RPCs), and a negative backoff re-polled the scheduler
+  // without pause.
+  for (const std::string v : {"0", "-5"}) {
+    EXPECT_EQ(at_line_2("<time_limit_s>" + v + "</time_limit_s>"),
+              "scenario xml line 2: <scenario><time_limit_s> must be positive")
+        << v;
+    EXPECT_EQ(at_line_2("<project><delay_bound_s>" + v +
+                        "</delay_bound_s></project>"),
+              "scenario xml line 2: <project><delay_bound_s> must be positive")
+        << v;
+    EXPECT_EQ(at_line_2("<client><backoff_min_s>" + v +
+                        "</backoff_min_s></client>"),
+              "scenario xml line 2: <client><backoff_min_s> must be positive")
+        << v;
+  }
+  EXPECT_EQ(message_of("<scenario>\n"
+                       "  <client>\n"
+                       "    <backoff_min_s>-50</backoff_min_s>\n"
+                       "    <backoff_max_s>-10</backoff_max_s>\n"
+                       "  </client>\n"
+                       "</scenario>"),
+            "scenario xml line 3: <client><backoff_min_s> must be positive");
+  EXPECT_EQ(message_of("<scenario>\n"
+                       "  <client>\n"
+                       "    <backoff_min_s>100</backoff_min_s>\n"
+                       "    <backoff_max_s>50</backoff_max_s>\n"
+                       "  </client>\n"
+                       "</scenario>"),
+            "scenario xml line 4: <client><backoff_max_s> must be >= "
+            "<backoff_min_s>");
+  // A floor above the default 600 s cap needs its own cap; the error points
+  // at the <client> block.
+  EXPECT_EQ(at_line_2("<client><backoff_min_s>900</backoff_min_s></client>"),
+            "scenario xml line 2: <client><backoff_max_s> must be >= "
+            "<backoff_min_s>");
+  // A malformed number is an error at its element, not the default.
+  EXPECT_EQ(at_line_2("<time_limit_s>abc</time_limit_s>"),
+            "xml line 2: <time_limit_s> is not a number: \"abc\"");
+  EXPECT_EQ(at_line_2("<nodes>4x</nodes>"),
+            "xml line 2: <nodes> is not an integer: \"4x\"");
+  // Megabytes and milliseconds whose conversion would overflow int64 (the
+  // echo used to print -1).
+  const std::string max_i64 = "9223372036854775807";
+  EXPECT_EQ(at_line_2("<input_mb>" + max_i64 + "</input_mb>"),
+            "scenario xml line 2: <scenario><input_mb> must be in "
+            "[0, 9223372036854]");
+  EXPECT_EQ(at_line_2("<workflow><node name=\"a\"><input_mb>" + max_i64 +
+                      "</input_mb></node></workflow>"),
+            "scenario xml line 2: <node><input_mb> must be in "
+            "[0, 9223372036854]");
+  EXPECT_EQ(at_line_2("<server_link><latency_ms>" + max_i64 +
+                      "</latency_ms></server_link>"),
+            "scenario xml line 2: <server_link><latency_ms> must be in "
+            "[0, 1e+15]");
+}
+
+/// One seeded mutant of a scenario document: a digit changed, a leaf
+/// element's value replaced by a hostile token, a leaf element dropped or
+/// duplicated, or the document truncated.
+std::string mutate_scenario(const std::string& xml, common::Rng& rng) {
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  static const std::regex kLeaf(R"(<(\w+)>([^<]*)</\1>)");
+  std::vector<std::smatch> leaves;
+  for (auto it = std::sregex_iterator(xml.begin(), xml.end(), kLeaf);
+       it != std::sregex_iterator(); ++it) {
+    leaves.push_back(*it);
+  }
+  std::string out = xml;
+  switch (leaves.empty() ? 4 : rng.uniform_int(0, 4)) {
+    case 0: {
+      std::vector<std::size_t> digits;
+      for (std::size_t i = 0; i < xml.size(); ++i) {
+        if (xml[i] >= '0' && xml[i] <= '9') digits.push_back(i);
+      }
+      if (!digits.empty()) {
+        out[digits[pick(digits.size())]] =
+            static_cast<char>('0' + rng.uniform_int(0, 9));
+      }
+      break;
+    }
+    case 1: {
+      static const char* const kTokens[] = {
+          "nan", "inf", "-1", "1e300", "abc", "", "9223372036854775807"};
+      const std::smatch& m = leaves[pick(leaves.size())];
+      out.replace(static_cast<std::size_t>(m.position(2)),
+                  static_cast<std::size_t>(m.length(2)),
+                  kTokens[pick(std::size(kTokens))]);
+      break;
+    }
+    case 2: {
+      const std::smatch& m = leaves[pick(leaves.size())];
+      out.erase(static_cast<std::size_t>(m.position(0)),
+                static_cast<std::size_t>(m.length(0)));
+      break;
+    }
+    case 3: {
+      const std::smatch& m = leaves[pick(leaves.size())];
+      out.insert(static_cast<std::size_t>(m.position(0)), m.str(0));
+      break;
+    }
+    default:
+      out.resize(pick(xml.size()));
+      break;
+  }
+  return out;
+}
+
+// Seeded-mutation fuzz of the scenario reader over every shipped scenario:
+// each mutant parses (and its echo serializes) or throws vcmr::Error.
+// Nothing here runs a simulation.
+TEST(ScenarioIo, MutatedScenarioParsesOrThrowsError) {
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(VCMR_SCENARIO_DIR)) {
+    if (entry.path().extension() == ".xml") files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  ASSERT_FALSE(files.empty());
+  int parsed = 0, rejected = 0;
+  for (const auto& file : files) {
+    std::ifstream in(file);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+      common::Rng rng(seed);
+      std::string xml = buf.str();
+      for (auto n = rng.uniform_int(1, 3); n > 0; --n) {
+        xml = mutate_scenario(xml, rng);
+      }
+      try {
+        scenario_to_xml(scenario_from_xml(xml));
+        ++parsed;
+      } catch (const Error&) {
+        ++rejected;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << file << ": " << e.what() << "\n" << xml;
+      }
+    }
+  }
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(ScenarioIo, ParsedScenarioRuns) {
@@ -249,6 +408,19 @@ TEST(ScenarioIo, ParsedScenarioRuns) {
       "<input_mb>50</input_mb><boinc_mr>1</boinc_mr></scenario>");
   Cluster cluster(s);
   EXPECT_TRUE(cluster.run_job().metrics.completed);
+}
+
+/// One stage of a linear workflow; the first stage carries the input.
+server::MrJobSpec stage(const std::string& name, const std::string& app,
+                        int maps, int reducers,
+                        std::optional<std::string> input = std::nullopt) {
+  server::MrJobSpec spec;
+  spec.name = name;
+  spec.app = app;
+  spec.n_maps = maps;
+  spec.n_reducers = reducers;
+  spec.input_text = std::move(input);
+  return spec;
 }
 
 TEST(Workflow, ChainMatchesLocalOracle) {
@@ -264,10 +436,19 @@ TEST(Workflow, ChainMatchesLocalOracle) {
   s.boinc_mr = true;
   s.input_text = corpus;
   Cluster cluster(s);
-  const ChainResult chain = run_chain(
-      cluster, "wf", corpus, {{"word_count", 4, 2}, {"count_range", 2, 2}});
+  const WorkflowRunResult chain =
+      cluster.run_workflow(wf::linear_workflow({stage("wf_stage0", "word_count",
+                                                      4, 2, corpus),
+                                                stage("wf_stage1",
+                                                      "count_range", 2, 2)}));
   ASSERT_TRUE(chain.completed);
-  ASSERT_EQ(chain.stages.size(), 2u);
+  ASSERT_EQ(chain.nodes.size(), 2u);
+  for (const wf::NodeOutcome& node : chain.nodes) {
+    ASSERT_EQ(node.runs.size(), 1u);
+    EXPECT_TRUE(compute_job_metrics(cluster.project().database(),
+                                    node.runs.back().job)
+                    .completed);
+  }
 
   mr::register_builtin_apps();
   const auto* wc = mr::AppRegistry::instance().find("word_count");
@@ -293,9 +474,10 @@ TEST(Workflow, FailedStageStopsChain) {
   s.boinc_mr = true;
   s.input_text = tiny;
   Cluster cluster(s);
-  // Unknown app in stage 2: submit throws inside run_chain's second stage.
-  EXPECT_THROW(run_chain(cluster, "wf", "tiny input",
-                         {{"word_count", 2, 1}, {"no_such_app", 2, 1}}),
+  // Unknown app in stage 2: the workflow is refused before any stage runs.
+  EXPECT_THROW(cluster.run_workflow(wf::linear_workflow(
+                   {stage("wf_stage0", "word_count", 2, 1, tiny),
+                    stage("wf_stage1", "no_such_app", 2, 1)})),
                Error);
 }
 #if defined(__GNUC__) && !defined(__clang__)

@@ -1,6 +1,5 @@
-// Tests for config parsing and the daemon state machines
-// (feeder, transitioner, validator, assimilator) driven directly against a
-// database — no network involved.
+// Tests for the daemon state machines (feeder, transitioner, validator,
+// assimilator) driven directly against a database — no network involved.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +8,6 @@
 #include <set>
 #include <vector>
 
-#include "common/error.h"
 #include "common/rng.h"
 #include "db/database.h"
 #include "server/assimilator.h"
@@ -21,73 +19,10 @@
 namespace vcmr::server {
 namespace {
 
-TEST(Config, ParseMrJobtracker) {
-  const std::string xml = R"(<mr_jobtracker>
-    <n_maps>30</n_maps>
-    <n_reducers>7</n_reducers>
-    <target_nresults>3</target_nresults>
-    <min_quorum>2</min_quorum>
-    <mirror_map_outputs>0</mirror_map_outputs>
-    <pipelined_reduce>1</pipelined_reduce>
-    <resend_lost_results>1</resend_lost_results>
-    <report_fetch_failures>1</report_fetch_failures>
-  </mr_jobtracker>)";
-  const ProjectConfig cfg = parse_mr_jobtracker(xml);
-  EXPECT_EQ(cfg.default_n_maps, 30);
-  EXPECT_EQ(cfg.default_n_reducers, 7);
-  EXPECT_EQ(cfg.target_nresults, 3);
-  EXPECT_EQ(cfg.min_quorum, 2);
-  EXPECT_FALSE(cfg.mirror_map_outputs);
-  EXPECT_TRUE(cfg.pipelined_reduce);
-  EXPECT_TRUE(cfg.resend_lost_results);
-  EXPECT_TRUE(cfg.report_fetch_failures);
-  // Both recovery mechanisms default off (golden traces stay identical).
+// Both recovery mechanisms default off (golden traces stay identical).
+TEST(Config, RecoverySwitchesDefaultOff) {
   EXPECT_FALSE(ProjectConfig{}.resend_lost_results);
   EXPECT_FALSE(ProjectConfig{}.report_fetch_failures);
-}
-
-TEST(Config, RoundTripThroughXml) {
-  ProjectConfig cfg;
-  cfg.default_n_maps = 40;
-  cfg.default_n_reducers = 5;
-  cfg.report_map_results_immediately = true;
-  cfg.resend_lost_results = true;
-  cfg.report_fetch_failures = true;
-  const ProjectConfig back = parse_mr_jobtracker(mr_jobtracker_xml(cfg));
-  EXPECT_EQ(back.default_n_maps, 40);
-  EXPECT_EQ(back.default_n_reducers, 5);
-  EXPECT_TRUE(back.report_map_results_immediately);
-  EXPECT_TRUE(back.resend_lost_results);
-  EXPECT_TRUE(back.report_fetch_failures);
-}
-
-TEST(Config, RejectsInvalid) {
-  EXPECT_THROW(parse_mr_jobtracker("<wrong/>"), Error);
-  EXPECT_THROW(parse_mr_jobtracker("<mr_jobtracker><n_maps>0</n_maps></mr_jobtracker>"),
-               Error);
-  try {
-    parse_mr_jobtracker(
-        "<mr_jobtracker><min_quorum>5</min_quorum>"
-        "<target_nresults>2</target_nresults></mr_jobtracker>");
-    FAIL() << "min_quorum 5 > target_nresults 2 accepted";
-  } catch (const Error& e) {
-    EXPECT_EQ(std::string(e.what()),
-              "mr_jobtracker.xml: need 1 <= min_quorum <= target_nresults");
-  }
-}
-
-// mr_jobtracker.xml and scenario XML read <replication> through one reader,
-// so a bound scenario XML rejects is rejected here too, naming this document.
-TEST(Config, RejectsNegativeTrustMaxSkips) {
-  try {
-    parse_mr_jobtracker(
-        "<mr_jobtracker><replication><trust_max_skips>-1</trust_max_skips>"
-        "</replication></mr_jobtracker>");
-    FAIL() << "trust_max_skips -1 accepted";
-  } catch (const Error& e) {
-    EXPECT_EQ(std::string(e.what()),
-              "mr_jobtracker.xml: trust_max_skips must be >= 0");
-  }
 }
 
 struct DaemonFixture {
